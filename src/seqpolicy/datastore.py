@@ -2,12 +2,9 @@
 
 Episodes are stored as self-describing binary records holding raw values,
 never tokens; tokenization is a view over storage, so codec parameters can
-change without rewriting corpora. Each record is length-prefixed and closed
-by a CRC-32 of its body, giving cheap corruption detection.
-
-Record layout (all integers little-endian)::
-
-    magic "SQEP" | u16 version | u64 body_len | body | u32 crc32(body)
+change without rewriting corpora. Each record is one ``seqpolicy.framing``
+frame (magic "SQEP", version 1): length-prefixed and closed by a CRC-32 of
+its body, giving cheap corruption detection.
 
 The body carries the task id, per-timestep rewards, a schema table
 (length-prefixed UTF-8 keys plus shape/modality/range fields), and one
@@ -18,23 +15,15 @@ from __future__ import annotations
 
 import configparser
 import glob as globlib
-import io
 import logging
-import struct
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .codec import Modality, TensorSchema
-from .errors import (
-    ChecksumError,
-    ExhaustedStreamError,
-    SchemaError,
-    TruncatedRecordError,
-    VersionMismatchError,
-)
+from .errors import ExhaustedStreamError, SchemaError, TruncatedRecordError
+from .framing import Reader, Writer, atomic_writer, frame, unframe
 from .sequencer import ElementSequence, Episode, Timestep, flatten_episode, sample_subsequence
 
 logger = logging.getLogger(__name__)
@@ -55,72 +44,7 @@ _CODE_MODALITY = {v: k for k, v in _MODALITY_CODE.items()}
 # binary record encode/decode
 # ---------------------------------------------------------------------------
 
-class _Writer:
-    def __init__(self):
-        self.buf = bytearray()
-
-    def u8(self, v):
-        self.buf += struct.pack("<B", v)
-
-    def u16(self, v):
-        self.buf += struct.pack("<H", v)
-
-    def u32(self, v):
-        self.buf += struct.pack("<I", v)
-
-    def u64(self, v):
-        self.buf += struct.pack("<Q", v)
-
-    def f64(self, v):
-        self.buf += struct.pack("<d", v)
-
-    def string(self, s: str):
-        raw = s.encode("utf-8")
-        self.u32(len(raw))
-        self.buf += raw
-
-    def raw(self, b: bytes):
-        self.buf += b
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def _take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise TruncatedRecordError(
-                f"record body ends at byte {len(self.data)}, needed {self.pos + n}"
-            )
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self):
-        return struct.unpack("<B", self._take(1))[0]
-
-    def u16(self):
-        return struct.unpack("<H", self._take(2))[0]
-
-    def u32(self):
-        return struct.unpack("<I", self._take(4))[0]
-
-    def u64(self):
-        return struct.unpack("<Q", self._take(8))[0]
-
-    def f64(self):
-        return struct.unpack("<d", self._take(8))[0]
-
-    def string(self) -> str:
-        n = self.u32()
-        return self._take(n).decode("utf-8")
-
-    def done(self) -> bool:
-        return self.pos == len(self.data)
-
-
-def _write_schema(w: _Writer, schema: TensorSchema) -> None:
+def _write_schema(w: Writer, schema: TensorSchema) -> None:
     w.string(schema.key)
     w.u8(_MODALITY_CODE[schema.modality])
     w.u8(1 if schema.is_action else 0)
@@ -136,7 +60,7 @@ def _write_schema(w: _Writer, schema: TensorSchema) -> None:
         w.u8(0)
 
 
-def _read_schema(r: _Reader) -> TensorSchema:
+def _read_schema(r: Reader) -> TensorSchema:
     key = r.string()
     modality = _CODE_MODALITY[r.u8()]
     is_action = bool(r.u8())
@@ -156,7 +80,7 @@ def _read_schema(r: _Reader) -> TensorSchema:
     )
 
 
-def _write_value(w: _Writer, schema: TensorSchema, value) -> None:
+def _write_value(w: Writer, schema: TensorSchema, value) -> None:
     if schema.modality is Modality.TEXT:
         w.string(value)
         return
@@ -173,25 +97,25 @@ def _write_value(w: _Writer, schema: TensorSchema, value) -> None:
         w.raw(arr.astype("<f8").tobytes(order="C"))
 
 
-def _read_value(r: _Reader, schema: TensorSchema):
+def _read_value(r: Reader, schema: TensorSchema):
     if schema.modality is Modality.TEXT:
         return r.string()
     count = int(np.prod(schema.shape)) if schema.shape else 1
     if schema.modality is Modality.IMAGE:
-        raw = r._take(count)
+        raw = r.take(count)
         return np.frombuffer(raw, dtype=np.uint8).reshape(schema.shape).copy()
     if schema.modality is Modality.DISCRETE:
-        raw = r._take(4 * count)
+        raw = r.take(4 * count)
         arr = np.frombuffer(raw, dtype="<i4").astype(np.int64)
     else:
-        raw = r._take(8 * count)
+        raw = r.take(8 * count)
         arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     return arr.reshape(schema.shape) if schema.shape else arr[0]
 
 
 def encode_episode(ep: Episode) -> bytes:
     """Serialize one episode to a framed, checksummed record."""
-    body = _Writer()
+    body = Writer()
     body.string(ep.task_id)
     body.u32(len(ep.rewards))
     for rwd in ep.rewards:
@@ -230,35 +154,13 @@ def encode_episode(ep: Episode) -> bytes:
             body.u32(act[0])
             _write_value(body, act[1], act[2])
 
-    payload = bytes(body.buf)
-    head = _Writer()
-    head.raw(MAGIC)
-    head.u16(FORMAT_VERSION)
-    head.u64(len(payload))
-    return bytes(head.buf) + payload + struct.pack("<I", zlib.crc32(payload))
+    return frame(MAGIC, FORMAT_VERSION, body.buf)
 
 
 def decode_episode(data: bytes, offset: int = 0) -> tuple[Episode, int]:
     """Parse one record starting at ``offset``; returns (episode, next offset)."""
-    if offset + 14 > len(data):
-        raise TruncatedRecordError("record header incomplete")
-    if data[offset : offset + 4] != MAGIC:
-        raise TruncatedRecordError("bad record magic")
-    version = struct.unpack_from("<H", data, offset + 4)[0]
-    if version != FORMAT_VERSION:
-        raise VersionMismatchError(f"format version {version}, supported {FORMAT_VERSION}")
-    body_len = struct.unpack_from("<Q", data, offset + 6)[0]
-    body_start = offset + 14
-    if body_start + body_len + 4 > len(data):
-        raise TruncatedRecordError(
-            f"record claims {body_len} body bytes, only {len(data) - body_start - 4} present"
-        )
-    body = data[body_start : body_start + body_len]
-    stored_crc = struct.unpack_from("<I", data, body_start + body_len)[0]
-    if zlib.crc32(body) != stored_crc:
-        raise ChecksumError("record checksum mismatch")
-
-    r = _Reader(body)
+    body, next_offset = unframe(data, offset, MAGIC, FORMAT_VERSION)
+    r = Reader(body)
     task_id = r.string()
     n_rewards = r.u32()
     rewards = [r.f64() for _ in range(n_rewards)]
@@ -279,7 +181,7 @@ def decode_episode(data: bytes, offset: int = 0) -> tuple[Episode, int]:
         timesteps.append(Timestep(observations=observations, action=action))
     if not r.done():
         raise TruncatedRecordError("record body has trailing bytes")
-    return Episode(task_id=task_id, timesteps=timesteps, rewards=rewards), body_start + body_len + 4
+    return Episode(task_id=task_id, timesteps=timesteps, rewards=rewards), next_offset
 
 
 def write_episode(ep: Episode, sink) -> None:
@@ -293,7 +195,8 @@ def write_episode(ep: Episode, sink) -> None:
 
 
 def write_episodes(episodes: list[Episode], path) -> None:
-    with open(path, "wb") as f:
+    """Replace ``path`` with these records; a crash keeps the old file."""
+    with atomic_writer(path) as f:
         for ep in episodes:
             f.write(encode_episode(ep))
 
@@ -507,9 +410,3 @@ class MixtureSampler:
         pick = indices[int(self.rng.integers(0, len(indices)))]
         return ds.flattened(pick)
 
-
-def mixture_sampler(
-    manifests: list[DatasetManifest], rng: np.random.Generator, seq_len: int
-) -> MixtureSampler:
-    """Load every dataset in the manifest list and return the mixed stream."""
-    return MixtureSampler([LoadedDataset(m) for m in manifests], seq_len, rng)

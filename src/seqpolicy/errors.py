@@ -22,7 +22,7 @@ class ConfigError(SeqPolicyError, ValueError):
 
 
 class RecordFormatError(SeqPolicyError):
-    """Base for episode-record parsing failures."""
+    """Base for parsing failures of framed records: episodes and checkpoints."""
 
 
 class VersionMismatchError(RecordFormatError):

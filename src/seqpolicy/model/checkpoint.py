@@ -5,61 +5,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import struct
-import zlib
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import ChecksumError, TruncatedRecordError, VersionMismatchError
+from ..framing import Reader, Writer, atomic_writer, frame, unframe
 from .config import ModelConfig
 
 MAGIC = b"SQCK"
 CHECKPOINT_VERSION = 1
-
-
-def _pack_tensor(out: bytearray, name: str, arr: np.ndarray) -> None:
-    raw = name.encode("utf-8")
-    out += struct.pack("<I", len(raw))
-    out += raw
-    out += struct.pack("<B", arr.ndim)
-    for d in arr.shape:
-        out += struct.pack("<I", d)
-    out += np.ascontiguousarray(arr, dtype="<f4").tobytes()
-
-
-class _Cursor:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise TruncatedRecordError("checkpoint body incomplete")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self) -> int:
-        return struct.unpack("<B", self.take(1))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def string(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
-
-
-def _unpack_tensor(cur: _Cursor) -> tuple[str, np.ndarray]:
-    name = cur.string()
-    ndim = cur.u8()
-    shape = tuple(cur.u32() for _ in range(ndim))
-    count = int(np.prod(shape)) if shape else 1
-    arr = np.frombuffer(cur.take(4 * count), dtype="<f4").reshape(shape).astype(np.float32)
-    return name, arr
 
 
 def save_checkpoint(
@@ -70,70 +24,45 @@ def save_checkpoint(
     rng_states: dict | None = None,
     extra: dict | None = None,
 ) -> None:
-    body = bytearray()
-    cfg_json = json.dumps(dataclasses.asdict(cfg)).encode("utf-8")
-    body += struct.pack("<I", len(cfg_json))
-    body += cfg_json
-    body += struct.pack("<I", len(params))
+    """Replace ``path`` with a checkpoint; a crash keeps the old file."""
+    w = Writer()
+    w.string(json.dumps(dataclasses.asdict(cfg)))
+    w.u32(len(params))
     for name in sorted(params):
-        _pack_tensor(body, name, params[name])
+        w.tensor(name, params[name])
     if optimizer_state is not None:
-        body += struct.pack("<B", 1)
-        body += struct.pack("<Q", optimizer_state["step"])
-        moments = optimizer_state["m"], optimizer_state["v"]
-        for group in moments:
-            body += struct.pack("<I", len(group))
+        w.u8(1)
+        w.u64(optimizer_state["step"])
+        for group in (optimizer_state["m"], optimizer_state["v"]):
+            w.u32(len(group))
             for name in sorted(group):
-                _pack_tensor(body, name, group[name])
+                w.tensor(name, group[name])
     else:
-        body += struct.pack("<B", 0)
+        w.u8(0)
     for blob in (rng_states, extra):
         if blob is not None:
-            raw = json.dumps(blob).encode("utf-8")
-            body += struct.pack("<B", 1)
-            body += struct.pack("<I", len(raw))
-            body += raw
+            w.u8(1)
+            w.string(json.dumps(blob))
         else:
-            body += struct.pack("<B", 0)
-    framed = MAGIC + struct.pack("<H", CHECKPOINT_VERSION) + struct.pack("<Q", len(body))
-    Path(path).write_bytes(framed + bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
+            w.u8(0)
+    with atomic_writer(path) as f:
+        f.write(frame(MAGIC, CHECKPOINT_VERSION, w.buf))
 
 
 def load_checkpoint(path) -> dict:
     """Returns {cfg, params, optimizer_state, rng_states, extra}."""
-    data = Path(path).read_bytes()
-    if len(data) < 14 or data[:4] != MAGIC:
-        raise TruncatedRecordError("not a checkpoint file")
-    version = struct.unpack_from("<H", data, 4)[0]
-    if version != CHECKPOINT_VERSION:
-        raise VersionMismatchError(f"checkpoint version {version}, supported {CHECKPOINT_VERSION}")
-    body_len = struct.unpack_from("<Q", data, 6)[0]
-    if 14 + body_len + 4 > len(data):
-        raise TruncatedRecordError("checkpoint body incomplete")
-    body = data[14 : 14 + body_len]
-    stored = struct.unpack_from("<I", data, 14 + body_len)[0]
-    if zlib.crc32(body) != stored:
-        raise ChecksumError("checkpoint checksum mismatch")
-    cur = _Cursor(body)
-    cfg_raw = json.loads(cur.take(cur.u32()).decode("utf-8"))
+    body, _ = unframe(Path(path).read_bytes(), 0, MAGIC, CHECKPOINT_VERSION)
+    r = Reader(body)
+    cfg_raw = json.loads(r.string())
     cfg = ModelConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in cfg_raw.items()})
-    params = {}
-    for _ in range(cur.u32()):
-        name, arr = _unpack_tensor(cur)
-        params[name] = arr
+    params = dict(r.tensor() for _ in range(r.u32()))
     optimizer_state = None
-    if cur.u8():
-        step = cur.u64()
-        groups = []
-        for _ in range(2):
-            group = {}
-            for _ in range(cur.u32()):
-                name, arr = _unpack_tensor(cur)
-                group[name] = arr
-            groups.append(group)
-        optimizer_state = {"step": step, "m": groups[0], "v": groups[1]}
-    rng_states = json.loads(cur.take(cur.u32()).decode("utf-8")) if cur.u8() else None
-    extra = json.loads(cur.take(cur.u32()).decode("utf-8")) if cur.u8() else None
+    if r.u8():
+        step = r.u64()
+        m, v = [dict(r.tensor() for _ in range(r.u32())) for _ in range(2)]
+        optimizer_state = {"step": step, "m": m, "v": v}
+    rng_states = json.loads(r.string()) if r.u8() else None
+    extra = json.loads(r.string()) if r.u8() else None
     return {
         "cfg": cfg,
         "params": params,

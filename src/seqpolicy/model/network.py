@@ -280,6 +280,9 @@ def hidden_fwd(params, cfg: ModelConfig, emb, mode: str, streams: RngStreams | N
     """Pre-norm causal blocks, then the final layer norm."""
     sd_p = cfg.stochastic_depth if mode == "pretrain" else 0.0
     drop_p = cfg.dropout if mode == "finetune" else 0.0
+    if streams is None and (sd_p > 0.0 or drop_p > 0.0):
+        raise ValueError(f"{mode}-mode stochastic depth and dropout need random streams")
+    drop_rng = streams.dropout if streams is not None else None
     x = emb
     caches = []
     for i in range(cfg.blocks):
@@ -289,19 +292,13 @@ def hidden_fwd(params, cfg: ModelConfig, emb, mode: str, streams: RngStreams | N
             c_ln1 = c_attn = None
         else:
             h, c_ln1 = layernorm_fwd(x, params[f"block{i}/ln1/g"], params[f"block{i}/ln1/b"])
-            a, c_attn = _attention_fwd(
-                h, params, f"block{i}/attn", cfg, drop_p,
-                streams.dropout if streams is not None else None,
-            )
+            a, c_attn = _attention_fwd(h, params, f"block{i}/attn", cfg, drop_p, drop_rng)
             x = x + a
         if skip_ffn:
             c_ln2 = c_ffn = None
         else:
             h, c_ln2 = layernorm_fwd(x, params[f"block{i}/ln2/g"], params[f"block{i}/ln2/b"])
-            f, c_ffn = _ffn_fwd(
-                h, params, f"block{i}/ffn", drop_p,
-                streams.dropout if streams is not None else None,
-            )
+            f, c_ffn = _ffn_fwd(h, params, f"block{i}/ffn", drop_p, drop_rng)
             x = x + f
         caches.append((skip_attn, c_ln1, c_attn, skip_ffn, c_ln2, c_ffn))
     out, c_lnf = layernorm_fwd(x, params["final_ln/g"], params["final_ln/b"])

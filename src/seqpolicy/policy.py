@@ -8,7 +8,7 @@ timesteps, so the local structure the model saw during training survives.
 
 Sampled action tokens are range-masked to the legal token range of the
 action schema (continuous bins or the discrete range), so illegal ids are
-never emitted; a bounded resample loop remains as a defensive fallback.
+never emitted.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ class RolloutConfig:
     temperature: float = 1.0
     action_mode: str = "autoregressive"  # or "parallel"
     context_timesteps: int | None = None  # low-latency mode: 1
-    max_resample: int = 16
 
 
 @dataclass
@@ -189,7 +188,7 @@ def sample_action_autoregressive(
     tokens = []
     for _ in range(schema.num_elements):
         logits = _last_logits(state, context.sequence(), stats)
-        token = _pick_legal(logits, lo, hi, cfg, rng)
+        token = sample_token(logits, lo, hi, cfg.sampling, cfg.temperature, rng)
         tokens.append(token)
         context.extend_last(_action_element(token, timestep_id, context.fragments[-1].task_id))
     return tokens
@@ -216,21 +215,13 @@ def sample_action_parallel(
         context.extend_last(_action_element(0, timestep_id, task_id))
     seq = context.sequence()
     logits = _tail_logits(state, seq, count, stats)
-    tokens = [_pick_legal(logits[j], lo, hi, cfg, rng) for j in range(count)]
+    tokens = [
+        sample_token(logits[j], lo, hi, cfg.sampling, cfg.temperature, rng) for j in range(count)
+    ]
     last = context.fragments[-1]
     last.tokens[-count:] = tokens
     last.targets[-count:] = tokens
     return tokens
-
-
-def _pick_legal(logits, lo, hi, cfg: RolloutConfig, rng) -> int:
-    for _ in range(max(1, cfg.max_resample)):
-        token = sample_token(logits, lo, hi, cfg.sampling, cfg.temperature, rng)
-        if lo <= token < hi:
-            return token
-    raise RuntimeError(
-        f"sampled token outside [{lo}, {hi}) {cfg.max_resample} times"
-    )
 
 
 def decode_action(tokens: list[int], schema: TensorSchema):

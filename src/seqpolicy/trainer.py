@@ -17,7 +17,7 @@ import numpy as np
 
 from .datastore import MixtureSampler
 from .errors import NonFiniteAbort
-from .model import ModelState, loss_and_grads, save_checkpoint, validate_gradients
+from .model import ModelState, loss_and_grads, save_checkpoint
 from .model.config import ModelConfig
 from .sequencer import apply_prompt, assemble_batch
 
@@ -240,7 +240,6 @@ def _train_loop(
         loss, grads = loss_and_grads(
             params, state.cfg, batch, mode=mode, streams=state.streams, reduction="mean"
         )
-        validate_gradients(params, grads)
         if not math.isfinite(loss.total):
             diagnostics = {"step": step, "loss": loss.total}
             if out_dir is not None:

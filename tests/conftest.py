@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from seqpolicy import codec
+from seqpolicy import model as M
 from seqpolicy.codec import TensorSchema
 from seqpolicy.sequencer import Episode, Timestep
 
@@ -23,6 +24,58 @@ class ScriptedRng:
 @pytest.fixture
 def scripted_rng():
     return ScriptedRng
+
+
+def rich_episode(seed=0, task="rich"):
+    """Three timesteps covering every stored modality, one without an action."""
+    rng = np.random.default_rng(seed)
+    text = TensorSchema.text("note")
+    image = TensorSchema.image("cam", 16, 32, 3)
+    disc = TensorSchema.discrete("buttons", (2,))
+    cont = TensorSchema.continuous("joints", (3,), (-2.0, 2.0))
+    act = TensorSchema.continuous("torque", (2,), (-1.0, 1.0), is_action=True)
+    steps = []
+    for i in range(3):
+        obs = {
+            "note": (text, f"step {i}"),
+            "cam": (image, rng.integers(0, 256, size=(16, 32, 3), dtype=np.uint8)),
+            "buttons": (disc, rng.integers(0, 1024, size=(2,), dtype=np.int64)),
+            "joints": (cont, rng.uniform(-2, 2, size=(3,))),
+        }
+        action = (act, rng.uniform(-1, 1, size=(2,))) if i < 2 else None
+        steps.append(Timestep(observations=obs, action=action))
+    return Episode(task_id=task, timesteps=steps, rewards=[0.0, 0.5, 1.0])
+
+
+def micro_cfg(**overrides):
+    """A two-block, width-16 model config; keyword arguments override fields."""
+    base = dict(
+        blocks=2,
+        heads=2,
+        width=16,
+        ff_hidden=32,
+        kv_size=8,
+        context=32,
+        local_pos_table=16,
+        patch_pos_vocab=16,
+        stochastic_depth=0.0,
+        dropout=0.0,
+    )
+    base.update(overrides)
+    return M.ModelConfig(**base)
+
+
+def golden_checkpoint(path) -> None:
+    """Save the micro checkpoint whose bytes the golden digest pins."""
+    cfg = micro_cfg(vocab=64)
+    params = M.init_params(cfg, seed=11)
+    opt = {
+        "step": 17,
+        "m": {k: np.zeros_like(v) for k, v in params.items()},
+        "v": {k: np.ones_like(v) for k, v in params.items()},
+    }
+    M.save_checkpoint(path, cfg, params, optimizer_state=opt,
+                      rng_states=M.RngStreams(3).state_dict(), extra={"step": 17})
 
 
 def build_layout_episode(

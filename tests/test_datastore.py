@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqpolicy import datastore
+from seqpolicy import model as M
 from seqpolicy.codec import TensorSchema
 from seqpolicy.datastore import (
     DatasetManifest,
@@ -30,27 +31,7 @@ from seqpolicy.errors import (
 )
 from seqpolicy.sequencer import Episode, Timestep
 
-from conftest import build_layout_episode
-
-
-def _rich_episode(seed=0, task="rich"):
-    rng = np.random.default_rng(seed)
-    text = TensorSchema.text("note")
-    image = TensorSchema.image("cam", 16, 32, 3)
-    disc = TensorSchema.discrete("buttons", (2,))
-    cont = TensorSchema.continuous("joints", (3,), (-2.0, 2.0))
-    act = TensorSchema.continuous("torque", (2,), (-1.0, 1.0), is_action=True)
-    steps = []
-    for i in range(3):
-        obs = {
-            "note": (text, f"step {i}"),
-            "cam": (image, rng.integers(0, 256, size=(16, 32, 3), dtype=np.uint8)),
-            "buttons": (disc, rng.integers(0, 1024, size=(2,), dtype=np.int64)),
-            "joints": (cont, rng.uniform(-2, 2, size=(3,))),
-        }
-        action = (act, rng.uniform(-1, 1, size=(2,))) if i < 2 else None
-        steps.append(Timestep(observations=obs, action=action))
-    return Episode(task_id=task, timesteps=steps, rewards=[0.0, 0.5, 1.0])
+from conftest import build_layout_episode, golden_checkpoint, rich_episode
 
 
 def _reward_episode(r, task="t"):
@@ -62,13 +43,13 @@ def _reward_episode(r, task="t"):
 
 class TestEpisodeRecords:
     def test_roundtrip_bit_exact(self, tmp_path):
-        ep = _rich_episode()
+        ep = rich_episode()
         path = tmp_path / "ep.bin"
         write_episode(ep, path)
         assert read_episode(path) == ep
 
     def test_roundtrip_via_buffer(self):
-        ep = _rich_episode(1)
+        ep = rich_episode(1)
         buf = io.BytesIO()
         write_episode(ep, buf)
         buf.seek(0)
@@ -83,43 +64,68 @@ class TestEpisodeRecords:
         assert read_episode(encode_episode(ep)) == ep
 
     def test_multiple_records_per_file(self, tmp_path):
-        eps = [_rich_episode(i, task=f"t{i}") for i in range(3)]
+        eps = [rich_episode(i, task=f"t{i}") for i in range(3)]
         path = tmp_path / "eps.bin"
         write_episodes(eps, path)
         assert read_episodes(path) == eps
 
-    def test_corrupted_length_prefix(self):
-        data = bytearray(encode_episode(_rich_episode()))
-        data[6:14] = (2**40).to_bytes(8, "little")  # body_len field
-        with pytest.raises(TruncatedRecordError):
-            read_episode(bytes(data))
+    # The corruption cases run on both framed formats: an episode record and
+    # a checkpoint. Each error must name the format it came from.
 
-    def test_truncated_body(self):
-        data = encode_episode(_rich_episode())
-        with pytest.raises(TruncatedRecordError):
-            read_episode(data[: len(data) // 2])
+    def test_corrupted_length_prefix(self, tmp_path):
+        for magic, data, load in _framed_artefacts(tmp_path):
+            data[6:14] = (2**40).to_bytes(8, "little")  # body_len field
+            with pytest.raises(TruncatedRecordError, match=magic):
+                load(data)
 
-    def test_version_mismatch(self):
-        data = bytearray(encode_episode(_rich_episode()))
-        data[4:6] = (99).to_bytes(2, "little")
-        with pytest.raises(VersionMismatchError):
-            read_episode(bytes(data))
+    def test_truncated_body(self, tmp_path):
+        for magic, data, load in _framed_artefacts(tmp_path):
+            with pytest.raises(TruncatedRecordError, match=magic):
+                load(data[: len(data) // 2])
 
-    def test_checksum_failure(self):
-        data = bytearray(encode_episode(_rich_episode()))
-        data[-1] ^= 0xFF  # clobber the stored crc
-        with pytest.raises(ChecksumError):
-            read_episode(bytes(data))
+    def test_bad_magic(self, tmp_path):
+        for magic, data, load in _framed_artefacts(tmp_path):
+            data[0:4] = b"JUNK"
+            with pytest.raises(TruncatedRecordError, match=magic):
+                load(data)
 
-    def test_body_corruption_detected(self):
-        data = bytearray(encode_episode(_rich_episode()))
+    def test_version_mismatch(self, tmp_path):
+        for magic, data, load in _framed_artefacts(tmp_path):
+            data[4:6] = (99).to_bytes(2, "little")
+            with pytest.raises(VersionMismatchError, match=magic):
+                load(data)
+
+    def test_checksum_failure(self, tmp_path):
+        for magic, data, load in _framed_artefacts(tmp_path):
+            data[-1] ^= 0xFF  # clobber the stored crc
+            with pytest.raises(ChecksumError, match=magic):
+                load(data)
+
+    def test_body_corruption_detected(self, tmp_path):
         rng = np.random.default_rng(5)
-        for _ in range(200):
-            copy = bytearray(data)
-            pos = int(rng.integers(14, len(copy) - 4))
-            copy[pos] ^= int(rng.integers(1, 256))
-            with pytest.raises(RecordFormatError):
-                read_episode(bytes(copy))
+        for _, data, load in _framed_artefacts(tmp_path):
+            for _ in range(200):
+                copy = bytearray(data)
+                pos = int(rng.integers(14, len(copy) - 4))
+                copy[pos] ^= int(rng.integers(1, 256))
+                with pytest.raises(RecordFormatError):
+                    load(copy)
+
+
+def _framed_artefacts(tmp_path):
+    """(magic, mutable bytes, loader) for an episode record and a checkpoint."""
+    ckpt = tmp_path / "golden.ckpt"
+    golden_checkpoint(ckpt)
+
+    def load_checkpoint(data):
+        path = tmp_path / "corrupt.ckpt"
+        path.write_bytes(bytes(data))
+        return M.load_checkpoint(path)
+
+    return [
+        ("SQEP", bytearray(encode_episode(rich_episode())), lambda data: read_episode(bytes(data))),
+        ("SQCK", bytearray(ckpt.read_bytes()), load_checkpoint),
+    ]
 
 
 class TestExpertReturn:

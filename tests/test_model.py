@@ -8,24 +8,7 @@ from seqpolicy.errors import CapacityError, ChecksumError, ConfigError
 from seqpolicy.model.network import embed_batch, hidden_fwd
 from seqpolicy.sequencer import ElementSource, assemble_batch
 
-from conftest import manual_sequence
-
-
-def micro_cfg(**overrides):
-    base = dict(
-        blocks=2,
-        heads=2,
-        width=16,
-        ff_hidden=32,
-        kv_size=8,
-        context=32,
-        local_pos_table=16,
-        patch_pos_vocab=16,
-        stochastic_depth=0.0,
-        dropout=0.0,
-    )
-    base.update(overrides)
-    return M.ModelConfig(**base)
+from conftest import manual_sequence, micro_cfg
 
 
 def small_batch(L=12, seed=0, with_sep=True):
@@ -205,6 +188,20 @@ class TestForward:
         train_h, _ = hidden_fwd(params, cfg, emb, "pretrain", streams)
         eval_h, _ = hidden_fwd(params, cfg, emb, "eval", None)
         assert not np.array_equal(train_h, eval_h)
+
+    def test_pretrain_stochastic_depth_needs_streams(self):
+        cfg = micro_cfg(stochastic_depth=0.1)
+        params = M.init_params(cfg, seed=4)
+        batch = assemble_batch([manual_sequence([("tensor", 3), ("sep",), ("action", 1)])])
+        with pytest.raises(ValueError, match="pretrain"):
+            M.loss_and_grads(params, cfg, batch)  # defaults: pretrain, no streams
+
+    def test_finetune_dropout_needs_streams(self):
+        cfg = micro_cfg(dropout=0.1)
+        params = M.init_params(cfg, seed=4)
+        emb, _ = embed_batch(params, cfg, small_batch(), "eval", None)
+        with pytest.raises(ValueError, match="finetune"):
+            hidden_fwd(params, cfg, emb, "finetune", None)
 
 
 class TestMaskedLoss:
