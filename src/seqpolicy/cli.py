@@ -30,7 +30,14 @@ from .datastore import (
     write_manifest,
 )
 from .envs import ENV_NAMES, make_env, make_expert
-from .errors import ConfigError, NonFiniteAbort, RecordFormatError, SchemaError
+from .errors import (
+    ConfigError,
+    ExhaustedStreamError,
+    NonFiniteAbort,
+    RecordFormatError,
+    SchemaError,
+)
+from .framing import atomic_writer
 from .model import (
     FULL_SCALE,
     ModelConfig,
@@ -271,14 +278,15 @@ def cmd_filter(args) -> int:
             )
         path = out_dir / f"{manifest.name}.ep"
         write_episodes(kept_all, path)
+        # relative to the filtered manifest, which sits next to the file
         filtered_manifests.append(
             type(manifest)(
-                name=manifest.name, paths=[str(path)], sample_weight=manifest.sample_weight
+                name=manifest.name, paths=[path.name], sample_weight=manifest.sample_weight
             )
         )
     write_manifest(filtered_manifests, out_dir / "manifest.cfg")
-    report_path = out_dir / "filter_report.txt"
-    report_path.write_text("\n".join(report_lines) + "\n")
+    with atomic_writer(out_dir / "filter_report.txt") as f:
+        f.write(("\n".join(report_lines) + "\n").encode())
     for line in report_lines:
         print(line)
     print(f"filtered manifest: {out_dir / 'manifest.cfg'}")
@@ -553,7 +561,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (RecordFormatError, SchemaError, FileNotFoundError) as exc:
+    except (RecordFormatError, SchemaError, ExhaustedStreamError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NonFiniteAbort as exc:

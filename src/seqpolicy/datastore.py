@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import configparser
 import glob as globlib
+import io
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -328,11 +329,14 @@ def load_manifest(path) -> list[DatasetManifest]:
 
 
 def write_manifest(manifests: list[DatasetManifest], path) -> None:
+    """Replace ``path`` with a manifest of these datasets; a crash keeps the old file."""
     parser = configparser.ConfigParser()
     for m in manifests:
         parser[m.name] = {"paths": " ".join(m.paths), "weight": repr(m.sample_weight)}
-    with open(path, "w") as f:
-        parser.write(f)
+    text = io.StringIO()
+    parser.write(text)
+    with atomic_writer(path) as f:
+        f.write(text.getvalue().encode())
 
 
 class LoadedDataset:

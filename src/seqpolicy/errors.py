@@ -1,7 +1,7 @@
 """Exception taxonomy shared across the package.
 
-CLI exit-code mapping: ConfigError -> 2, data errors (SchemaError and the
-record-format family) -> 3, NonFiniteAbort -> 4.
+CLI exit-code mapping: ConfigError -> 2, data errors (SchemaError, the
+record-format family and ExhaustedStreamError) -> 3, NonFiniteAbort -> 4.
 """
 
 

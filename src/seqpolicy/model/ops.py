@@ -35,12 +35,15 @@ def linear_bwd(dy: np.ndarray, cache, w: np.ndarray):
 
 
 def gelu_fwd(x: np.ndarray):
-    y = 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
-    return y, x
+    """Exact GELU; the cache keeps ``erf(x / sqrt 2)`` so backward skips it."""
+    e = erf(x * _INV_SQRT2)
+    y = 0.5 * x * (1.0 + e)
+    return y, (x, e)
 
 
-def gelu_bwd(dy: np.ndarray, x: np.ndarray):
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+def gelu_bwd(dy: np.ndarray, cache):
+    x, e = cache
+    cdf = 0.5 * (1.0 + e)
     pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
     return dy * (cdf + x * pdf)
 

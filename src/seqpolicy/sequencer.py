@@ -14,7 +14,7 @@ tokens, which are never predicted.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterable
 
 import numpy as np
@@ -509,6 +509,28 @@ class MaskedBatch:
         out = np.zeros_like(self.mask)
         out[:, :-1] = self.mask[:, 1:]
         return out
+
+    def trimmed(self) -> "MaskedBatch":
+        """The batch cut after its last column holding a non-padding element.
+
+        Padding only trails and attention is causal, so the model sees the
+        same inputs at every real position; the per-position arrays become
+        views. Patches sit at real positions and are kept as they are. A
+        batch with no trailing all-padding column is returned itself.
+        """
+        real = np.nonzero((self.sources != ElementSource.PAD).any(axis=0))[0]
+        length = int(real[-1]) + 1 if real.size else 1
+        if length == self.seq_len:
+            return self
+        return replace(
+            self,
+            tokens=self.tokens[:, :length],
+            sources=self.sources[:, :length],
+            local_pos=self.local_pos[:, :length],
+            mask=self.mask[:, :length],
+            targets=self.targets[:, :length],
+            timestep=self.timestep[:, :length],
+        )
 
     def unbatch(self) -> list[ElementSequence]:
         items = []

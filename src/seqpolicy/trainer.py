@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .datastore import MixtureSampler
-from .errors import NonFiniteAbort
+from .errors import CapacityError, NonFiniteAbort
 from .model import ModelState, loss_and_grads, save_checkpoint
 from .model.config import ModelConfig
 from .sequencer import apply_prompt, assemble_batch
@@ -193,6 +193,7 @@ class TrainResult:
 
 
 def _draw_batch(sampler: MixtureSampler, batch_size: int, prompt_probability: float, counters):
+    """One batch of windows (some prompted), cut to its longest real row."""
     items = []
     prompted = 0
     for _ in range(batch_size):
@@ -207,7 +208,7 @@ def _draw_batch(sampler: MixtureSampler, batch_size: int, prompt_probability: fl
         )
         prompted += int(was_prompted)
         items.append(item)
-    return assemble_batch(items), prompted
+    return assemble_batch(items).trimmed(), prompted
 
 
 def _train_loop(
@@ -222,6 +223,9 @@ def _train_loop(
     eval_every: int = 0,
     eval_fn=None,
 ) -> TrainResult:
+    if cfg.seq_len > state.cfg.context:
+        # checked up front: a trimmed batch can be shorter than the context
+        raise CapacityError(f"seq_len {cfg.seq_len} exceeds context {state.cfg.context}")
     params = state.params
     sampler.seq_len = cfg.seq_len
     opt_state = init_optimizer_state(params)
@@ -248,7 +252,7 @@ def _train_loop(
         if loss.masked_tokens == 0:
             counters["zero_mask_batches"] += 1
         optimizer_step(params, grads, opt_state, lr, cfg.optim)
-        tokens_processed += batch.batch_size * batch.seq_len
+        tokens_processed += batch.batch_size * cfg.seq_len  # drawn positions, before the trim
 
         per_dataset: dict[str, float] = {}
         for (task, dataset), item_loss in zip(batch.provenance, loss.per_item):

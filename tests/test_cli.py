@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,41 @@ class TestPretrainCommand:
 
     def test_unknown_key_exit_2(self, tmp_path):
         assert main(["pretrain", "--set", "nonsense=1"]) == EXIT_CONFIG
+
+    def test_readme_filter_then_pretrain_from_another_cwd(self, tmp_path, monkeypatch):
+        corpus = tmp_path / "corpus"
+        assert main(["rollout", "--env", "gridreach", "--expert", "-n", "10",
+                     "--out", str(corpus / "grid")]) == EXIT_OK
+        (corpus / "manifest.cfg").write_text(
+            "[grid_expert]\npaths = grid/transcripts.ep\nweight = 1.0\n"
+        )
+        monkeypatch.chdir(tmp_path)
+        assert main(["filter", "--manifest", "corpus/manifest.cfg",
+                     "--out", "corpus/filtered"]) == EXIT_OK
+        [filtered] = load_manifest("corpus/filtered/manifest.cfg")
+        assert [Path(p).resolve() for p in filtered.paths] == [
+            corpus.resolve() / "filtered" / "grid_expert.ep"
+        ]
+        code = main([
+            "pretrain",
+            "--set", "manifest=corpus/filtered/manifest.cfg",
+            "--set", "steps=2", "--set", "batch_size=2", "--set", "seq_len=32",
+            "--set", "checkpoint_every=0", "--set", "model.preset=micro",
+            "--set", "model.vocab=33025", "--set", "model.local_pos_table=16",
+            "--set", "out_dir=runs/grid", "--seed", "0",
+        ])
+        assert code == EXIT_OK
+        assert (tmp_path / "runs" / "grid" / "final.ckpt").exists()
+
+    def test_empty_mixture_exit_3(self, tmp_path, capsys):
+        mpath = tmp_path / "manifest.cfg"
+        mpath.write_text("[nothing]\npaths = missing/*.ep\nweight = 1.0\n")
+        code = main(["pretrain", "--set", f"manifest={mpath}",
+                     "--set", f"out_dir={tmp_path / 'run'}"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "empty" in err
+        assert err.count("\n") == 1
 
 
 class TestRolloutCommand:

@@ -4,7 +4,13 @@ import os
 import pytest
 
 from seqpolicy import model as M
-from seqpolicy.datastore import encode_episode, read_episodes, write_episodes
+from seqpolicy.datastore import (
+    DatasetManifest,
+    encode_episode,
+    read_episodes,
+    write_episodes,
+    write_manifest,
+)
 
 from conftest import golden_checkpoint, micro_cfg, rich_episode
 
@@ -53,6 +59,16 @@ class TestAtomicWrites:
             write_episodes([rich_episode(1), rich_episode(2)], path)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.ep"]
+
+    def test_failed_manifest_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "manifest.cfg"
+        write_manifest([DatasetManifest(name="old", paths=["a.ep"], sample_weight=1.0)], path)
+        before = path.read_bytes()
+        monkeypatch.setattr(os, "replace", _failing_replace)
+        with pytest.raises(OSError, match="simulated"):
+            write_manifest([DatasetManifest(name="new", paths=["b.ep"], sample_weight=2.0)], path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.cfg"]
 
     def test_write_replaces_previous_file(self, tmp_path):
         path = tmp_path / "corpus.ep"

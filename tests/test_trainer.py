@@ -7,7 +7,7 @@ from seqpolicy import trainer
 from seqpolicy.corpora import collect_episodes
 from seqpolicy.datastore import DatasetManifest, LoadedDataset, MixtureSampler
 from seqpolicy.envs import GridReach, GridReachExpert, TwoTaskBandit, TwoTaskBanditExpert
-from seqpolicy.errors import NonFiniteAbort
+from seqpolicy.errors import CapacityError, NonFiniteAbort
 from seqpolicy.model import ModelConfig, ModelState, parameter_count
 from seqpolicy.trainer import (
     FinetuneConfig,
@@ -203,6 +203,16 @@ class TestPretrain:
         assert (tmp_path / "step0000002.ckpt").exists()
         assert (tmp_path / "step0000004.ckpt").exists()
         assert (tmp_path / "final.ckpt").exists()
+
+    def test_seq_len_beyond_context_rejected_before_drawing(self):
+        # every window here is shorter than 64, so trimmed batches would fit
+        sampler = _grid_sampler(n_episodes=1, seq_len=64)
+        before = sampler.rng.bit_generator.state
+        state = _tiny_state(context=32)
+        cfg = TrainConfig(steps=2, batch_size=2, seq_len=64, checkpoint_every=0)
+        with pytest.raises(CapacityError, match="seq_len 64 exceeds context 32"):
+            pretrain(sampler, state, cfg)
+        assert sampler.rng.bit_generator.state == before
 
     def test_non_finite_loss_aborts_with_dump(self, tmp_path):
         sampler = _grid_sampler()
