@@ -231,7 +231,8 @@ def _log_resolved(command: str, resolved: dict, out_dir: Path | None) -> None:
         print(line)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "resolved_config.txt").write_text("\n".join(lines) + "\n")
+        with atomic_writer(out_dir / "resolved_config.txt") as f:
+            f.write(("\n".join(lines) + "\n").encode())
 
 
 def build_model_config(resolved: dict) -> ModelConfig:
@@ -459,7 +460,8 @@ def cmd_rollout(args) -> int:
         write_episodes(episodes, out_dir / "transcripts.ep")
         summary = {"env": args.env, "episodes": len(returns), "returns": returns,
                    "mean_return": mean, "warnings": warnings}
-        (out_dir / "rollout_summary.json").write_text(json.dumps(summary, indent=2))
+        with atomic_writer(out_dir / "rollout_summary.json") as f:
+            f.write(json.dumps(summary, indent=2).encode())
     return EXIT_OK
 
 

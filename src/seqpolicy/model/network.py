@@ -188,7 +188,7 @@ def embed_bwd(demb: np.ndarray, cache, params: dict, grads: dict) -> None:
 # transformer
 # ---------------------------------------------------------------------------
 
-def _attention_fwd(x, params, pfx, cfg, dropout_p, drop_rng):
+def _attention_fwd(x, params, pfx, cfg, dropout_p, drop_rng, allowed):
     b, length, _ = x.shape
     h, k = cfg.heads, cfg.kv_size
     q2, cq = linear_fwd(x, params[f"{pfx}/wq"], params[f"{pfx}/bq"])
@@ -198,8 +198,7 @@ def _attention_fwd(x, params, pfx, cfg, dropout_p, drop_rng):
     kk = k2.reshape(b, length, h, k).transpose(0, 2, 1, 3)
     v = v2.reshape(b, length, h, k).transpose(0, 2, 1, 3)
     scores = (q @ kk.transpose(0, 1, 3, 2)) / math.sqrt(k)
-    causal = np.tril(np.ones((length, length), dtype=bool))
-    scores = np.where(causal, scores, -np.inf)
+    scores = np.where(allowed, scores, -np.inf)
     probs = softmax_last(scores)
     if dropout_p > 0.0:
         keep = (drop_rng.random(probs.shape) >= dropout_p).astype(x.dtype)
@@ -276,13 +275,22 @@ def _ffn_bwd(dy, cache, params, pfx, grads):
     return dxg + dxu
 
 
-def hidden_fwd(params, cfg: ModelConfig, emb, mode: str, streams: RngStreams | None):
-    """Pre-norm causal blocks, then the final layer norm."""
+def hidden_fwd(params, cfg: ModelConfig, emb, mode: str, streams: RngStreams | None,
+               segments: np.ndarray | None = None):
+    """Pre-norm causal blocks, then the final layer norm.
+
+    ``segments`` (B, L) names each position's window: attention is causal
+    and never crosses windows. None means one window per row. Every position
+    attends to itself, so no softmax row is empty.
+    """
     sd_p = cfg.stochastic_depth if mode == "pretrain" else 0.0
     drop_p = cfg.dropout if mode == "finetune" else 0.0
     if streams is None and (sd_p > 0.0 or drop_p > 0.0):
         raise ValueError(f"{mode}-mode stochastic depth and dropout need random streams")
     drop_rng = streams.dropout if streams is not None else None
+    allowed = np.tril(np.ones((emb.shape[1], emb.shape[1]), dtype=bool))
+    if segments is not None:
+        allowed = allowed & (segments[:, None, :, None] == segments[:, None, None, :])
     x = emb
     caches = []
     for i in range(cfg.blocks):
@@ -292,7 +300,7 @@ def hidden_fwd(params, cfg: ModelConfig, emb, mode: str, streams: RngStreams | N
             c_ln1 = c_attn = None
         else:
             h, c_ln1 = layernorm_fwd(x, params[f"block{i}/ln1/g"], params[f"block{i}/ln1/b"])
-            a, c_attn = _attention_fwd(h, params, f"block{i}/attn", cfg, drop_p, drop_rng)
+            a, c_attn = _attention_fwd(h, params, f"block{i}/attn", cfg, drop_p, drop_rng, allowed)
             x = x + a
         if skip_ffn:
             c_ln2 = c_ffn = None
@@ -387,12 +395,12 @@ def loss_and_grads(
     if reduction not in ("sum", "mean"):
         raise ValueError(f"unknown reduction {reduction!r}")
     emb, emb_cache = embed_batch(params, cfg, batch, mode, streams)
-    hidden, h_cache = hidden_fwd(params, cfg, emb, mode, streams)
+    hidden, h_cache = hidden_fwd(params, cfg, emb, mode, streams, batch.segments)
 
     tgt = batch.shifted_targets()
     msk = batch.shifted_mask()
     rows, cols = np.nonzero(msk != 0)
-    per_item = np.zeros(batch.batch_size, dtype=np.float64)
+    per_item = np.zeros(len(batch.provenance), dtype=np.float64)
     if rows.size == 0:
         return LossResult(total=0.0, masked_tokens=0, per_item=per_item), zero_grads(params)
 
@@ -408,7 +416,7 @@ def loss_and_grads(
     np.exp(shifted, out=shifted)
     z = shifted.sum(axis=-1, keepdims=True)
     nll = np.log(z).ravel() - shifted_t
-    np.add.at(per_item, rows, nll.astype(np.float64))
+    np.add.at(per_item, batch.segments[rows, cols], nll.astype(np.float64))
     total = float(nll.sum(dtype=np.float64))
 
     dlogits = shifted
@@ -439,7 +447,7 @@ def forward_logits(
 ) -> np.ndarray:
     """Logits over the vocabulary; all positions, or one position per row."""
     emb, _ = embed_batch(params, cfg, batch, mode, streams)
-    hidden, _ = hidden_fwd(params, cfg, emb, mode, streams)
+    hidden, _ = hidden_fwd(params, cfg, emb, mode, streams, batch.segments)
     if positions is None:
         flat = hidden.reshape(-1, cfg.width) @ params["embed/vocab"].T
         return flat.reshape(batch.batch_size, batch.seq_len, cfg.vocab)

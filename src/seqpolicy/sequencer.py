@@ -479,6 +479,8 @@ class MaskedBatch:
     The per-element arrays stay aligned to the input elements. Training uses
     the shifted views: ``shifted_targets()[.., l]`` is the token the model
     must predict from everything up to and including position ``l``.
+    ``segments`` names the window (an index into ``provenance``) at each
+    position; a row holds several windows only after :meth:`packed`.
     """
 
     tokens: np.ndarray          # (B, L) int32, -1 where no token
@@ -487,6 +489,7 @@ class MaskedBatch:
     mask: np.ndarray            # (B, L) uint8, element-aligned modality mask
     targets: np.ndarray         # (B, L) int32, -1 where never predicted
     timestep: np.ndarray        # (B, L) int32
+    segments: np.ndarray        # (B, L) int32 window index into provenance
     patch_pixels: np.ndarray | None   # (P, 16, 16, C) float64
     patch_slots: np.ndarray | None    # (P, 2) int32 rows of (batch, position)
     patch_intervals: np.ndarray | None  # (P, 4) float64 row_lo, row_hi, col_lo, col_hi
@@ -500,14 +503,22 @@ class MaskedBatch:
     def seq_len(self) -> int:
         return self.tokens.shape[1]
 
+    def _window_ends(self) -> np.ndarray:
+        """(B, L) bool, true where the next position is in another window."""
+        ends = np.ones(self.segments.shape, dtype=bool)
+        ends[:, :-1] = self.segments[:, 1:] != self.segments[:, :-1]
+        return ends
+
     def shifted_targets(self) -> np.ndarray:
         out = np.full_like(self.targets, TARGET_NONE)
         out[:, :-1] = self.targets[:, 1:]
+        out[self._window_ends()] = TARGET_NONE
         return out
 
     def shifted_mask(self) -> np.ndarray:
         out = np.zeros_like(self.mask)
         out[:, :-1] = self.mask[:, 1:]
+        out[self._window_ends()] = 0
         return out
 
     def trimmed(self) -> "MaskedBatch":
@@ -530,9 +541,78 @@ class MaskedBatch:
             mask=self.mask[:, :length],
             targets=self.targets[:, :length],
             timestep=self.timestep[:, :length],
+            segments=self.segments[:, :length],
+        )
+
+    def packed(self) -> "MaskedBatch":
+        """Several windows per row, each row as long as the longest window.
+
+        Windows are placed first-fit by decreasing real length (ties by
+        index); rows are ordered by their lowest window index and keep their
+        windows in index order. ``segments`` keeps windows apart: the model
+        never attends across them and a window's last position predicts
+        nothing. Trailing padding belongs to the row's last window. Patch
+        arrays keep their order, only ``patch_slots`` moves. A batch in which
+        no two windows can share a row comes back :meth:`trimmed`.
+        """
+        real = self.sources != ElementSource.PAD
+        lengths = real.sum(axis=1)
+        if (real != (np.arange(self.seq_len) < lengths[:, None])).any():
+            raise SchemaError("cannot pack a window with padding before a real element")
+        capacity = max(int(lengths.max()), 1)
+        rows: list[list[int]] = []
+        free: list[int] = []
+        for w in sorted(range(self.batch_size), key=lambda w: (-lengths[w], w)):
+            r = next((r for r, f in enumerate(free) if f >= lengths[w]), len(rows))
+            if r == len(rows):
+                rows.append([])
+                free.append(capacity)
+            rows[r].append(w)
+            free[r] -= int(lengths[w])
+        if len(rows) == self.batch_size:
+            return self.trimmed()
+        rows = sorted(sorted(r) for r in rows)
+        row_of = np.empty(self.batch_size, np.int64)
+        offset = np.empty(self.batch_size, np.int64)
+        segments = np.empty((len(rows), capacity), np.int32)
+        for r, windows in enumerate(rows):
+            lens = lengths[windows]
+            ends = np.cumsum(lens)
+            row_of[windows] = r
+            offset[windows] = ends - lens
+            segments[r] = windows[-1]
+            segments[r, : ends[-1]] = np.repeat(windows, lens)
+        src_b, src_l = np.nonzero(real)
+        dst = (row_of[src_b], offset[src_b] + src_l)
+
+        def move(name: str, fill) -> np.ndarray:
+            full = getattr(self, name)
+            out = np.full((len(rows), capacity), fill, full.dtype)
+            out[dst] = full[src_b, src_l]
+            return out
+
+        slots = self.patch_slots
+        if slots is not None:
+            slots = np.stack([row_of[slots[:, 0]], offset[slots[:, 0]] + slots[:, 1]], 1)
+            slots = slots.astype(np.int32)
+        return replace(
+            self,
+            tokens=move("tokens", TOKEN_NONE),
+            sources=move("sources", ElementSource.PAD),
+            local_pos=move("local_pos", LOCAL_NONE),
+            mask=move("mask", 0),
+            targets=move("targets", TARGET_NONE),
+            timestep=move("timestep", TIMESTEP_PAD),
+            segments=segments,
+            patch_slots=slots,
         )
 
     def unbatch(self) -> list[ElementSequence]:
+        if self.batch_size != len(self.provenance):
+            raise ValueError(
+                f"cannot unbatch {len(self.provenance)} windows packed into "
+                f"{self.batch_size} rows"
+            )
         items = []
         for b in range(self.batch_size):
             patches = {}
@@ -592,6 +672,7 @@ def assemble_batch(items: list[ElementSequence]) -> MaskedBatch:
         mask=np.stack([it.mask for it in items]),
         targets=np.stack([it.targets for it in items]),
         timestep=np.stack([it.timestep for it in items]),
+        segments=np.repeat(np.arange(len(items), dtype=np.int32)[:, None], length, axis=1),
         patch_pixels=patch_pixels,
         patch_slots=patch_slots,
         patch_intervals=patch_intervals,

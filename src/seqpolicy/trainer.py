@@ -17,6 +17,7 @@ import numpy as np
 
 from .datastore import MixtureSampler
 from .errors import CapacityError, NonFiniteAbort
+from .framing import atomic_writer
 from .model import ModelState, loss_and_grads, save_checkpoint
 from .model.config import ModelConfig
 from .sequencer import apply_prompt, assemble_batch
@@ -71,6 +72,11 @@ def init_optimizer_state(params: dict[str, np.ndarray]) -> dict:
     }
 
 
+# Elements per AdamW pass: small enough that a block of each operand stays in
+# cache across the update's ~16 ufunc passes, large enough to amortise calls.
+ADAM_BLOCK = 32768
+
+
 def optimizer_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
@@ -80,9 +86,10 @@ def optimizer_step(
 ) -> None:
     """One decoupled-weight-decay adaptive-moment update, in place.
 
-    Non-finite gradients abort with diagnostics; there is no silent clipping.
-    Scratch buffers persist in the state dict to avoid re-allocating the
-    largest tensors every step (they are not part of checkpoints).
+    Non-finite gradients abort with diagnostics before any update; there is
+    no silent clipping. Each tensor is updated in blocks of ``ADAM_BLOCK``
+    elements through two block-sized scratch buffers; the arithmetic is
+    elementwise, so the result does not depend on the blocking.
     """
     bad = [k for k, g in grads.items() if not np.all(np.isfinite(g))]
     if bad:
@@ -95,31 +102,41 @@ def optimizer_step(
     b1, b2 = cfg.beta1, cfg.beta2
     bias1 = 1.0 - b1**t
     bias2 = 1.0 - b2**t
-    scratch = state.setdefault("scratch", {})
+    buffers: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
     for k, p in params.items():
-        g = grads[k]
-        m = state["m"][k]
-        v = state["v"][k]
-        if k not in scratch or scratch[k][0].shape != p.shape:
-            scratch[k] = (np.empty_like(p), np.empty_like(p))
-        s1, s2 = scratch[k]
-        np.multiply(g, g, out=s1)
-        s1 *= 1.0 - b2
-        v *= b2
-        v += s1
-        np.multiply(g, 1.0 - b1, out=s1)
-        m *= b1
-        m += s1
-        np.divide(v, bias2, out=s2)
-        np.sqrt(s2, out=s2)
-        s2 += cfg.eps
-        np.divide(m, bias1, out=s1)
-        s1 /= s2
-        if cfg.weight_decay:
-            np.multiply(p, cfg.weight_decay, out=s2)
-            s1 += s2
-        s1 *= lr
-        p -= s1
+        if p.dtype not in buffers:
+            buffers[p.dtype] = (np.empty(ADAM_BLOCK, p.dtype), np.empty(ADAM_BLOCK, p.dtype))
+        scratch1, scratch2 = buffers[p.dtype]
+        flat_p, flat_m, flat_v = _flat(p), _flat(state["m"][k]), _flat(state["v"][k])
+        flat_g = grads[k].reshape(-1)
+        for lo in range(0, p.size, ADAM_BLOCK):
+            hi = min(lo + ADAM_BLOCK, p.size)
+            g, m, v, w = flat_g[lo:hi], flat_m[lo:hi], flat_v[lo:hi], flat_p[lo:hi]
+            s1, s2 = scratch1[: hi - lo], scratch2[: hi - lo]
+            np.multiply(g, g, out=s1)
+            s1 *= 1.0 - b2
+            v *= b2
+            v += s1
+            np.multiply(g, 1.0 - b1, out=s1)
+            m *= b1
+            m += s1
+            np.divide(v, bias2, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += cfg.eps
+            np.divide(m, bias1, out=s1)
+            s1 /= s2
+            if cfg.weight_decay:
+                np.multiply(w, cfg.weight_decay, out=s2)
+                s1 += s2
+            s1 *= lr
+            w -= s1
+
+
+def _flat(a: np.ndarray) -> np.ndarray:
+    """A 1-D view of ``a``, so that in-place updates through it reach ``a``."""
+    if not a.flags.c_contiguous:
+        raise ValueError("optimizer parameters and moments must be C-contiguous")
+    return a.reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +210,7 @@ class TrainResult:
 
 
 def _draw_batch(sampler: MixtureSampler, batch_size: int, prompt_probability: float, counters):
-    """One batch of windows (some prompted), cut to its longest real row."""
+    """One batch of windows (some prompted), packed several to a row."""
     items = []
     prompted = 0
     for _ in range(batch_size):
@@ -208,7 +225,7 @@ def _draw_batch(sampler: MixtureSampler, batch_size: int, prompt_probability: fl
         )
         prompted += int(was_prompted)
         items.append(item)
-    return assemble_batch(items).trimmed(), prompted
+    return assemble_batch(items).packed(), prompted
 
 
 def _train_loop(
@@ -224,7 +241,7 @@ def _train_loop(
     eval_fn=None,
 ) -> TrainResult:
     if cfg.seq_len > state.cfg.context:
-        # checked up front: a trimmed batch can be shorter than the context
+        # checked up front: a packed batch can be shorter than the context
         raise CapacityError(f"seq_len {cfg.seq_len} exceeds context {state.cfg.context}")
     params = state.params
     sampler.seq_len = cfg.seq_len
@@ -247,12 +264,13 @@ def _train_loop(
         if not math.isfinite(loss.total):
             diagnostics = {"step": step, "loss": loss.total}
             if out_dir is not None:
-                (out_dir / "abort_dump.json").write_text(json.dumps(diagnostics, indent=2))
+                with atomic_writer(out_dir / "abort_dump.json") as f:
+                    f.write(json.dumps(diagnostics, indent=2).encode())
             raise NonFiniteAbort("non-finite loss", diagnostics=diagnostics)
         if loss.masked_tokens == 0:
             counters["zero_mask_batches"] += 1
         optimizer_step(params, grads, opt_state, lr, cfg.optim)
-        tokens_processed += batch.batch_size * cfg.seq_len  # drawn positions, before the trim
+        tokens_processed += cfg.batch_size * cfg.seq_len  # drawn positions, before packing
 
         per_dataset: dict[str, float] = {}
         for (task, dataset), item_loss in zip(batch.provenance, loss.per_item):

@@ -4,7 +4,18 @@ import pytest
 from seqpolicy import codec
 from seqpolicy import model as M
 from seqpolicy.codec import TensorSchema
-from seqpolicy.sequencer import Episode, Timestep
+from seqpolicy.corpora import collect_episodes, synthetic_text_episodes
+from seqpolicy.datastore import DatasetManifest, LoadedDataset, MixtureSampler
+from seqpolicy.envs import GridReach, GridReachExpert
+from seqpolicy.sequencer import (
+    Episode,
+    MaskedBatch,
+    Timestep,
+    apply_prompt,
+    assemble_batch,
+    flatten_episode,
+    sample_subsequence,
+)
 
 
 class ScriptedRng:
@@ -63,6 +74,38 @@ def micro_cfg(**overrides):
     )
     base.update(overrides)
     return M.ModelConfig(**base)
+
+
+MIXED_LEN = 64
+
+
+def mixed_batch() -> MaskedBatch:
+    """Text, GridReach, image-patch and one prompted GridReach row, all padded."""
+    rng = np.random.default_rng(5)
+    grid = [flatten_episode(ep) for ep in collect_episodes(GridReach(seed=4), GridReachExpert(), 3)]
+    text = flatten_episode(synthetic_text_episodes(1, seed=2, words_per_doc=4)[0])
+    rich = flatten_episode(rich_episode(seed=1))
+    items = [sample_subsequence(seq, MIXED_LEN, rng) for seq in (text, grid[0], rich)]
+    prompted, was_prompted = apply_prompt(
+        sample_subsequence(grid[1], MIXED_LEN, rng), grid[2], rng, prompt_probability=1.0
+    )
+    assert was_prompted
+    batch = assemble_batch(items + [prompted])
+    assert batch.patch_pixels is not None
+    return batch
+
+
+def mixed_sampler(seed):
+    """GridReach, synthetic text and image-patch datasets in one mixture."""
+    def dataset(name, episodes):
+        return LoadedDataset(DatasetManifest(name=name, paths=[], sample_weight=1.0), episodes)
+
+    datasets = [
+        dataset("grid", collect_episodes(GridReach(seed=7), GridReachExpert(), 4)),
+        dataset("text", synthetic_text_episodes(4, seed=8, words_per_doc=4)),
+        dataset("rich", [rich_episode(seed=s, task="rich") for s in range(3)]),
+    ]
+    return MixtureSampler(datasets, seq_len=MIXED_LEN, rng=np.random.default_rng(seed))
 
 
 def golden_checkpoint(path) -> None:

@@ -1,9 +1,11 @@
 import hashlib
 import os
 
+import numpy as np
 import pytest
 
 from seqpolicy import model as M
+from seqpolicy.cli import _log_resolved, main
 from seqpolicy.datastore import (
     DatasetManifest,
     encode_episode,
@@ -12,7 +14,10 @@ from seqpolicy.datastore import (
     write_manifest,
 )
 
-from conftest import golden_checkpoint, micro_cfg, rich_episode
+from seqpolicy.errors import NonFiniteAbort
+from seqpolicy.trainer import TrainConfig, pretrain
+
+from conftest import MIXED_LEN, golden_checkpoint, micro_cfg, mixed_sampler, rich_episode
 
 # SHA-256 of the golden inputs as written by format v1 of each artefact.
 # Any change to these bytes breaks every corpus and checkpoint on disk.
@@ -36,6 +41,18 @@ class TestGoldenBytes:
 
 def _failing_replace(src, dst):
     raise OSError("simulated crash before the rename")
+
+
+def _failing_replace_of(name):
+    """``os.replace`` that fails only when it would create ``name``."""
+    real = os.replace
+
+    def replace(src, dst):
+        if os.path.basename(dst) == name:
+            _failing_replace(src, dst)
+        real(src, dst)
+
+    return replace
 
 
 class TestAtomicWrites:
@@ -76,3 +93,44 @@ class TestAtomicWrites:
         write_episodes([rich_episode(1)], path)
         assert read_episodes(path) == [rich_episode(1)]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.ep"]
+
+    def test_failed_resolved_config_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "resolved_config.txt"
+        _log_resolved("pretrain", {"steps": 1}, tmp_path)
+        before = path.read_bytes()
+        monkeypatch.setattr(os, "replace", _failing_replace)
+        with pytest.raises(OSError, match="simulated"):
+            _log_resolved("pretrain", {"steps": 2}, tmp_path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["resolved_config.txt"]
+
+    def test_failed_rollout_summary_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        args = ["rollout", "--env", "linereacher", "--expert", "--out", str(tmp_path)]
+        assert main(args + ["-n", "1"]) == 0
+        path = tmp_path / "rollout_summary.json"
+        before = path.read_bytes()
+        monkeypatch.setattr(os, "replace", _failing_replace_of("rollout_summary.json"))
+        with pytest.raises(OSError, match="simulated"):
+            main(args + ["-n", "2"])
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "rollout_summary.json", "transcripts.ep"]
+
+    def test_failed_abort_dump_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        def diverging_run():
+            state = M.ModelState.initialize(
+                micro_cfg(vocab=33025, context=MIXED_LEN, local_pos_table=64), seed=0
+            )
+            state.params["embed/vocab"][:] = np.nan
+            cfg = TrainConfig(steps=1, batch_size=2, seq_len=MIXED_LEN, checkpoint_every=0)
+            pretrain(mixed_sampler(seed=1), state, cfg, out_dir=tmp_path)
+
+        with pytest.raises(NonFiniteAbort):
+            diverging_run()
+        path = tmp_path / "abort_dump.json"
+        before = path.read_bytes()
+        monkeypatch.setattr(os, "replace", _failing_replace)
+        with pytest.raises(OSError, match="simulated"):
+            diverging_run()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["abort_dump.json"]

@@ -98,6 +98,86 @@ class TestOptimizer:
         assert np.array_equal(run(), run())
 
 
+def _reference_optimizer_step(params, grads, state, lr, cfg):
+    """The per-tensor AdamW loop with full-size scratch buffers, kept verbatim."""
+    state["step"] += 1
+    t = state["step"]
+    b1, b2 = cfg.beta1, cfg.beta2
+    bias1 = 1.0 - b1**t
+    bias2 = 1.0 - b2**t
+    scratch = state.setdefault("scratch", {})
+    for k, p in params.items():
+        g = grads[k]
+        m = state["m"][k]
+        v = state["v"][k]
+        if k not in scratch or scratch[k][0].shape != p.shape:
+            scratch[k] = (np.empty_like(p), np.empty_like(p))
+        s1, s2 = scratch[k]
+        np.multiply(g, g, out=s1)
+        s1 *= 1.0 - b2
+        v *= b2
+        v += s1
+        np.multiply(g, 1.0 - b1, out=s1)
+        m *= b1
+        m += s1
+        np.divide(v, bias2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += cfg.eps
+        np.divide(m, bias1, out=s1)
+        s1 /= s2
+        if cfg.weight_decay:
+            np.multiply(p, cfg.weight_decay, out=s2)
+            s1 += s2
+        s1 *= lr
+        p -= s1
+
+
+def _optimizer_tensors(dtype, seed=0):
+    rng = np.random.default_rng(seed)
+    shapes = {"big": (2 * trainer.ADAM_BLOCK + 5,), "matrix": (300, 7), "bias": (7,)}
+    return {k: rng.standard_normal(s).astype(dtype) for k, s in shapes.items()}
+
+
+class TestBlockedOptimizer:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.1])
+    def test_bit_identical_to_per_tensor_loop(self, dtype, weight_decay):
+        cfg = OptimizerConfig(weight_decay=weight_decay)
+        params, ref_params = _optimizer_tensors(dtype), _optimizer_tensors(dtype)
+        state, ref_state = init_optimizer_state(params), init_optimizer_state(ref_params)
+        for step in range(3):
+            grads = _optimizer_tensors(dtype, seed=step + 1)
+            optimizer_step(params, grads, state, 1e-2, cfg)
+            _reference_optimizer_step(ref_params, grads, ref_state, 1e-2, cfg)
+        assert state["step"] == ref_state["step"] == 3
+        assert "scratch" not in state
+        for k in params:
+            for got, want in ((params, ref_params), (state["m"], ref_state["m"]),
+                              (state["v"], ref_state["v"])):
+                assert got[k].dtype == dtype
+                assert np.array_equal(got[k], want[k]), k
+
+    def test_nan_past_first_block_of_last_tensor_aborts_untouched(self):
+        params = _optimizer_tensors(np.float32)
+        state = init_optimizer_state(params)
+        optimizer_step(params, _optimizer_tensors(np.float32, seed=1), state, 1e-2,
+                       OptimizerConfig())
+        grads = _optimizer_tensors(np.float32, seed=2)
+        grads = {"bias": grads["bias"], "matrix": grads["matrix"], "big": grads["big"]}
+        grads["big"][trainer.ADAM_BLOCK + 3] = np.nan
+        params = {k: params[k] for k in grads}
+        before = {k: (params[k].copy(), state["m"][k].copy(), state["v"][k].copy())
+                  for k in params}
+        with pytest.raises(NonFiniteAbort) as exc:
+            optimizer_step(params, grads, state, 1e-2, OptimizerConfig())
+        assert exc.value.diagnostics["parameters"] == ["big"]
+        assert state["step"] == 1
+        for k, (p, m, v) in before.items():
+            assert np.array_equal(params[k], p)
+            assert np.array_equal(state["m"][k], m)
+            assert np.array_equal(state["v"][k], v)
+
+
 class TestEvalProtocol:
     def test_constant(self):
         assert eval_protocol([3.5] * 8) == 3.5

@@ -12,39 +12,13 @@ import pytest
 from scipy.special import erf
 
 from seqpolicy import model as M
-from seqpolicy.corpora import collect_episodes, synthetic_text_episodes
-from seqpolicy.datastore import DatasetManifest, LoadedDataset, MixtureSampler
-from seqpolicy.envs import GridReach, GridReachExpert
 from seqpolicy.model.ops import gelu_bwd, gelu_fwd
-from seqpolicy.sequencer import (
-    ElementSource,
-    MaskedBatch,
-    apply_prompt,
-    assemble_batch,
-    flatten_episode,
-    sample_subsequence,
-)
+from seqpolicy.sequencer import ElementSource, MaskedBatch
 from seqpolicy.trainer import TrainConfig, _draw_batch, pretrain
 
-from conftest import micro_cfg, rich_episode
+from conftest import MIXED_LEN, micro_cfg, mixed_batch, mixed_sampler
 
-L = 64
-
-
-def mixed_batch() -> MaskedBatch:
-    """Text, GridReach, image-patch and one prompted GridReach row, all padded."""
-    rng = np.random.default_rng(5)
-    grid = [flatten_episode(ep) for ep in collect_episodes(GridReach(seed=4), GridReachExpert(), 3)]
-    text = flatten_episode(synthetic_text_episodes(1, seed=2, words_per_doc=4)[0])
-    rich = flatten_episode(rich_episode(seed=1))
-    items = [sample_subsequence(seq, L, rng) for seq in (text, grid[0], rich)]
-    prompted, was_prompted = apply_prompt(
-        sample_subsequence(grid[1], L, rng), grid[2], rng, prompt_probability=1.0
-    )
-    assert was_prompted
-    batch = assemble_batch(items + [prompted])
-    assert batch.patch_pixels is not None
-    return batch
+L = MIXED_LEN
 
 
 def _model_cfg():
@@ -60,7 +34,7 @@ class TestTrimmedBatch:
         assert longest < L
         assert trimmed.seq_len == longest
         assert not (trimmed.sources[:, -1] == ElementSource.PAD).all()
-        for name in ("tokens", "sources", "local_pos", "mask", "targets", "timestep"):
+        for name in ("tokens", "sources", "local_pos", "mask", "targets", "timestep", "segments"):
             full, cut = getattr(batch, name), getattr(trimmed, name)
             assert np.shares_memory(full, cut)
             np.testing.assert_array_equal(cut, full[:, :longest])
@@ -91,26 +65,14 @@ class TestTrimmedBatch:
             np.testing.assert_allclose(cut_grads[name], full_grads[name], err_msg=name, **tol)
 
 
-def _mixed_sampler(seed):
-    def dataset(name, episodes):
-        return LoadedDataset(DatasetManifest(name=name, paths=[], sample_weight=1.0), episodes)
-
-    datasets = [
-        dataset("grid", collect_episodes(GridReach(seed=7), GridReachExpert(), 4)),
-        dataset("text", synthetic_text_episodes(4, seed=8, words_per_doc=4)),
-        dataset("rich", [rich_episode(seed=s, task="rich") for s in range(3)]),
-    ]
-    return MixtureSampler(datasets, seq_len=L, rng=np.random.default_rng(seed))
-
-
 def test_training_batches_are_trimmed():
-    batch, _ = _draw_batch(_mixed_sampler(seed=9), 4, 0.0, {"prompt_skipped": 0})
+    batch, _ = _draw_batch(mixed_sampler(seed=9), 4, 0.0, {"prompt_skipped": 0})
     assert batch.seq_len < L
     assert batch.trimmed() is batch
 
 
 def _pretrain_run():
-    sampler = _mixed_sampler(seed=9)
+    sampler = mixed_sampler(seed=9)
     state = M.ModelState.initialize(_model_cfg().replace(stochastic_depth=0.3), seed=4)
     cfg = TrainConfig(steps=4, batch_size=4, seq_len=L, checkpoint_every=0)
     return pretrain(sampler, state, cfg), sampler
@@ -119,6 +81,7 @@ def _pretrain_run():
 def test_pretrain_cursors_match_untrimmed(monkeypatch):
     cut, cut_sampler = _pretrain_run()
     monkeypatch.setattr(MaskedBatch, "trimmed", lambda self: self)
+    monkeypatch.setattr(MaskedBatch, "packed", lambda self: self)
     full, full_sampler = _pretrain_run()
     assert cut.state.streams.state_dict() == full.state.streams.state_dict()
     assert cut_sampler.rng.bit_generator.state == full_sampler.rng.bit_generator.state
