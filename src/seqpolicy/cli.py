@@ -47,8 +47,8 @@ from .model import (
     micro,
     tiny,
 )
-from .policy import RolloutConfig, rollout
-from .sequencer import ElementSource, Episode, episode_layout, flatten_episode
+from .policy import RolloutConfig, evaluate_policy
+from .sequencer import ElementSource, Episode, episode_layout, flatten_episode, mask_of
 from .trainer import (
     ABLATION_ARMS,
     FinetuneConfig,
@@ -378,12 +378,10 @@ def cmd_finetune(args) -> int:
         rollouts = resolved["eval_rollouts"]
 
         def eval_fn(model_state):
-            scores = []
-            for i in range(rollouts):
-                env = make_env(env_name, seed=10_000 + i)
-                _, ret, _ = rollout(model_state, env, RolloutConfig(), np.random.default_rng(i))
-                scores.append(ret)
-            return float(np.mean(scores))
+            # greedy, so the sampling RNG is never drawn from
+            result = evaluate_policy(model_state, lambda s: make_env(env_name, seed=s),
+                                     RolloutConfig(), rollouts, seed=10_000)
+            return result.mean_return
 
     cfg = FinetuneConfig(
         steps=resolved["steps"],
@@ -445,12 +443,10 @@ def cmd_rollout(args) -> int:
             action_mode="parallel" if args.parallel else "autoregressive",
             context_timesteps=args.context_timesteps,
         )
-        rng = np.random.default_rng(args.seed)
-        for i in range(args.episodes):
-            env = make_env(args.env, seed=args.seed + i)
-            ep, ret, _ = rollout(state, env, cfg, rng)
-            episodes.append(ep)
-            returns.append(ret)
+        result = evaluate_policy(
+            state, lambda s: make_env(args.env, seed=s), cfg, args.episodes, seed=args.seed
+        )
+        episodes, returns = result.episodes, result.returns
 
     mean = float(np.mean(returns)) if returns else 0.0
     for i, ret in enumerate(returns):
@@ -466,25 +462,25 @@ def cmd_rollout(args) -> int:
 
 
 def _token_range_violations(seq) -> list[str]:
-    problems = []
-    for i, src in enumerate(seq.sources):
-        src = ElementSource(int(src))
-        tok = int(seq.tokens[i])
-        if src == ElementSource.TEXT and not (0 <= tok < codec.TEXT_VOCAB):
-            problems.append(f"text token {tok} at {i}")
-        if src == ElementSource.SEPARATOR and tok != codec.SEPARATOR_TOKEN:
-            problems.append(f"separator token {tok} at {i}")
-        if src == ElementSource.TENSOR and not (
-            0 <= tok < codec.DISCRETE_VOCAB or codec.CONTINUOUS_BASE <= tok < codec.CONTINUOUS_END
-        ):
-            problems.append(f"tensor token {tok} at {i}")
-        if src == ElementSource.ACTION and not (
-            0 <= tok < codec.DISCRETE_VOCAB or codec.CONTINUOUS_BASE <= tok < codec.CONTINUOUS_END
-        ):
-            problems.append(f"action token {tok} at {i}")
-        if seq.mask[i] and src not in (ElementSource.TEXT, ElementSource.ACTION):
-            problems.append(f"mask bit on {src.name} at {i}")
-    return problems
+    """Contract breaches in position order: token ranges per source, loss mask."""
+    src, tok = seq.sources, seq.tokens
+    tensor_ok = ((0 <= tok) & (tok < codec.DISCRETE_VOCAB)) | (
+        (codec.CONTINUOUS_BASE <= tok) & (tok < codec.CONTINUOUS_END)
+    )
+    checks = (
+        ((src == ElementSource.TEXT) & ((tok < 0) | (tok >= codec.TEXT_VOCAB)),
+         "text token {tok} at {i}"),
+        ((src == ElementSource.SEPARATOR) & (tok != codec.SEPARATOR_TOKEN),
+         "separator token {tok} at {i}"),
+        ((src == ElementSource.TENSOR) & ~tensor_ok, "tensor token {tok} at {i}"),
+        ((src == ElementSource.ACTION) & ~tensor_ok, "action token {tok} at {i}"),
+        ((seq.mask != 0) & (mask_of(src) == 0), "mask bit on {name} at {i}"),
+    )
+    bad = np.stack([hit for hit, _ in checks], axis=1)
+    return [
+        checks[k][1].format(tok=int(tok[i]), i=int(i), name=ElementSource(int(src[i])).name)
+        for i, k in zip(*np.nonzero(bad))
+    ]
 
 
 def cmd_inspect(args) -> int:

@@ -9,7 +9,8 @@ The unified vocabulary packs four modalities into integer ids:
 * ``33024`` is the observation/action separator.
 
 Images never become token ids; they are cut into non-overlapping 16x16
-patches in raster order and embedded downstream.
+patches in raster order and embedded downstream. :func:`encode` and
+:func:`decode` pick the codec from a stream's schema.
 
 Every operation here is a deterministic pure function.
 """
@@ -325,6 +326,32 @@ def decode_text(tokens, tokenizer=None) -> str:
         if not (0 <= t < TEXT_VOCAB):
             raise ValueError(f"text token {t} outside [0, {TEXT_VOCAB})")
     return tok.decode(ids)
+
+
+# ---------------------------------------------------------------------------
+# one dispatch for token streams
+# ---------------------------------------------------------------------------
+
+def encode(value, schema: TensorSchema) -> list[int]:
+    """Token ids of one text, discrete or continuous stream value."""
+    if schema.modality is Modality.TEXT:
+        if not isinstance(value, str):
+            raise SchemaError(f"{schema.key}: text stream needs a str value")
+        return encode_text(value)
+    if schema.modality is Modality.DISCRETE:
+        return encode_discrete(value, schema)
+    if schema.modality is Modality.CONTINUOUS:
+        return encode_continuous(value, schema)
+    raise SchemaError(f"{schema.key}: {schema.modality.value} streams have no token ids")
+
+
+def decode(tokens, schema: TensorSchema) -> np.ndarray:
+    """Inverse of :func:`encode` for discrete and continuous streams."""
+    if schema.modality is Modality.DISCRETE:
+        return decode_discrete(tokens, schema)
+    if schema.modality is Modality.CONTINUOUS:
+        return decode_continuous(tokens, schema)
+    raise SchemaError(f"{schema.key}: cannot decode {schema.modality.value} tokens")
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .codec import Modality, TensorSchema
-from .errors import ExhaustedStreamError, SchemaError, TruncatedRecordError
+from .errors import ExhaustedStreamError, RecordFormatError, SchemaError, TruncatedRecordError
 from .framing import Reader, Writer, atomic_writer, frame, unframe
 from .sequencer import ElementSequence, Episode, Timestep, flatten_episode, sample_subsequence
 
@@ -63,7 +63,10 @@ def _write_schema(w: Writer, schema: TensorSchema) -> None:
 
 def _read_schema(r: Reader) -> TensorSchema:
     key = r.string()
-    modality = _CODE_MODALITY[r.u8()]
+    code = r.u8()
+    if code not in _CODE_MODALITY:
+        raise RecordFormatError(f"schema {key!r}: unknown modality code {code}")
+    modality = _CODE_MODALITY[code]
     is_action = bool(r.u8())
     compand = bool(r.u8())
     ndim = r.u8()
@@ -168,16 +171,23 @@ def decode_episode(data: bytes, offset: int = 0) -> tuple[Episode, int]:
     n_schemas = r.u32()
     schemas = [_read_schema(r) for _ in range(n_schemas)]
     n_steps = r.u32()
+
+    def next_schema() -> TensorSchema:
+        idx = r.u32()
+        if idx >= n_schemas:
+            raise RecordFormatError(f"schema index {idx} out of range ({n_schemas} schemas)")
+        return schemas[idx]
+
     timesteps = []
     for _ in range(n_steps):
         n_obs = r.u32()
         observations = {}
         for _ in range(n_obs):
-            schema = schemas[r.u32()]
+            schema = next_schema()
             observations[schema.key] = (schema, _read_value(r, schema))
         action = None
         if r.u8():
-            schema = schemas[r.u32()]
+            schema = next_schema()
             action = (schema, _read_value(r, schema))
         timesteps.append(Timestep(observations=observations, action=action))
     if not r.done():

@@ -445,7 +445,11 @@ def forward_logits(
     mode: str = "eval",
     streams: RngStreams | None = None,
 ) -> np.ndarray:
-    """Logits over the vocabulary; all positions, or one position per row."""
+    """Logits over the vocabulary at all positions, or at ``positions``.
+
+    ``positions`` holds one position per row; for a one-row batch it may be
+    any index array, giving one logits row per entry.
+    """
     emb, _ = embed_batch(params, cfg, batch, mode, streams)
     hidden, _ = hidden_fwd(params, cfg, emb, mode, streams, batch.segments)
     if positions is None:

@@ -21,7 +21,6 @@ from . import codec
 from .codec import Modality, TensorSchema
 from .errors import ConfigError
 from .model import ModelState, forward_logits
-from .model.network import embed_batch, hidden_fwd
 from .sequencer import (
     ElementSequence,
     ElementSource,
@@ -155,23 +154,12 @@ class _Context:
         return concat_sequences(self.fragments)
 
 
-def _last_logits(state: ModelState, seq: ElementSequence, stats: RolloutStats) -> np.ndarray:
-    batch = assemble_batch([seq])
+def _logits_at(
+    state: ModelState, seq: ElementSequence, positions: np.ndarray, stats: RolloutStats
+) -> np.ndarray:
+    """(len(positions), vocab) logits from one forward pass over ``seq``."""
     stats.forward_passes += 1
-    return forward_logits(
-        state.params, state.cfg, batch, positions=np.array([len(seq) - 1])
-    )[0]
-
-
-def _tail_logits(state: ModelState, seq: ElementSequence, count: int, stats: RolloutStats):
-    """Logits at the ``count`` positions feeding the action slots, one pass."""
-    batch = assemble_batch([seq])
-    stats.forward_passes += 1
-    emb, _ = embed_batch(state.params, state.cfg, batch, "eval", None)
-    hidden, _ = hidden_fwd(state.params, state.cfg, emb, "eval", None)
-    start = len(seq) - 1 - count
-    rows = hidden[0, start : start + count]
-    return rows @ state.params["embed/vocab"].T
+    return forward_logits(state.params, state.cfg, assemble_batch([seq]), positions=positions)
 
 
 def sample_action_autoregressive(
@@ -187,7 +175,8 @@ def sample_action_autoregressive(
     lo, hi = legal_token_range(schema)
     tokens = []
     for _ in range(schema.num_elements):
-        logits = _last_logits(state, context.sequence(), stats)
+        seq = context.sequence()
+        logits = _logits_at(state, seq, np.array([len(seq) - 1]), stats)[0]
         token = sample_token(logits, lo, hi, cfg.sampling, cfg.temperature, rng)
         tokens.append(token)
         context.extend_last(_action_element(token, timestep_id, context.fragments[-1].task_id))
@@ -203,18 +192,18 @@ def sample_action_parallel(
     timestep_id: int,
     stats: RolloutStats,
 ) -> list[int]:
-    """All action tokens from a single forward pass over zeroed placeholders."""
-    if not state.cfg.zero_action_inputs:
-        raise ConfigError(
-            "parallel action sampling needs a model trained with zero_action_inputs"
-        )
+    """All action tokens from a single forward pass over zeroed placeholders.
+
+    :func:`rollout` has already refused a model without ``zero_action_inputs``.
+    """
     lo, hi = legal_token_range(schema)
     count = schema.num_elements
     task_id = context.fragments[-1].task_id
     for _ in range(count):
         context.extend_last(_action_element(0, timestep_id, task_id))
     seq = context.sequence()
-    logits = _tail_logits(state, seq, count, stats)
+    # the separator and all but the last placeholder feed the action slots
+    logits = _logits_at(state, seq, np.arange(len(seq) - 1 - count, len(seq) - 1), stats)
     tokens = [
         sample_token(logits[j], lo, hi, cfg.sampling, cfg.temperature, rng) for j in range(count)
     ]
@@ -225,15 +214,11 @@ def sample_action_parallel(
 
 
 def decode_action(tokens: list[int], schema: TensorSchema):
-    if schema.modality is Modality.DISCRETE:
-        return codec.decode_discrete(tokens, schema)
-    return codec.decode_continuous(tokens, schema)
+    return codec.decode(tokens, schema)
 
 
 def encode_action(value, schema: TensorSchema) -> list[int]:
-    if schema.modality is Modality.DISCRETE:
-        return codec.encode_discrete(value, schema)
-    return codec.encode_continuous(value, schema)
+    return codec.encode(value, schema)
 
 
 def rollout(

@@ -40,28 +40,22 @@ class ElementSource(enum.IntEnum):
     ACTION = 5
 
 
-_MASKED_SOURCES = (ElementSource.TEXT, ElementSource.ACTION)
-_TARGETED_SOURCES = (ElementSource.TEXT, ElementSource.SEPARATOR, ElementSource.ACTION)
+# Indexed by ElementSource value: whether the element carries loss, and
+# whether its own token is its target.
+_LOSS_TABLE = np.zeros(len(ElementSource), np.uint8)
+_LOSS_TABLE[[ElementSource.TEXT, ElementSource.ACTION]] = 1
+_TARGET_TABLE = np.zeros(len(ElementSource), bool)
+_TARGET_TABLE[[ElementSource.TEXT, ElementSource.SEPARATOR, ElementSource.ACTION]] = True
 
 
-@dataclass
-class SequenceElement:
-    """A single sequence atom: a token id or an image patch payload."""
+def mask_of(sources: np.ndarray) -> np.ndarray:
+    """Loss-mask bits (uint8) for an array of ElementSource values."""
+    return _LOSS_TABLE[sources]
 
-    source: ElementSource
-    token: int | None = None
-    patch: ImagePatch | None = None
 
-    def __post_init__(self):
-        if self.source is ElementSource.PATCH:
-            if self.patch is None or self.token is not None:
-                raise SchemaError("patch elements carry a patch and no token")
-        elif self.source is ElementSource.PAD:
-            if self.token is not None or self.patch is not None:
-                raise SchemaError("padding elements carry no payload")
-        else:
-            if self.token is None or self.patch is not None:
-                raise SchemaError(f"{self.source.name} elements carry a token")
+def targets_of(sources: np.ndarray, tokens: np.ndarray) -> np.ndarray:
+    """Each element's own token where it is predicted, TARGET_NONE elsewhere."""
+    return np.where(_TARGET_TABLE[sources], tokens, TARGET_NONE).astype(np.int32)
 
 
 @dataclass
@@ -185,19 +179,6 @@ class ElementSequence:
     def __len__(self) -> int:
         return len(self.sources)
 
-    @property
-    def elements(self) -> list[SequenceElement]:
-        out = []
-        for i, src in enumerate(self.sources):
-            src = ElementSource(int(src))
-            if src is ElementSource.PATCH:
-                out.append(SequenceElement(src, patch=self.patches[i]))
-            elif src is ElementSource.PAD:
-                out.append(SequenceElement(src))
-            else:
-                out.append(SequenceElement(src, token=int(self.tokens[i])))
-        return out
-
     def real_length(self) -> int:
         """Length excluding trailing padding."""
         nonpad = np.nonzero(self.sources != ElementSource.PAD)[0]
@@ -272,93 +253,60 @@ _MODALITY_GROUP = {
     Modality.DISCRETE: 2,
     Modality.CONTINUOUS: 2,
 }
+_OBSERVATION_SOURCE = {
+    Modality.TEXT: ElementSource.TEXT,
+    Modality.DISCRETE: ElementSource.TENSOR,
+    Modality.CONTINUOUS: ElementSource.TENSOR,
+}
 
 
-def order_observation(observations: dict[str, tuple[TensorSchema, Any]]) -> list[SequenceElement]:
-    """Order observation streams: text, images, then tensors; keys lexicographic."""
+def order_observation(
+    observations: dict[str, tuple[TensorSchema, Any]],
+) -> list[tuple[TensorSchema, Any]]:
+    """(schema, value) streams: text, images, then tensors; keys lexicographic."""
     ordered = sorted(
         observations.items(), key=lambda kv: (_MODALITY_GROUP[kv[1][0].modality], kv[0])
     )
-    elements: list[SequenceElement] = []
-    for _, (schema, value) in ordered:
-        if schema.modality is Modality.TEXT:
-            if not isinstance(value, str):
-                raise SchemaError(f"{schema.key}: text stream needs a str value")
-            for t in codec.encode_text(value):
-                elements.append(SequenceElement(ElementSource.TEXT, token=t))
-        elif schema.modality is Modality.IMAGE:
-            arr = np.asarray(value)
-            if arr.shape != schema.shape:
-                raise SchemaError(f"{schema.key}: image shape {arr.shape} != {schema.shape}")
-            for patch in codec.image_to_patches(arr):
-                elements.append(SequenceElement(ElementSource.PATCH, patch=patch))
-        elif schema.modality is Modality.DISCRETE:
-            for t in codec.encode_discrete(value, schema):
-                elements.append(SequenceElement(ElementSource.TENSOR, token=t))
-        else:
-            for t in codec.encode_continuous(value, schema):
-                elements.append(SequenceElement(ElementSource.TENSOR, token=t))
-    return elements
-
-
-def flatten_timestep(ts: Timestep) -> list[SequenceElement]:
-    """Observation elements, separator, then action tokens (none if terminal)."""
-    elements = order_observation(ts.observations)
-    elements.append(SequenceElement(ElementSource.SEPARATOR, token=codec.SEPARATOR_TOKEN))
-    if ts.action is not None:
-        schema, value = ts.action
-        if schema.modality is Modality.DISCRETE:
-            action_tokens = codec.encode_discrete(value, schema)
-        elif schema.modality is Modality.CONTINUOUS:
-            action_tokens = codec.encode_continuous(value, schema)
-        else:
-            raise SchemaError(f"{schema.key}: unsupported action modality")
-        for t in action_tokens:
-            elements.append(SequenceElement(ElementSource.ACTION, token=t))
-    return elements
-
-
-def mask_bit(source: ElementSource) -> int:
-    return 1 if source in _MASKED_SOURCES else 0
-
-
-def target_of(element: SequenceElement) -> int:
-    if element.source in _TARGETED_SOURCES:
-        return int(element.token)
-    return TARGET_NONE
+    return [stream for _, stream in ordered]
 
 
 def flatten_episode(ep: Episode, dataset: str | None = None) -> ElementSequence:
-    """Concatenate flattened timesteps with masks, targets and local positions."""
+    """Per timestep: observation streams, the separator, then action tokens."""
     _check_schema_consistency(ep)
-    sources, tokens, local, mask, targets, ts_ids = [], [], [], [], [], []
+    sources, tokens, local, ts_ids = [], [], [], []
     patches: dict[int, ImagePatch] = {}
-    pos = 0
     for t, ts in enumerate(ep.timesteps):
-        elems = flatten_timestep(ts)
-        obs_ordinal = 0
-        for el in elems:
-            sources.append(int(el.source))
-            if el.source is ElementSource.PATCH:
-                patches[pos] = el.patch
-                tokens.append(TOKEN_NONE)
+        start = len(sources)
+        for schema, value in order_observation(ts.observations):
+            if schema.modality is Modality.IMAGE:
+                arr = np.asarray(value)
+                if arr.shape != schema.shape:
+                    raise SchemaError(f"{schema.key}: image shape {arr.shape} != {schema.shape}")
+                cut = codec.image_to_patches(arr)
+                patches.update(zip(range(len(sources), len(sources) + len(cut)), cut))
+                sources.extend([ElementSource.PATCH] * len(cut))
+                tokens.extend([TOKEN_NONE] * len(cut))
             else:
-                tokens.append(int(el.token))
-            if el.source in (ElementSource.TEXT, ElementSource.PATCH, ElementSource.TENSOR):
-                local.append(obs_ordinal)
-                obs_ordinal += 1
-            else:
-                local.append(LOCAL_NONE)
-            mask.append(mask_bit(el.source))
-            targets.append(target_of(el))
-            ts_ids.append(t)
-            pos += 1
+                ids = codec.encode(value, schema)
+                sources.extend([_OBSERVATION_SOURCE[schema.modality]] * len(ids))
+                tokens.extend(ids)
+        local.extend(range(len(sources) - start))
+        sources.append(ElementSource.SEPARATOR)
+        tokens.append(codec.SEPARATOR_TOKEN)
+        if ts.action is not None:
+            ids = codec.encode(ts.action[1], ts.action[0])
+            sources.extend([ElementSource.ACTION] * len(ids))
+            tokens.extend(ids)
+        local.extend([LOCAL_NONE] * (len(sources) - len(local)))
+        ts_ids.extend([t] * (len(sources) - start))
+    sources = np.array(sources, np.uint8)
+    tokens = np.array(tokens, np.int32)
     return ElementSequence(
-        sources=np.array(sources, np.uint8),
-        tokens=np.array(tokens, np.int32),
+        sources=sources,
+        tokens=tokens,
         local_pos=np.array(local, np.int32),
-        mask=np.array(mask, np.uint8),
-        targets=np.array(targets, np.int32),
+        mask=mask_of(sources),
+        targets=targets_of(sources, tokens),
         timestep=np.array(ts_ids, np.int32),
         patches=patches,
         task_id=ep.task_id,
@@ -521,29 +469,6 @@ class MaskedBatch:
         out[self._window_ends()] = 0
         return out
 
-    def trimmed(self) -> "MaskedBatch":
-        """The batch cut after its last column holding a non-padding element.
-
-        Padding only trails and attention is causal, so the model sees the
-        same inputs at every real position; the per-position arrays become
-        views. Patches sit at real positions and are kept as they are. A
-        batch with no trailing all-padding column is returned itself.
-        """
-        real = np.nonzero((self.sources != ElementSource.PAD).any(axis=0))[0]
-        length = int(real[-1]) + 1 if real.size else 1
-        if length == self.seq_len:
-            return self
-        return replace(
-            self,
-            tokens=self.tokens[:, :length],
-            sources=self.sources[:, :length],
-            local_pos=self.local_pos[:, :length],
-            mask=self.mask[:, :length],
-            targets=self.targets[:, :length],
-            timestep=self.timestep[:, :length],
-            segments=self.segments[:, :length],
-        )
-
     def packed(self) -> "MaskedBatch":
         """Several windows per row, each row as long as the longest window.
 
@@ -553,7 +478,8 @@ class MaskedBatch:
         never attends across them and a window's last position predicts
         nothing. Trailing padding belongs to the row's last window. Patch
         arrays keep their order, only ``patch_slots`` moves. A batch in which
-        no two windows can share a row comes back :meth:`trimmed`.
+        no two windows can share a row comes back cut after its longest
+        window, rows in window order.
         """
         real = self.sources != ElementSource.PAD
         lengths = real.sum(axis=1)
@@ -569,8 +495,6 @@ class MaskedBatch:
                 free.append(capacity)
             rows[r].append(w)
             free[r] -= int(lengths[w])
-        if len(rows) == self.batch_size:
-            return self.trimmed()
         rows = sorted(sorted(r) for r in rows)
         row_of = np.empty(self.batch_size, np.int64)
         offset = np.empty(self.batch_size, np.int64)
@@ -660,7 +584,7 @@ def assemble_batch(items: list[ElementSequence]) -> MaskedBatch:
         channels = {p.shape[2] for p in pixels}
         if len(channels) != 1:
             raise SchemaError(f"mixed patch channel counts in one batch: {channels}")
-        patch_pixels = np.stack(pixels).astype(np.float64)
+        patch_pixels = np.stack(pixels)
         patch_slots = np.array(slots, np.int32)
         patch_intervals = np.array(intervals, np.float64)
     else:

@@ -95,6 +95,15 @@ def mixed_batch() -> MaskedBatch:
     return batch
 
 
+def unpackable_batch() -> MaskedBatch:
+    """Image-bearing windows of real length 46, 30 and 38: no two share a row."""
+    items = [
+        flatten_episode(rich_episode(seed=seed)).slice(0, length).padded_to(MIXED_LEN)
+        for seed, length in ((1, 46), (2, 30), (3, 38))
+    ]
+    return assemble_batch(items)
+
+
 def mixed_sampler(seed):
     """GridReach, synthetic text and image-patch datasets in one mixture."""
     def dataset(name, episodes):
@@ -169,6 +178,28 @@ def build_layout_episode(
     return Episode(task_id=task_id, timesteps=timesteps, rewards=[0.0] * T)
 
 
+def one_stream_record(schema_index=0, modality_code=2) -> bytes:
+    """A CRC-valid one-timestep episode record with a chosen schema index and
+    modality code; the defaults (index 0, discrete) make a valid record."""
+    from seqpolicy.datastore import FORMAT_VERSION, MAGIC
+    from seqpolicy.framing import Writer, frame
+
+    w = Writer()
+    w.string("t")
+    w.u32(1)  # rewards
+    w.f64(0.0)
+    w.u32(1)  # schemas: key, modality, is_action, compand, ndim, no range
+    w.string("o")
+    for field_value in (modality_code, 0, 0, 0, 0):
+        w.u8(field_value)
+    w.u32(1)  # timesteps
+    w.u32(1)  # observations
+    w.u32(schema_index)
+    w.raw(np.int32(5).tobytes())
+    w.u8(0)  # no action
+    return frame(MAGIC, FORMAT_VERSION, w.buf)
+
+
 @pytest.fixture
 def layout_episode_factory():
     return build_layout_episode
@@ -186,7 +217,7 @@ def manual_sequence(spec, seed=0, task_id="manual", dataset=None):
     from seqpolicy import sequencer as sq
 
     rng = np.random.default_rng(seed)
-    sources, tokens, local, mask, targets, ts_ids = [], [], [], [], [], []
+    sources, tokens, local, ts_ids = [], [], [], []
     patches = {}
     t, ordinal = 0, 0
     for entry in spec:
@@ -199,8 +230,6 @@ def manual_sequence(spec, seed=0, task_id="manual", dataset=None):
             sources.append(int(sq.ElementSource.PAD))
             tokens.append(sq.TOKEN_NONE)
             local.append(sq.LOCAL_NONE)
-            mask.append(0)
-            targets.append(sq.TARGET_NONE)
             ts_ids.append(sq.TIMESTEP_PAD)
             continue
         if kind == "patch":
@@ -226,17 +255,15 @@ def manual_sequence(spec, seed=0, task_id="manual", dataset=None):
             ordinal += 1
         else:
             local.append(sq.LOCAL_NONE)
-        mask.append(sq.mask_bit(src))
-        el = sq.SequenceElement(src, token=None if tok == sq.TOKEN_NONE else tok,
-                                patch=patches.get(len(sources) - 1))
-        targets.append(sq.target_of(el))
         ts_ids.append(t)
+    sources = np.array(sources, np.uint8)
+    tokens = np.array(tokens, np.int32)
     return sq.ElementSequence(
-        sources=np.array(sources, np.uint8),
-        tokens=np.array(tokens, np.int32),
+        sources=sources,
+        tokens=tokens,
         local_pos=np.array(local, np.int32),
-        mask=np.array(mask, np.uint8),
-        targets=np.array(targets, np.int32),
+        mask=sq.mask_of(sources),
+        targets=sq.targets_of(sources, tokens),
         timestep=np.array(ts_ids, np.int32),
         patches=patches,
         task_id=task_id,

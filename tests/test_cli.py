@@ -3,13 +3,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqpolicy.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main, parse_config_file, resolve_config
+from seqpolicy.cli import (
+    EXIT_CONFIG,
+    EXIT_DATA,
+    EXIT_OK,
+    _token_range_violations,
+    main,
+    parse_config_file,
+    resolve_config,
+)
 from seqpolicy.corpora import build_dataset, collect_episodes
 from seqpolicy.datastore import load_manifest, read_episodes, write_episodes, write_manifest
-from seqpolicy.envs import GridReach, GridReachExpert
+from seqpolicy import model as M
+from seqpolicy.envs import GridReach, GridReachExpert, make_env
 from seqpolicy.errors import ConfigError
-from seqpolicy.sequencer import Episode, Timestep
+from seqpolicy.policy import RolloutConfig, evaluate_policy
+from seqpolicy.sequencer import ElementSource, Episode, Timestep, flatten_episode
 from seqpolicy.codec import TensorSchema
+
+from conftest import manual_sequence, micro_cfg, one_stream_record, rich_episode
 
 
 def _reward_episode(r, task="t"):
@@ -184,6 +196,21 @@ class TestRolloutCommand:
     def test_needs_checkpoint_or_expert(self, capsys):
         assert main(["rollout", "--env", "gridreach", "-n", "1"]) == EXIT_CONFIG
 
+    def test_model_rollout_is_evaluate_policy(self, tmp_path, capsys):
+        path = tmp_path / "model.ckpt"
+        cfg = micro_cfg(vocab=33025, context=64)
+        M.save_checkpoint(path, cfg, M.init_params(cfg, seed=2))
+        code = main(["rollout", "--checkpoint", str(path), "--env", "gridreach",
+                     "--temperature", "1", "-n", "3", "--seed", "4"])
+        assert code == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        printed = [float(l.split("return=")[1]) for l in lines if l.startswith("episode=")]
+        loaded = M.load_checkpoint(path)
+        state = M.ModelState(cfg=loaded["cfg"], params=loaded["params"], streams=M.RngStreams(0))
+        rollout_cfg = RolloutConfig(sampling="temperature", temperature=1.0)
+        expected = evaluate_policy(state, lambda s: make_env("gridreach", s), rollout_cfg, 3, seed=4)
+        assert printed == expected.returns
+
 
 class TestInspectCommand:
     def test_layout_identity(self, tmp_path, capsys):
@@ -204,3 +231,55 @@ class TestInspectCommand:
         data[-2] ^= 0xFF
         path.write_bytes(bytes(data))
         assert main(["inspect", str(path)]) == EXIT_DATA
+
+    def test_bad_schema_index_or_modality_code_exit_3(self, tmp_path, capsys):
+        for bad in (dict(schema_index=99), dict(modality_code=9)):
+            path = tmp_path / "bad.ep"
+            path.write_bytes(one_stream_record(**bad))
+            assert main(["inspect", str(path)]) == EXIT_DATA
+            assert "data error" in capsys.readouterr().err
+
+    def test_violations_in_position_order(self):
+        seq = manual_sequence([("text", 40_000), ("sep",), ("tensor", 2_000), ("action", 5),
+                               ("tensor", 7)])
+        seq.tokens[1] = 3
+        seq.mask[2] = seq.mask[4] = 1
+        assert _token_range_violations(seq) == [
+            "text token 40000 at 0",
+            "separator token 3 at 1",
+            "tensor token 2000 at 2",
+            "mask bit on TENSOR at 2",
+            "mask bit on TENSOR at 4",
+        ]
+        seq.tokens[3] = 33024
+        assert _token_range_violations(seq)[-2] == "action token 33024 at 3"
+
+    def test_violations_match_per_element_loop(self):
+        def reference(seq):
+            problems = []
+            legal = lambda tok: 0 <= tok < 1024 or 32000 <= tok < 33024
+            for i, src in enumerate(seq.sources):
+                src, tok = ElementSource(int(src)), int(seq.tokens[i])
+                if src == ElementSource.TEXT and not 0 <= tok < 32000:
+                    problems.append(f"text token {tok} at {i}")
+                if src == ElementSource.SEPARATOR and tok != 33024:
+                    problems.append(f"separator token {tok} at {i}")
+                if src == ElementSource.TENSOR and not legal(tok):
+                    problems.append(f"tensor token {tok} at {i}")
+                if src == ElementSource.ACTION and not legal(tok):
+                    problems.append(f"action token {tok} at {i}")
+                if seq.mask[i] and src not in (ElementSource.TEXT, ElementSource.ACTION):
+                    problems.append(f"mask bit on {src.name} at {i}")
+            return problems
+
+        rng = np.random.default_rng(0)
+        edge = [-5, 0, 1023, 1024, 31999, 32000, 33023, 33024, 33025]
+        found = 0
+        for trial in range(50):
+            seq = flatten_episode(rich_episode(seed=trial))
+            at = rng.integers(0, len(seq), size=4)
+            seq.tokens[at] = rng.choice(edge, size=4)
+            seq.mask[rng.integers(0, len(seq), size=3)] = 1
+            assert _token_range_violations(seq) == reference(seq)
+            found += len(reference(seq))
+        assert found > 50

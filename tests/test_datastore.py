@@ -31,7 +31,7 @@ from seqpolicy.errors import (
 )
 from seqpolicy.sequencer import Episode, Timestep
 
-from conftest import build_layout_episode, golden_checkpoint, rich_episode
+from conftest import build_layout_episode, golden_checkpoint, one_stream_record, rich_episode
 
 
 def _reward_episode(r, task="t"):
@@ -88,6 +88,14 @@ class TestEpisodeRecords:
             data[0:4] = b"JUNK"
             with pytest.raises(TruncatedRecordError, match=magic):
                 load(data)
+
+    def test_bad_schema_index_or_modality_code(self):
+        episode, _ = datastore.decode_episode(one_stream_record())
+        assert episode.timesteps[0].observations["o"][1] == 5
+        with pytest.raises(RecordFormatError, match="schema index 99"):
+            datastore.decode_episode(one_stream_record(schema_index=99))
+        with pytest.raises(RecordFormatError, match="modality code 9"):
+            datastore.decode_episode(one_stream_record(modality_code=9))
 
     def test_version_mismatch(self, tmp_path):
         for magic, data, load in _framed_artefacts(tmp_path):

@@ -18,7 +18,14 @@ from seqpolicy.model.network import embed_batch, hidden_fwd
 from seqpolicy.sequencer import TARGET_NONE, ElementSource, assemble_batch
 from seqpolicy.trainer import _draw_batch
 
-from conftest import MIXED_LEN, manual_sequence, micro_cfg, mixed_batch, mixed_sampler
+from conftest import (
+    MIXED_LEN,
+    manual_sequence,
+    micro_cfg,
+    mixed_batch,
+    mixed_sampler,
+    unpackable_batch,
+)
 
 
 def _model_cfg():
@@ -76,7 +83,10 @@ class TestPackedLayout:
 
     def test_full_batch_is_returned_itself(self):
         batch = assemble_batch([_text_window(4, 0), _text_window(4, 0)])
-        assert batch.packed() is batch
+        packed = batch.packed()
+        for name in ("tokens", "sources", "local_pos", "mask", "targets", "timestep", "segments"):
+            np.testing.assert_array_equal(getattr(packed, name), getattr(batch, name))
+        assert packed.provenance == batch.provenance
 
     def test_unpackable_batch_is_trimmed(self):
         batch = assemble_batch([_text_window(4, 2), _text_window(3, 3)])
@@ -100,20 +110,22 @@ class TestPackedModel:
         [(np.float64, dict(rtol=1e-12, atol=1e-15)), (np.float32, dict(rtol=1e-5, atol=1e-6))],
     )
     def test_eval_loss_and_grads_match_unpacked(self, dtype, tol):
+        """On a batch that packs and on one where nothing packs (only trimmed)."""
         cfg = _model_cfg()
         params = M.init_params(cfg, seed=3, dtype=dtype)
-        batch = mixed_batch()
-        packed = batch.packed()
-        assert packed.batch_size < batch.batch_size
-        assert packed.shifted_mask().sum() == batch.shifted_mask().sum()
-        full_loss, full_grads = M.loss_and_grads(params, cfg, batch, mode="eval")
-        pack_loss, pack_grads = M.loss_and_grads(params, cfg, packed, mode="eval")
-        assert pack_loss.masked_tokens == full_loss.masked_tokens > 0
-        assert len(pack_loss.per_item) == batch.batch_size
-        np.testing.assert_allclose(pack_loss.total, full_loss.total, **tol)
-        np.testing.assert_allclose(pack_loss.per_item, full_loss.per_item, **tol)
-        for name in params:
-            np.testing.assert_allclose(pack_grads[name], full_grads[name], err_msg=name, **tol)
+        for batch, packs in ((mixed_batch(), True), (unpackable_batch(), False)):
+            packed = batch.packed()
+            assert (packed.batch_size < batch.batch_size) == packs
+            assert packed.seq_len < batch.seq_len
+            assert packed.shifted_mask().sum() == batch.shifted_mask().sum()
+            full_loss, full_grads = M.loss_and_grads(params, cfg, batch, mode="eval")
+            pack_loss, pack_grads = M.loss_and_grads(params, cfg, packed, mode="eval")
+            assert pack_loss.masked_tokens == full_loss.masked_tokens > 0
+            assert len(pack_loss.per_item) == batch.batch_size
+            np.testing.assert_allclose(pack_loss.total, full_loss.total, **tol)
+            np.testing.assert_allclose(pack_loss.per_item, full_loss.per_item, **tol)
+            for name in params:
+                np.testing.assert_allclose(pack_grads[name], full_grads[name], err_msg=name, **tol)
 
     def test_no_attention_across_windows(self):
         cfg = _model_cfg()

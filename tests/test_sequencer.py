@@ -1,10 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqpolicy import codec, sequencer
+from seqpolicy import sequencer
 from seqpolicy.codec import SEPARATOR_TOKEN, TensorSchema
+from seqpolicy.corpora import collect_episodes, synthetic_text_episodes
+from seqpolicy.envs import make_env, make_expert
 from seqpolicy.errors import SchemaError
 from seqpolicy.sequencer import (
     ElementSource,
@@ -14,12 +18,11 @@ from seqpolicy.sequencer import (
     assemble_batch,
     episode_layout,
     flatten_episode,
-    flatten_timestep,
     order_observation,
     sample_subsequence,
 )
 
-from conftest import build_layout_episode
+from conftest import build_layout_episode, rich_episode
 
 
 def _discrete_obs(key, values):
@@ -30,29 +33,23 @@ def _discrete_obs(key, values):
 class TestOrderObservation:
     def test_lexicographic_keys(self):
         obs = dict([_discrete_obs("b", [2, 3]), _discrete_obs("a", [1])])
-        tokens = [e.token for e in order_observation(obs)]
-        assert tokens == [1, 2, 3]
+        assert [schema.key for schema, _ in order_observation(obs)] == ["a", "b"]
 
     def test_modality_groups(self):
         obs = {
-            "txt": (TensorSchema.text("txt"), "A"),
-            "img": (
-                TensorSchema.image("img", 16, 16, 1),
-                np.zeros((16, 16, 1), dtype=np.uint8),
-            ),
             "vec": (
                 TensorSchema.continuous("vec", (2,), (-1.0, 1.0)),
                 np.zeros(2),
             ),
+            "img": (
+                TensorSchema.image("img", 16, 16, 1),
+                np.zeros((16, 16, 1), dtype=np.uint8),
+            ),
+            "txt": (TensorSchema.text("txt"), "A"),
         }
-        elems = order_observation(obs)
-        assert [e.source for e in elems] == [
-            ElementSource.TEXT,
-            ElementSource.PATCH,
-            ElementSource.TENSOR,
-            ElementSource.TENSOR,
-        ]
-        assert elems[0].token == 65
+        streams = order_observation(obs)
+        assert [schema.key for schema, _ in streams] == ["txt", "img", "vec"]
+        assert streams[0] == obs["txt"]
 
     def test_empty(self):
         assert order_observation({}) == []
@@ -61,32 +58,34 @@ class TestOrderObservation:
         pairs = [_discrete_obs("x", [5]), _discrete_obs("m", [6]), _discrete_obs("a", [7])]
         forward = order_observation(dict(pairs))
         backward = order_observation(dict(reversed(pairs)))
-        assert [e.token for e in forward] == [e.token for e in backward] == [7, 6, 5]
+        keys = [schema.key for schema, _ in forward]
+        assert keys == [schema.key for schema, _ in backward] == ["a", "m", "x"]
 
 
 class TestFlattenTimestep:
-    def _timestep(self, terminal=False):
+    """A one-timestep episode flattens to its observations, separator and action."""
+
+    def _flat(self, terminal=False):
         obs = dict([_discrete_obs("obs", [1, 2, 3])])
         action = None
         if not terminal:
             schema = TensorSchema.discrete("act", (2,), is_action=True)
             action = (schema, np.array([9, 8]))
-        return Timestep(observations=obs, action=action)
+        return flatten_episode(Episode("t", [Timestep(observations=obs, action=action)], [0.0]))
 
     def test_separator_position(self):
-        elems = flatten_timestep(self._timestep())
-        assert len(elems) == 6
-        assert elems[3].source is ElementSource.SEPARATOR
-        assert elems[3].token == SEPARATOR_TOKEN
+        seq = self._flat()
+        assert len(seq) == 6
+        assert seq.sources[3] == ElementSource.SEPARATOR
+        assert seq.tokens[3] == SEPARATOR_TOKEN
 
     def test_terminal(self):
-        elems = flatten_timestep(self._timestep(terminal=True))
-        assert [e.source for e in elems[-1:]] == [ElementSource.SEPARATOR]
-        assert len(elems) == 4
+        seq = self._flat(terminal=True)
+        assert len(seq) == 4
+        assert seq.sources[-1] == ElementSource.SEPARATOR
 
     def test_mask_bits(self):
-        elems = flatten_timestep(self._timestep())
-        assert [sequencer.mask_bit(e.source) for e in elems] == [0, 0, 0, 0, 1, 1]
+        assert self._flat().mask.tolist() == [0, 0, 0, 0, 1, 1]
 
 
 class TestFlattenEpisode:
@@ -99,13 +98,6 @@ class TestFlattenEpisode:
         layout = episode_layout(ep)
         assert (layout.k, layout.m, layout.n, layout.A, layout.T) == (2, 4, 3, 2, 3)
         assert len(seq) == layout.total == 36
-
-    def test_single_timestep_matches_flatten_timestep(self):
-        ep = build_layout_episode(T=1, tensor_shape=(2,), action_shape=(1,))
-        seq = flatten_episode(ep)
-        direct = flatten_timestep(ep.timesteps[0])
-        assert [e.source for e in seq.elements] == [e.source for e in direct]
-        assert [e.token for e in seq.elements] == [e.token for e in direct]
 
     def test_mask_count(self):
         ep = build_layout_episode(T=4, text_len=3, tensor_shape=(2,), action_shape=(2,))
@@ -179,6 +171,43 @@ class TestFlattenEpisode:
         layout = episode_layout(ep)
         assert len(seq) == layout.T * (layout.k + layout.m + layout.n + 1 + layout.A)
         assert int(seq.mask.sum()) == layout.T * (layout.k + layout.A)
+
+
+# SHA-256 of the flattened arrays of the episodes below, pinned before the
+# flattening loop was rewritten; any change to flattening output moves it.
+FLATTEN_DIGEST = "c0c48b75d1998b0aa00307b1d2bf9fe8a3f1ce1a390d3d48c2e5dba58787ebff"
+
+
+def _golden_episodes():
+    episodes = []
+    for name, seed in (("gridreach", 3), ("linereacher", 4), ("bandit_a", 5), ("bandit_b", 6)):
+        episodes += collect_episodes(make_env(name, seed), make_expert(name), 3)
+    episodes += synthetic_text_episodes(3, seed=7)
+    episodes.append(build_layout_episode(
+        T=3, text_len=2, patch_grid=(2, 1), tensor_shape=(3,), action_shape=(2,), seed=8
+    ))
+    episodes.append(rich_episode(seed=9))
+    return episodes
+
+
+def test_flatten_golden_digest():
+    h = hashlib.sha256()
+    patch_count = 0
+    for ep in _golden_episodes():
+        seq = flatten_episode(ep)
+        for name in ("sources", "tokens", "local_pos", "mask", "targets", "timestep"):
+            arr = getattr(seq, name)
+            h.update(arr.dtype.str.encode())
+            h.update(arr.tobytes())
+        for pos in sorted(seq.patches):
+            patch = seq.patches[pos]
+            h.update(np.int64(pos).tobytes())
+            h.update(patch.pixels.dtype.str.encode())
+            h.update(patch.pixels.tobytes())
+            h.update(np.array(patch.row_interval + patch.col_interval, np.float64).tobytes())
+            patch_count += 1
+    assert patch_count == 12
+    assert h.hexdigest() == FLATTEN_DIGEST
 
 
 class TestSampleSubsequence:

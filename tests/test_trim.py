@@ -1,8 +1,10 @@
-"""Exactness gates for training on padding-trimmed batches and the GELU cache.
+"""Padding trimming and the GELU cache.
 
-Padding only trails and attention is causal, so cutting a batch after its
-longest real row leaves every real position's inputs, and therefore the
-loss and gradients, unchanged up to floating-point roundoff.
+A batch in which no two windows can share a row comes back from
+:meth:`MaskedBatch.packed` cut after its longest real row. Padding only
+trails and attention is causal, so every real position's inputs, and
+therefore the loss and gradients, are unchanged (gated with the packed
+batches in ``test_pack.py``).
 """
 
 import math
@@ -14,9 +16,9 @@ from scipy.special import erf
 from seqpolicy import model as M
 from seqpolicy.model.ops import gelu_bwd, gelu_fwd
 from seqpolicy.sequencer import ElementSource, MaskedBatch
-from seqpolicy.trainer import TrainConfig, _draw_batch, pretrain
+from seqpolicy.trainer import TrainConfig, pretrain
 
-from conftest import MIXED_LEN, micro_cfg, mixed_batch, mixed_sampler
+from conftest import MIXED_LEN, micro_cfg, mixed_sampler, unpackable_batch
 
 L = MIXED_LEN
 
@@ -27,48 +29,29 @@ def _model_cfg():
 
 class TestTrimmedBatch:
     def test_cut_after_longest_real_row(self):
-        batch = mixed_batch()
-        trimmed = batch.trimmed()
+        batch = unpackable_batch()
+        trimmed = batch.packed()
         real = batch.sources != ElementSource.PAD
         longest = max(int(np.nonzero(row)[0][-1]) + 1 for row in real)
         assert longest < L
+        assert trimmed.batch_size == batch.batch_size
         assert trimmed.seq_len == longest
         assert not (trimmed.sources[:, -1] == ElementSource.PAD).all()
         for name in ("tokens", "sources", "local_pos", "mask", "targets", "timestep", "segments"):
             full, cut = getattr(batch, name), getattr(trimmed, name)
-            assert np.shares_memory(full, cut)
             np.testing.assert_array_equal(cut, full[:, :longest])
         assert trimmed.patch_pixels is batch.patch_pixels
-        assert trimmed.patch_slots is batch.patch_slots
+        np.testing.assert_array_equal(trimmed.patch_slots, batch.patch_slots)
         assert trimmed.patch_intervals is batch.patch_intervals
         assert trimmed.provenance == batch.provenance
         np.testing.assert_array_equal(trimmed.shifted_mask(), batch.shifted_mask()[:, :longest])
 
     def test_full_batch_is_returned_itself(self):
-        batch = mixed_batch().trimmed()
-        assert batch.trimmed() is batch
-
-    @pytest.mark.parametrize(
-        "dtype, tol",
-        [(np.float64, dict(rtol=1e-12)), (np.float32, dict(rtol=1e-5, atol=1e-6))],
-    )
-    def test_eval_loss_and_grads_match_untrimmed(self, dtype, tol):
-        cfg = _model_cfg()
-        params = M.init_params(cfg, seed=3, dtype=dtype)
-        batch = mixed_batch()
-        full_loss, full_grads = M.loss_and_grads(params, cfg, batch, mode="eval")
-        cut_loss, cut_grads = M.loss_and_grads(params, cfg, batch.trimmed(), mode="eval")
-        assert cut_loss.masked_tokens == full_loss.masked_tokens > 0
-        np.testing.assert_allclose(cut_loss.total, full_loss.total, rtol=tol["rtol"])
-        np.testing.assert_allclose(cut_loss.per_item, full_loss.per_item, rtol=tol["rtol"])
-        for name in params:
-            np.testing.assert_allclose(cut_grads[name], full_grads[name], err_msg=name, **tol)
-
-
-def test_training_batches_are_trimmed():
-    batch, _ = _draw_batch(mixed_sampler(seed=9), 4, 0.0, {"prompt_skipped": 0})
-    assert batch.seq_len < L
-    assert batch.trimmed() is batch
+        batch = unpackable_batch().packed()
+        again = batch.packed()
+        for name in ("tokens", "sources", "local_pos", "mask", "targets", "timestep", "segments",
+                     "patch_slots"):
+            np.testing.assert_array_equal(getattr(again, name), getattr(batch, name))
 
 
 def _pretrain_run():
@@ -80,7 +63,6 @@ def _pretrain_run():
 
 def test_pretrain_cursors_match_untrimmed(monkeypatch):
     cut, cut_sampler = _pretrain_run()
-    monkeypatch.setattr(MaskedBatch, "trimmed", lambda self: self)
     monkeypatch.setattr(MaskedBatch, "packed", lambda self: self)
     full, full_sampler = _pretrain_run()
     assert cut.state.streams.state_dict() == full.state.streams.state_dict()
