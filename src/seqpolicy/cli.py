@@ -48,7 +48,7 @@ from .model import (
     tiny,
 )
 from .policy import RolloutConfig, evaluate_policy
-from .sequencer import ElementSource, Episode, episode_layout, flatten_episode, mask_of
+from .sequencer import ElementSource, Episode, episode_layout, flatten_episode
 from .trainer import (
     ABLATION_ARMS,
     FinetuneConfig,
@@ -462,7 +462,7 @@ def cmd_rollout(args) -> int:
 
 
 def _token_range_violations(seq) -> list[str]:
-    """Contract breaches in position order: token ranges per source, loss mask."""
+    """Token-range breaches per element source, in position order."""
     src, tok = seq.sources, seq.tokens
     tensor_ok = ((0 <= tok) & (tok < codec.DISCRETE_VOCAB)) | (
         (codec.CONTINUOUS_BASE <= tok) & (tok < codec.CONTINUOUS_END)
@@ -474,11 +474,10 @@ def _token_range_violations(seq) -> list[str]:
          "separator token {tok} at {i}"),
         ((src == ElementSource.TENSOR) & ~tensor_ok, "tensor token {tok} at {i}"),
         ((src == ElementSource.ACTION) & ~tensor_ok, "action token {tok} at {i}"),
-        ((seq.mask != 0) & (mask_of(src) == 0), "mask bit on {name} at {i}"),
     )
     bad = np.stack([hit for hit, _ in checks], axis=1)
     return [
-        checks[k][1].format(tok=int(tok[i]), i=int(i), name=ElementSource(int(src[i])).name)
+        checks[k][1].format(tok=int(tok[i]), i=int(i))
         for i, k in zip(*np.nonzero(bad))
     ]
 

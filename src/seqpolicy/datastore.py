@@ -195,28 +195,11 @@ def decode_episode(data: bytes, offset: int = 0) -> tuple[Episode, int]:
     return Episode(task_id=task_id, timesteps=timesteps, rewards=rewards), next_offset
 
 
-def write_episode(ep: Episode, sink) -> None:
-    """Append one record to a path or binary file object."""
-    record = encode_episode(ep)
-    if hasattr(sink, "write"):
-        sink.write(record)
-    else:
-        with open(sink, "ab") as f:
-            f.write(record)
-
-
 def write_episodes(episodes: list[Episode], path) -> None:
     """Replace ``path`` with these records; a crash keeps the old file."""
     with atomic_writer(path) as f:
         for ep in episodes:
             f.write(encode_episode(ep))
-
-
-def read_episode(source) -> Episode:
-    """Read exactly one record from a path, bytes, or binary file object."""
-    data = _as_bytes(source)
-    episode, _ = decode_episode(data)
-    return episode
 
 
 def read_episodes(source) -> list[Episode]:
@@ -383,7 +366,8 @@ class MixtureSampler:
 
     Every item comes from dataset ``d`` with probability proportional to its
     weight; within a dataset the episode is uniform, and the window is a
-    uniform contiguous subsequence padded to ``seq_len``. Fixed seeds make
+    uniform contiguous subsequence of ``seq_len`` elements, or the whole
+    episode if it is shorter; windows are never padded. Fixed seeds make
     the stream exactly reproducible.
     """
 

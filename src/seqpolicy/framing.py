@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ChecksumError, TruncatedRecordError, VersionMismatchError
+from .errors import ChecksumError, RecordFormatError, TruncatedRecordError, VersionMismatchError
 
 _HEADER = struct.Struct("<4sHQ")
 _U8 = struct.Struct("<B")
@@ -143,7 +143,12 @@ class Reader:
         return _F64.unpack(self.take(8))[0]
 
     def string(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+        raw = self.take(self.u32())
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            at = self.pos - len(raw) + exc.start
+            raise RecordFormatError(f"invalid UTF-8 at frame body byte {at}") from None
 
     def tensor(self) -> tuple[str, np.ndarray]:
         name = self.string()

@@ -14,7 +14,8 @@ tokens, which are never predicted.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Any, Iterable
 
 import numpy as np
@@ -26,7 +27,6 @@ from .errors import SchemaError
 TOKEN_NONE = -1
 TARGET_NONE = -1
 LOCAL_NONE = -1
-TIMESTEP_PAD = np.iinfo(np.int32).min  # sentinel, never a real timestep id
 
 
 class ElementSource(enum.IntEnum):
@@ -151,7 +151,7 @@ class ElementSequence:
     """Flattened elements with aligned per-element metadata arrays.
 
     ``local_pos`` holds the within-timestep observation ordinal for
-    observation elements and -1 for separator/action/padding; the model maps
+    observation elements and -1 for separator/action elements; the model maps
     the -1 slots to its dedicated table indices. ``targets`` is -1 where the
     element is never predicted. ``timestep`` groups elements into timesteps
     (prompt regions use negative ids so they never merge with the live ones).
@@ -179,11 +179,6 @@ class ElementSequence:
     def __len__(self) -> int:
         return len(self.sources)
 
-    def real_length(self) -> int:
-        """Length excluding trailing padding."""
-        nonpad = np.nonzero(self.sources != ElementSource.PAD)[0]
-        return 0 if nonpad.size == 0 else int(nonpad[-1]) + 1
-
     def slice(self, start: int, stop: int) -> "ElementSequence":
         patches = {
             pos - start: p for pos, p in self.patches.items() if start <= pos < stop
@@ -196,25 +191,6 @@ class ElementSequence:
             targets=self.targets[start:stop].copy(),
             timestep=self.timestep[start:stop].copy(),
             patches=patches,
-            task_id=self.task_id,
-            dataset=self.dataset,
-        )
-
-    def padded_to(self, length: int) -> "ElementSequence":
-        n = len(self)
-        if n > length:
-            raise SchemaError(f"cannot pad length {n} down to {length}")
-        if n == length:
-            return self
-        extra = length - n
-        return ElementSequence(
-            sources=np.concatenate([self.sources, np.full(extra, ElementSource.PAD, np.uint8)]),
-            tokens=np.concatenate([self.tokens, np.full(extra, TOKEN_NONE, np.int32)]),
-            local_pos=np.concatenate([self.local_pos, np.full(extra, LOCAL_NONE, np.int32)]),
-            mask=np.concatenate([self.mask, np.zeros(extra, np.uint8)]),
-            targets=np.concatenate([self.targets, np.full(extra, TARGET_NONE, np.int32)]),
-            timestep=np.concatenate([self.timestep, np.full(extra, TIMESTEP_PAD, np.int32)]),
-            patches=dict(self.patches),
             task_id=self.task_id,
             dataset=self.dataset,
         )
@@ -356,7 +332,7 @@ def episode_layout(ep: Episode) -> SequenceLayout:
 # ---------------------------------------------------------------------------
 
 def sample_subsequence(seq: ElementSequence, length: int, rng: np.random.Generator) -> ElementSequence:
-    """Uniform contiguous window of ``length`` elements, right-padded if short."""
+    """Uniform contiguous window of ``length`` elements, or all of a shorter ``seq``."""
     if length < 1:
         raise ValueError(f"window length must be >= 1, got {length}")
     n = len(seq)
@@ -364,56 +340,46 @@ def sample_subsequence(seq: ElementSequence, length: int, rng: np.random.Generat
         raise ValueError("cannot sample from an empty sequence")
     take = min(length, n)
     start = int(rng.integers(0, n - take + 1))
-    return seq.slice(start, start + take).padded_to(length)
+    return seq.slice(start, start + take)
 
 
 def apply_prompt(
     item: ElementSequence,
     source: Episode | ElementSequence | None,
     rng: np.random.Generator,
+    length: int,
     prompt_probability: float = 0.25,
     end_probability: float = 0.5,
     budget_fraction: float = 0.5,
 ) -> tuple[ElementSequence, bool]:
-    """Maybe prepend a same-task prompt window, keeping the training length.
+    """Maybe prepend a same-task prompt window, keeping at most ``length`` elements.
 
     With ``prompt_probability`` a prompt window (at most ``budget_fraction``
-    of the training length) is taken from the source episode: its final
+    of the training ``length``) is taken from the source episode: its final
     tokens with ``end_probability``, otherwise a uniformly positioned window.
-    The combined sequence keeps its leftmost ``len(item)`` elements, so the
+    The combined sequence keeps its leftmost ``length`` elements, so the
     prompt can displace the tail of the primary subsequence but never more
     than the budget fraction. Prompt tokens keep their modality-derived mask.
     """
-    length = len(item)
-    if source is not None:
-        source_task = source.task_id
-        if source_task != item.task_id:
-            raise ValueError(
-                f"prompt source task {source_task!r} != item task {item.task_id!r}"
-            )
-    if rng.random() >= prompt_probability:
-        return item, False
-    if source is None:
+    if source is not None and source.task_id != item.task_id:
+        raise ValueError(
+            f"prompt source task {source.task_id!r} != item task {item.task_id!r}"
+        )
+    if rng.random() >= prompt_probability or source is None:
         return item, False
     src = source if isinstance(source, ElementSequence) else flatten_episode(source)
-    src_len = src.real_length()
-    if src_len == 0:
-        return item, False
-    budget = min(int(length * budget_fraction), src_len)
+    budget = min(int(length * budget_fraction), len(src))
     if budget == 0:
         return item, False
     if rng.random() < end_probability:
-        prompt = src.slice(src_len - budget, src_len)
+        prompt = src.slice(len(src) - budget, len(src))
     else:
-        start = int(rng.integers(0, src_len - budget + 1))
+        start = int(rng.integers(0, len(src) - budget + 1))
         prompt = src.slice(start, start + budget)
     # shift prompt timestep ids below zero so they never merge with live ones
     shifted = prompt.timestep.astype(np.int64) - (int(prompt.timestep.max()) + 1)
     prompt.timestep = shifted.astype(np.int32)
-    real_len = item.real_length()
-    combined = concat_sequences([prompt, item.slice(0, real_len)])
-    combined = combined.slice(0, min(length, len(combined))).padded_to(length)
-    return combined, True
+    return concat_sequences([prompt, item]).slice(0, length), True
 
 
 # ---------------------------------------------------------------------------
@@ -422,13 +388,13 @@ def apply_prompt(
 
 @dataclass
 class MaskedBatch:
-    """Stacked element sequences plus targets and loss-mask bits.
+    """Windows packed into rows, plus targets and loss-mask bits.
 
     The per-element arrays stay aligned to the input elements. Training uses
     the shifted views: ``shifted_targets()[.., l]`` is the token the model
     must predict from everything up to and including position ``l``.
     ``segments`` names the window (an index into ``provenance``) at each
-    position; a row holds several windows only after :meth:`packed`.
+    position; a row can hold several windows (see :func:`assemble_batch`).
     """
 
     tokens: np.ndarray          # (B, L) int32, -1 where no token
@@ -436,7 +402,6 @@ class MaskedBatch:
     local_pos: np.ndarray       # (B, L) int32 observation ordinals, -1 otherwise
     mask: np.ndarray            # (B, L) uint8, element-aligned modality mask
     targets: np.ndarray         # (B, L) int32, -1 where never predicted
-    timestep: np.ndarray        # (B, L) int32
     segments: np.ndarray        # (B, L) int32 window index into provenance
     patch_pixels: np.ndarray | None   # (P, 16, 16, C) float64
     patch_slots: np.ndarray | None    # (P, 2) int32 rows of (batch, position)
@@ -469,117 +434,57 @@ class MaskedBatch:
         out[self._window_ends()] = 0
         return out
 
-    def packed(self) -> "MaskedBatch":
-        """Several windows per row, each row as long as the longest window.
-
-        Windows are placed first-fit by decreasing real length (ties by
-        index); rows are ordered by their lowest window index and keep their
-        windows in index order. ``segments`` keeps windows apart: the model
-        never attends across them and a window's last position predicts
-        nothing. Trailing padding belongs to the row's last window. Patch
-        arrays keep their order, only ``patch_slots`` moves. A batch in which
-        no two windows can share a row comes back cut after its longest
-        window, rows in window order.
-        """
-        real = self.sources != ElementSource.PAD
-        lengths = real.sum(axis=1)
-        if (real != (np.arange(self.seq_len) < lengths[:, None])).any():
-            raise SchemaError("cannot pack a window with padding before a real element")
-        capacity = max(int(lengths.max()), 1)
-        rows: list[list[int]] = []
-        free: list[int] = []
-        for w in sorted(range(self.batch_size), key=lambda w: (-lengths[w], w)):
-            r = next((r for r, f in enumerate(free) if f >= lengths[w]), len(rows))
-            if r == len(rows):
-                rows.append([])
-                free.append(capacity)
-            rows[r].append(w)
-            free[r] -= int(lengths[w])
-        rows = sorted(sorted(r) for r in rows)
-        row_of = np.empty(self.batch_size, np.int64)
-        offset = np.empty(self.batch_size, np.int64)
-        segments = np.empty((len(rows), capacity), np.int32)
-        for r, windows in enumerate(rows):
-            lens = lengths[windows]
-            ends = np.cumsum(lens)
-            row_of[windows] = r
-            offset[windows] = ends - lens
-            segments[r] = windows[-1]
-            segments[r, : ends[-1]] = np.repeat(windows, lens)
-        src_b, src_l = np.nonzero(real)
-        dst = (row_of[src_b], offset[src_b] + src_l)
-
-        def move(name: str, fill) -> np.ndarray:
-            full = getattr(self, name)
-            out = np.full((len(rows), capacity), fill, full.dtype)
-            out[dst] = full[src_b, src_l]
-            return out
-
-        slots = self.patch_slots
-        if slots is not None:
-            slots = np.stack([row_of[slots[:, 0]], offset[slots[:, 0]] + slots[:, 1]], 1)
-            slots = slots.astype(np.int32)
-        return replace(
-            self,
-            tokens=move("tokens", TOKEN_NONE),
-            sources=move("sources", ElementSource.PAD),
-            local_pos=move("local_pos", LOCAL_NONE),
-            mask=move("mask", 0),
-            targets=move("targets", TARGET_NONE),
-            timestep=move("timestep", TIMESTEP_PAD),
-            segments=segments,
-            patch_slots=slots,
-        )
-
-    def unbatch(self) -> list[ElementSequence]:
-        if self.batch_size != len(self.provenance):
-            raise ValueError(
-                f"cannot unbatch {len(self.provenance)} windows packed into "
-                f"{self.batch_size} rows"
-            )
-        items = []
-        for b in range(self.batch_size):
-            patches = {}
-            if self.patch_slots is not None:
-                for p, (pb, pos) in enumerate(self.patch_slots):
-                    if pb == b:
-                        patches[int(pos)] = ImagePatch(
-                            pixels=self.patch_pixels[p],
-                            row_interval=tuple(self.patch_intervals[p, 0:2]),
-                            col_interval=tuple(self.patch_intervals[p, 2:4]),
-                        )
-            task_id, dataset = self.provenance[b]
-            items.append(
-                ElementSequence(
-                    sources=self.sources[b].copy(),
-                    tokens=self.tokens[b].copy(),
-                    local_pos=self.local_pos[b].copy(),
-                    mask=self.mask[b].copy(),
-                    targets=self.targets[b].copy(),
-                    timestep=self.timestep[b].copy(),
-                    patches=patches,
-                    task_id=task_id,
-                    dataset=dataset,
-                )
-            )
-        return items
-
 
 def assemble_batch(items: list[ElementSequence]) -> MaskedBatch:
+    """Pack windows of any length into rows as long as the longest window.
+
+    Windows are placed first-fit by decreasing length (ties by index); rows
+    are ordered by their lowest window index and keep their windows in index
+    order. ``segments`` keeps windows apart: the model never attends across
+    them and a window's last position predicts nothing. A row's trailing
+    padding belongs to its last window. Patch arrays follow window order;
+    ``patch_slots`` gives each patch's (row, position).
+    """
     if not items:
         raise ValueError("cannot assemble an empty batch")
-    length = len(items[0])
-    if any(len(it) != length for it in items):
-        raise SchemaError(f"ragged item lengths: {[len(it) for it in items]}")
+    lengths = [len(it) for it in items]
+    capacity = max(lengths)
+    rows: list[list[int]] = []
+    free: list[int] = []
+    for w in sorted(range(len(items)), key=lambda w: (-lengths[w], w)):
+        r = next((r for r, f in enumerate(free) if f >= lengths[w]), len(rows))
+        if r == len(rows):
+            rows.append([])
+            free.append(capacity)
+        rows[r].append(w)
+        free[r] -= lengths[w]
+    layout = sorted(zip(map(sorted, rows), free))
+    order = [w for row, _ in layout for w in row]
+    # the last window of a row also spans the row's trailing padding
+    pads = [left if w == row[-1] else 0 for row, left in layout for w in row]
+    spans = [lengths[w] + pad for w, pad in zip(order, pads)]
+    start = dict(zip(order, accumulate([0] + spans)))
+    shape = (len(layout), capacity)
+    real = None
+    if any(pads):
+        runs = [n for w, pad in zip(order, pads) for n in (lengths[w], pad)]
+        real = np.repeat(np.tile([True, False], len(order)), runs)
+
+    def lay(name: str, fill) -> np.ndarray:
+        flat = np.concatenate([getattr(items[w], name) for w in order])
+        if real is not None:
+            out = np.full(real.size, fill, flat.dtype)
+            out[real] = flat
+            flat = out
+        return flat.reshape(shape)
+
     slots, pixels, intervals = [], [], []
-    for b, item in enumerate(items):
+    for w, item in enumerate(items):
         for pos in sorted(item.patches):
             patch = item.patches[pos]
-            slots.append((b, pos))
+            slots.append(divmod(start[w] + pos, capacity))
             pixels.append(patch.pixels)
-            intervals.append(
-                (*patch.row_interval, *patch.col_interval)
-            )
+            intervals.append((*patch.row_interval, *patch.col_interval))
     if pixels:
         channels = {p.shape[2] for p in pixels}
         if len(channels) != 1:
@@ -590,13 +495,12 @@ def assemble_batch(items: list[ElementSequence]) -> MaskedBatch:
     else:
         patch_pixels = patch_slots = patch_intervals = None
     return MaskedBatch(
-        tokens=np.stack([it.tokens for it in items]),
-        sources=np.stack([it.sources for it in items]),
-        local_pos=np.stack([it.local_pos for it in items]),
-        mask=np.stack([it.mask for it in items]),
-        targets=np.stack([it.targets for it in items]),
-        timestep=np.stack([it.timestep for it in items]),
-        segments=np.repeat(np.arange(len(items), dtype=np.int32)[:, None], length, axis=1),
+        tokens=lay("tokens", TOKEN_NONE),
+        sources=lay("sources", ElementSource.PAD),
+        local_pos=lay("local_pos", LOCAL_NONE),
+        mask=lay("mask", 0),
+        targets=lay("targets", TARGET_NONE),
+        segments=np.repeat(np.array(order, np.int32), spans).reshape(shape),
         patch_pixels=patch_pixels,
         patch_slots=patch_slots,
         patch_intervals=patch_intervals,

@@ -221,11 +221,11 @@ def _draw_batch(sampler: MixtureSampler, batch_size: int, prompt_probability: fl
             items.append(window)
             continue
         item, was_prompted = apply_prompt(
-            window, source, sampler.rng, prompt_probability=prompt_probability
+            window, source, sampler.rng, sampler.seq_len, prompt_probability=prompt_probability
         )
         prompted += int(was_prompted)
         items.append(item)
-    return assemble_batch(items).packed(), prompted
+    return assemble_batch(items), prompted
 
 
 def _train_loop(
@@ -270,7 +270,7 @@ def _train_loop(
         if loss.masked_tokens == 0:
             counters["zero_mask_batches"] += 1
         optimizer_step(params, grads, opt_state, lr, cfg.optim)
-        tokens_processed += cfg.batch_size * cfg.seq_len  # drawn positions, before packing
+        tokens_processed += cfg.batch_size * cfg.seq_len  # nominal, not the packed positions
 
         per_dataset: dict[str, float] = {}
         for (task, dataset), item_loss in zip(batch.provenance, loss.per_item):

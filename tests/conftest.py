@@ -8,11 +8,10 @@ from seqpolicy.corpora import collect_episodes, synthetic_text_episodes
 from seqpolicy.datastore import DatasetManifest, LoadedDataset, MixtureSampler
 from seqpolicy.envs import GridReach, GridReachExpert
 from seqpolicy.sequencer import (
+    ElementSequence,
     Episode,
-    MaskedBatch,
     Timestep,
     apply_prompt,
-    assemble_batch,
     flatten_episode,
     sample_subsequence,
 )
@@ -79,29 +78,27 @@ def micro_cfg(**overrides):
 MIXED_LEN = 64
 
 
-def mixed_batch() -> MaskedBatch:
-    """Text, GridReach, image-patch and one prompted GridReach row, all padded."""
+def mixed_items() -> list[ElementSequence]:
+    """Text, GridReach, image-patch and one prompted GridReach window."""
     rng = np.random.default_rng(5)
     grid = [flatten_episode(ep) for ep in collect_episodes(GridReach(seed=4), GridReachExpert(), 3)]
     text = flatten_episode(synthetic_text_episodes(1, seed=2, words_per_doc=4)[0])
     rich = flatten_episode(rich_episode(seed=1))
     items = [sample_subsequence(seq, MIXED_LEN, rng) for seq in (text, grid[0], rich)]
     prompted, was_prompted = apply_prompt(
-        sample_subsequence(grid[1], MIXED_LEN, rng), grid[2], rng, prompt_probability=1.0
+        sample_subsequence(grid[1], MIXED_LEN, rng), grid[2], rng, MIXED_LEN,
+        prompt_probability=1.0,
     )
     assert was_prompted
-    batch = assemble_batch(items + [prompted])
-    assert batch.patch_pixels is not None
-    return batch
+    return items + [prompted]
 
 
-def unpackable_batch() -> MaskedBatch:
-    """Image-bearing windows of real length 46, 30 and 38: no two share a row."""
-    items = [
-        flatten_episode(rich_episode(seed=seed)).slice(0, length).padded_to(MIXED_LEN)
+def unpackable_items() -> list[ElementSequence]:
+    """Image-bearing windows of length 46, 30 and 38: no two share a row."""
+    return [
+        flatten_episode(rich_episode(seed=seed)).slice(0, length)
         for seed, length in ((1, 46), (2, 30), (3, 38))
     ]
-    return assemble_batch(items)
 
 
 def mixed_sampler(seed):
@@ -230,7 +227,7 @@ def manual_sequence(spec, seed=0, task_id="manual", dataset=None):
             sources.append(int(sq.ElementSource.PAD))
             tokens.append(sq.TOKEN_NONE)
             local.append(sq.LOCAL_NONE)
-            ts_ids.append(sq.TIMESTEP_PAD)
+            ts_ids.append(t)
             continue
         if kind == "patch":
             src = sq.ElementSource.PATCH

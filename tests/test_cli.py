@@ -13,10 +13,18 @@ from seqpolicy.cli import (
     resolve_config,
 )
 from seqpolicy.corpora import build_dataset, collect_episodes
-from seqpolicy.datastore import load_manifest, read_episodes, write_episodes, write_manifest
+from seqpolicy.datastore import (
+    FORMAT_VERSION,
+    MAGIC,
+    load_manifest,
+    read_episodes,
+    write_episodes,
+    write_manifest,
+)
 from seqpolicy import model as M
 from seqpolicy.envs import GridReach, GridReachExpert, make_env
 from seqpolicy.errors import ConfigError
+from seqpolicy.framing import frame, unframe
 from seqpolicy.policy import RolloutConfig, evaluate_policy
 from seqpolicy.sequencer import ElementSource, Episode, Timestep, flatten_episode
 from seqpolicy.codec import TensorSchema
@@ -239,20 +247,27 @@ class TestInspectCommand:
             assert main(["inspect", str(path)]) == EXIT_DATA
             assert "data error" in capsys.readouterr().err
 
+    def test_invalid_utf8_task_id_exit_3(self, tmp_path, capsys):
+        # a CRC-valid record whose task id byte is 0xFF
+        body = bytearray(unframe(one_stream_record(), 0, MAGIC, FORMAT_VERSION)[0])
+        body[4] = 0xFF  # the byte after the task id's u32 length
+        path = tmp_path / "bad.ep"
+        path.write_bytes(frame(MAGIC, FORMAT_VERSION, body))
+        assert main(["inspect", str(path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and "invalid UTF-8 at frame body byte 4" in err
+
     def test_violations_in_position_order(self):
         seq = manual_sequence([("text", 40_000), ("sep",), ("tensor", 2_000), ("action", 5),
                                ("tensor", 7)])
         seq.tokens[1] = 3
-        seq.mask[2] = seq.mask[4] = 1
         assert _token_range_violations(seq) == [
             "text token 40000 at 0",
             "separator token 3 at 1",
             "tensor token 2000 at 2",
-            "mask bit on TENSOR at 2",
-            "mask bit on TENSOR at 4",
         ]
         seq.tokens[3] = 33024
-        assert _token_range_violations(seq)[-2] == "action token 33024 at 3"
+        assert _token_range_violations(seq)[-1] == "action token 33024 at 3"
 
     def test_violations_match_per_element_loop(self):
         def reference(seq):
@@ -268,8 +283,6 @@ class TestInspectCommand:
                     problems.append(f"tensor token {tok} at {i}")
                 if src == ElementSource.ACTION and not legal(tok):
                     problems.append(f"action token {tok} at {i}")
-                if seq.mask[i] and src not in (ElementSource.TEXT, ElementSource.ACTION):
-                    problems.append(f"mask bit on {src.name} at {i}")
             return problems
 
         rng = np.random.default_rng(0)
@@ -279,7 +292,6 @@ class TestInspectCommand:
             seq = flatten_episode(rich_episode(seed=trial))
             at = rng.integers(0, len(seq), size=4)
             seq.tokens[at] = rng.choice(edge, size=4)
-            seq.mask[rng.integers(0, len(seq), size=3)] = 1
             assert _token_range_violations(seq) == reference(seq)
             found += len(reference(seq))
         assert found > 50

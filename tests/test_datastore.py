@@ -16,9 +16,7 @@ from seqpolicy.datastore import (
     expert_return,
     filter_episodes,
     load_manifest,
-    read_episode,
     read_episodes,
-    write_episode,
     write_episodes,
     write_manifest,
 )
@@ -45,23 +43,20 @@ class TestEpisodeRecords:
     def test_roundtrip_bit_exact(self, tmp_path):
         ep = rich_episode()
         path = tmp_path / "ep.bin"
-        write_episode(ep, path)
-        assert read_episode(path) == ep
+        write_episodes([ep], path)
+        assert read_episodes(path) == [ep]
 
     def test_roundtrip_via_buffer(self):
         ep = rich_episode(1)
-        buf = io.BytesIO()
-        write_episode(ep, buf)
-        buf.seek(0)
-        assert read_episode(buf) == ep
+        assert read_episodes(io.BytesIO(encode_episode(ep))) == [ep]
 
     def test_empty_episode_roundtrips(self):
         ep = Episode(task_id="empty", timesteps=[], rewards=[])
-        assert read_episode(encode_episode(ep)) == ep
+        assert datastore.decode_episode(encode_episode(ep))[0] == ep
 
     def test_empty_observation_timestep_roundtrips(self):
         ep = Episode(task_id="t", timesteps=[Timestep(observations={})], rewards=[0.0])
-        assert read_episode(encode_episode(ep)) == ep
+        assert datastore.decode_episode(encode_episode(ep))[0] == ep
 
     def test_multiple_records_per_file(self, tmp_path):
         eps = [rich_episode(i, task=f"t{i}") for i in range(3)]
@@ -131,7 +126,7 @@ def _framed_artefacts(tmp_path):
         return M.load_checkpoint(path)
 
     return [
-        ("SQEP", bytearray(encode_episode(rich_episode())), lambda data: read_episode(bytes(data))),
+        ("SQEP", bytearray(encode_episode(rich_episode())), lambda data: read_episodes(bytes(data))),
         ("SQCK", bytearray(ckpt.read_bytes()), load_checkpoint),
     ]
 
@@ -256,7 +251,7 @@ class TestMixture:
         for _ in range(20):
             item = next(sampler)
             assert item.dataset == "only"
-            assert len(item) == 8
+            assert len(item) == 3  # the whole 3-element episode, unpadded
 
     def test_weighted_fractions(self):
         a = _loaded("a", [_reward_episode(1.0, task="a")], weight=0.75)

@@ -2,16 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from seqpolicy import model as M
 from seqpolicy.errors import CapacityError, ChecksumError, ConfigError
 from seqpolicy.model.network import embed_batch, hidden_fwd
+from seqpolicy.model.ops import gelu_bwd, gelu_fwd
 from seqpolicy.sequencer import ElementSource, assemble_batch
 
 from conftest import manual_sequence, micro_cfg
 
 
-def small_batch(L=12, seed=0, with_sep=True):
+def small_item(L=12, seed=0, with_sep=True):
     """Two timesteps mixing every element kind; separators optional so that
     reduced-vocabulary configs can be exercised (the separator id is 33024)."""
     sep = [("sep",)] if with_sep else []
@@ -24,7 +26,11 @@ def small_batch(L=12, seed=0, with_sep=True):
     )
     n_elements = len([e for e in spec if e[0] != "ts"])
     spec = spec + [("pad",)] * (L - n_elements)
-    return assemble_batch([manual_sequence(spec, seed=seed)])
+    return manual_sequence(spec, seed=seed)
+
+
+def small_batch(L=12, seed=0, with_sep=True):
+    return assemble_batch([small_item(L, seed, with_sep)])
 
 
 class TestPatchPositions:
@@ -252,7 +258,7 @@ class TestMaskedLoss:
     def test_loss_linearity(self):
         cfg = micro_cfg(vocab=64)
         params = M.init_params(cfg, seed=6, dtype=np.float64)
-        item = small_batch(with_sep=False).unbatch()[0]
+        item = small_item(with_sep=False)
         single = assemble_batch([item])
         double = assemble_batch([item, item])
         res1, grads1 = M.loss_and_grads(params, cfg, single, mode="eval")
@@ -280,7 +286,7 @@ class TestMaskedLoss:
     def test_per_item_partition(self):
         cfg = micro_cfg(vocab=64)
         params = M.init_params(cfg, seed=8, dtype=np.float64)
-        items = [small_batch(seed=s, with_sep=False).unbatch()[0] for s in (0, 1)]
+        items = [small_item(seed=s, with_sep=False) for s in (0, 1)]
         batch = assemble_batch(items)
         res, _ = M.loss_and_grads(params, cfg, batch, mode="eval")
         assert res.per_item.sum() == pytest.approx(res.total, rel=1e-12)
@@ -377,3 +383,20 @@ class TestCheckpoint:
         path.write_bytes(bytes(data))
         with pytest.raises(ChecksumError):
             M.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_bit_identical_to_reference(dtype):
+    rng = np.random.default_rng(0)
+    x = (rng.standard_normal((64, 33)) * 3).astype(dtype)
+    dy = rng.standard_normal((64, 33)).astype(dtype)
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    inv_sqrt2pi = 1.0 / math.sqrt(2.0 * math.pi)
+    y_ref = 0.5 * x * (1.0 + erf(x * inv_sqrt2))
+    cdf = 0.5 * (1.0 + erf(x * inv_sqrt2))
+    dx_ref = dy * (cdf + x * (np.exp(-0.5 * x * x) * inv_sqrt2pi))
+    y, cache = gelu_fwd(x)
+    dx = gelu_bwd(dy, cache)
+    assert y.dtype == dx.dtype == dtype
+    assert np.array_equal(y, y_ref)
+    assert np.array_equal(dx, dx_ref)

@@ -10,6 +10,7 @@ from seqpolicy.codec import SEPARATOR_TOKEN, TensorSchema
 from seqpolicy.corpora import collect_episodes, synthetic_text_episodes
 from seqpolicy.envs import make_env, make_expert
 from seqpolicy.errors import SchemaError
+from seqpolicy.trainer import _draw_batch
 from seqpolicy.sequencer import (
     ElementSource,
     Episode,
@@ -22,7 +23,7 @@ from seqpolicy.sequencer import (
     sample_subsequence,
 )
 
-from conftest import build_layout_episode, rich_episode
+from conftest import build_layout_episode, mixed_sampler, rich_episode
 
 
 def _discrete_obs(key, values):
@@ -210,6 +211,31 @@ def test_flatten_golden_digest():
     assert h.hexdigest() == FLATTEN_DIGEST
 
 
+# SHA-256 of 20 training batches drawn from ``mixed_sampler(9)``, pinned
+# while windows were still padded to the training length and unpadded again
+# by a separate packing pass; any change to what training sees moves it.
+DRAWN_BATCHES_DIGEST = "c86888f8ae0a9739589c0c9e507efd5852b1763302836adbb882d3e69f37712f"
+
+
+def test_drawn_batches_golden_digest():
+    sampler = mixed_sampler(seed=9)
+    counters = {"prompt_skipped": 0}
+    h = hashlib.sha256()
+    for _ in range(20):
+        batch, prompted = _draw_batch(sampler, 8, 0.5, counters)
+        h.update(np.int64(prompted).tobytes())
+        for name in ("tokens", "sources", "local_pos", "mask", "targets", "segments",
+                     "patch_pixels", "patch_slots", "patch_intervals"):
+            arr = getattr(batch, name)
+            h.update(name.encode())
+            if arr is not None:
+                h.update(arr.dtype.str.encode() + repr(arr.shape).encode() + arr.tobytes())
+        h.update(repr(batch.provenance).encode())
+    h.update(repr(counters).encode())
+    h.update(repr(sampler.rng.bit_generator.state).encode())
+    assert h.hexdigest() == DRAWN_BATCHES_DIGEST
+
+
 class TestSampleSubsequence:
     def _seq(self, n=10):
         ep = build_layout_episode(T=n, tensor_shape=(), action_shape=())
@@ -222,13 +248,12 @@ class TestSampleSubsequence:
         assert np.array_equal(out.tokens, seq.tokens)
 
     def test_padding(self):
+        # a sequence shorter than the window comes back whole, unpadded
         seq = self._seq(2)  # 6 elements
         out = sample_subsequence(seq, 11, np.random.default_rng(0))
-        assert len(out) == 11
-        assert out.real_length() == 6
-        assert np.all(out.sources[6:] == ElementSource.PAD)
-        assert not np.any(out.mask[6:])
-        assert int(out.mask.sum()) == int(seq.mask.sum())
+        assert len(out) == 6
+        for name in ("sources", "tokens", "local_pos", "mask", "targets", "timestep"):
+            assert np.array_equal(getattr(out, name), getattr(seq, name))
 
     def test_uniform_starts(self):
         seq = self._seq(10)  # 30 elements
@@ -259,12 +284,11 @@ class TestApplyPrompt:
     def _item_and_source(self, L=8, T_item=1, T_src=3):
         item_ep = build_layout_episode(T=T_item, tensor_shape=(), action_shape=(), seed=1)
         src_ep = build_layout_episode(T=T_src, tensor_shape=(), action_shape=(), seed=2)
-        item = flatten_episode(item_ep).padded_to(L)
-        return item, src_ep
+        return flatten_episode(item_ep), src_ep
 
     def test_forced_no_prompt(self, scripted_rng):
         item, src = self._item_and_source()
-        out, prompted = apply_prompt(item, src, scripted_rng(randoms=[0.9]))
+        out, prompted = apply_prompt(item, src, scripted_rng(randoms=[0.9]), 8)
         assert not prompted
         assert np.array_equal(out.tokens, item.tokens)
 
@@ -272,20 +296,21 @@ class TestApplyPrompt:
         item, src = self._item_and_source(L=8, T_item=1, T_src=3)
         src_seq = flatten_episode(src)
         # prompt budget = L // 2 = 4 -> last 4 tokens of the source
-        out, prompted = apply_prompt(item, src, scripted_rng(randoms=[0.0, 0.0]))
+        out, prompted = apply_prompt(item, src, scripted_rng(randoms=[0.0, 0.0]), 8)
         assert prompted
         assert np.array_equal(out.tokens[:4], src_seq.tokens[-4:])
-        assert np.array_equal(out.tokens[4:7], item.tokens[:3])
+        assert np.array_equal(out.tokens[4:], item.tokens)
+        assert len(out) == 7
 
     def test_prompt_keeps_modality_mask(self, scripted_rng):
         item, src = self._item_and_source()
-        out, _ = apply_prompt(item, src, scripted_rng(randoms=[0.0, 0.0]))
+        out, _ = apply_prompt(item, src, scripted_rng(randoms=[0.0, 0.0]), 8)
         src_seq = flatten_episode(src)
         assert np.array_equal(out.mask[:4], src_seq.mask[-4:])
 
     def test_prompt_timesteps_negative(self, scripted_rng):
         item, src = self._item_and_source()
-        out, _ = apply_prompt(item, src, scripted_rng(randoms=[0.0, 0.0]))
+        out, _ = apply_prompt(item, src, scripted_rng(randoms=[0.0, 0.0]), 8)
         assert np.all(out.timestep[:4] < 0)
         assert out.timestep[4] == 0
 
@@ -293,21 +318,21 @@ class TestApplyPrompt:
         item, _ = self._item_and_source()
         other = build_layout_episode(T=1, tensor_shape=(), action_shape=(), task_id="other")
         with pytest.raises(ValueError):
-            apply_prompt(item, other, np.random.default_rng(0))
+            apply_prompt(item, other, np.random.default_rng(0), 8)
 
     def test_prompted_fraction(self):
         item, src = self._item_and_source(L=8)
         rng = np.random.default_rng(11)
-        hits = sum(apply_prompt(item, src, rng)[1] for _ in range(10_000))
+        hits = sum(apply_prompt(item, src, rng, 8)[1] for _ in range(10_000))
         assert abs(hits / 10_000 - 0.25) < 0.02
 
     def test_full_item_tail_displaced(self, scripted_rng):
         item_ep = build_layout_episode(T=2, tensor_shape=(), action_shape=(), seed=1)
         item = flatten_episode(item_ep)  # 6 elements, no padding
         src_seq = flatten_episode(item_ep)
-        out, prompted = apply_prompt(item, item_ep, scripted_rng(randoms=[0.0, 0.0]))
+        out, prompted = apply_prompt(item, item_ep, scripted_rng(randoms=[0.0, 0.0]), 6)
         assert prompted
-        # budget = len // 2 = 3 prompt elements, then the first 3 item elements
+        # budget = 6 // 2 = 3 prompt elements, then the first 3 item elements
         assert np.array_equal(out.tokens[:3], src_seq.tokens[-3:])
         assert np.array_equal(out.tokens[3:], item.tokens[:3])
 
@@ -315,8 +340,7 @@ class TestApplyPrompt:
 class TestAssembleBatch:
     def _items(self, n=2, L=12):
         ep = build_layout_episode(T=2, text_len=1, patch_grid=(1, 1), tensor_shape=(1,))
-        seq = flatten_episode(ep).padded_to(L)
-        return [seq.slice(0, L) for _ in range(n)]
+        return [flatten_episode(ep).slice(0, L) for _ in range(n)]
 
     def test_identical_rows(self):
         batch = assemble_batch(self._items(2))
@@ -329,22 +353,24 @@ class TestAssembleBatch:
         assert int(batch.mask.sum()) == sum(int(it.mask.sum()) for it in items)
 
     def test_unbatch_roundtrip(self):
-        items = self._items(2)
-        out = assemble_batch(items).unbatch()
-        for a, b in zip(items, out):
-            for name in ("sources", "tokens", "local_pos", "mask", "targets", "timestep"):
-                assert np.array_equal(getattr(a, name), getattr(b, name))
-            assert set(a.patches) == set(b.patches)
-            for pos in a.patches:
-                assert np.array_equal(a.patches[pos].pixels, b.patches[pos].pixels)
-                assert a.patches[pos].row_interval == b.patches[pos].row_interval
-            assert a.task_id == b.task_id and a.dataset == b.dataset
-
-    def test_ragged_rejected(self):
-        items = self._items(2)
-        items[1] = items[1].slice(0, 7)
-        with pytest.raises(SchemaError):
-            assemble_batch(items)
+        # every window's elements and patches can be read back from its segment
+        ep = build_layout_episode(T=3, text_len=1, patch_grid=(1, 1), tensor_shape=(1,))
+        seq = flatten_episode(ep)
+        items = [seq.slice(0, 5), seq.slice(2, 14), seq.slice(0, 7)]
+        batch = assemble_batch(items)
+        assert batch.batch_size == 2
+        for w, item in enumerate(items):
+            rows, cols = np.nonzero(batch.segments == w)
+            rows, cols = rows[: len(item)], cols[: len(item)]
+            for name in ("sources", "tokens", "local_pos", "mask", "targets"):
+                assert np.array_equal(getattr(batch, name)[rows, cols], getattr(item, name))
+            mine = [k for k, (r, c) in enumerate(batch.patch_slots) if batch.segments[r, c] == w]
+            assert [int(batch.patch_slots[k, 1] - cols[0]) for k in mine] == sorted(item.patches)
+            for k, pos in zip(mine, sorted(item.patches)):
+                assert np.array_equal(batch.patch_pixels[k], item.patches[pos].pixels)
+                patch = item.patches[pos]
+                assert tuple(batch.patch_intervals[k]) == patch.row_interval + patch.col_interval
+        assert batch.provenance == [(it.task_id, it.dataset) for it in items]
 
     def test_shifted_views(self):
         batch = assemble_batch(self._items(1))

@@ -285,7 +285,7 @@ class TestPretrain:
         assert (tmp_path / "final.ckpt").exists()
 
     def test_seq_len_beyond_context_rejected_before_drawing(self):
-        # every window here is shorter than 64, so trimmed batches would fit
+        # every window here is shorter than 64, so packed batches would fit
         sampler = _grid_sampler(n_episodes=1, seq_len=64)
         before = sampler.rng.bit_generator.state
         state = _tiny_state(context=32)
