@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import codec
-from .corpora import collect_episodes, run_policy_episode
+from .corpora import run_policy_episode
 from .datastore import (
     LoadedDataset,
     MixtureSampler,
@@ -48,9 +48,8 @@ from .model import (
     tiny,
 )
 from .policy import RolloutConfig, evaluate_policy
-from .sequencer import ElementSource, Episode, episode_layout, flatten_episode
+from .sequencer import ElementSource, Episode, episode_layout, flatten_episode, mask_of
 from .trainer import (
-    ABLATION_ARMS,
     FinetuneConfig,
     OptimizerConfig,
     ScheduleConfig,
@@ -499,7 +498,7 @@ def cmd_inspect(args) -> int:
             layout_txt = "ragged per-timestep layout"
         print(
             f"episode={n} task={ep.task_id} timesteps={len(ep)} return={ep.total_return!r} "
-            f"{layout_txt} elements={len(seq)} masked={int(seq.mask.sum())}"
+            f"{layout_txt} elements={len(seq)} masked={int(mask_of(seq.sources).sum())}"
         )
         if expected is not None and expected != len(seq):
             print(f"  VIOLATION: length {len(seq)} != layout total {expected}")

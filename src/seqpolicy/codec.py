@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -358,33 +358,6 @@ def decode(tokens, schema: TensorSchema) -> np.ndarray:
 # image patches
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ImagePatch:
-    """One 16x16xC patch with its normalized position inside the source image.
-
-    ``pixels`` are normalized floats in ``[-0.25, 0.25]``; the intervals are
-    the patch's pixel extents divided by image height resp. width.
-    """
-
-    pixels: np.ndarray
-    row_interval: tuple[float, float]
-    col_interval: tuple[float, float]
-
-    def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=np.float64)
-        if self.pixels.ndim != 3 or self.pixels.shape[:2] != (PATCH_SIZE, PATCH_SIZE):
-            raise SchemaError(f"patch pixels must be {PATCH_SIZE}x{PATCH_SIZE}xC")
-        if np.any(np.abs(self.pixels) > 0.25 + 1e-12):
-            raise SchemaError("patch pixels must be normalized into [-0.25, 0.25]")
-        for lo, hi in (self.row_interval, self.col_interval):
-            if not (0.0 <= lo < hi <= 1.0):
-                raise SchemaError(f"patch interval ({lo}, {hi}) invalid")
-
-    @property
-    def channels(self) -> int:
-        return self.pixels.shape[2]
-
-
 def normalize_patch(raw: np.ndarray) -> np.ndarray:
     """Bytes to floats: (p / 127.5 - 1) / 4, so {0, 255} map to -/+0.25."""
     arr = np.asarray(raw)
@@ -398,54 +371,49 @@ def denormalize_patch(pixels: np.ndarray) -> np.ndarray:
     return np.rint((np.asarray(pixels) * PATCH_SCALE + 1.0) * 127.5).clip(0, 255).astype(np.uint8)
 
 
-def image_to_patches(image: np.ndarray) -> list[ImagePatch]:
+def image_to_patches(image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cut an HxWxC image into normalized 16x16 patches in raster order.
 
-    uint8 input is normalized here; float input must already be normalized.
-    Dimensions not divisible by 16 are rejected, never padded.
+    Returns ``(pixels, intervals)``: pixels (P, 16, 16, C) float64 in
+    ``[-0.25, 0.25]``, and intervals (P, 4) float64 rows of (row_lo, row_hi,
+    col_lo, col_hi), a patch's pixel extents divided by image height resp.
+    width. uint8 input is normalized here; float input must already be
+    normalized. Dimensions not divisible by 16 are rejected, never padded.
     """
     arr = np.asarray(image)
     if arr.ndim != 3:
         raise SchemaError(f"image must be HxWxC, got shape {arr.shape}")
-    h, w, _ = arr.shape
+    h, w, c = arr.shape
     if h % PATCH_SIZE or w % PATCH_SIZE:
         raise SchemaError(f"image dims {h}x{w} not divisible by {PATCH_SIZE}")
     if arr.dtype == np.uint8:
-        arr = (arr.astype(np.float64) / 127.5 - 1.0) / PATCH_SCALE
+        arr = normalize_patch(arr)
     else:
         arr = arr.astype(np.float64)
         if np.any(np.abs(arr) > 0.25 + 1e-12):
             raise SchemaError("float image must be pre-normalized into [-0.25, 0.25]")
-    patches = []
-    for r in range(h // PATCH_SIZE):
-        r0, r1 = r * PATCH_SIZE, (r + 1) * PATCH_SIZE
-        for c in range(w // PATCH_SIZE):
-            c0, c1 = c * PATCH_SIZE, (c + 1) * PATCH_SIZE
-            patches.append(
-                ImagePatch(
-                    pixels=arr[r0:r1, c0:c1, :],
-                    row_interval=(r0 / h, r1 / h),
-                    col_interval=(c0 / w, c1 / w),
-                )
-            )
-    return patches
+    rows, cols = h // PATCH_SIZE, w // PATCH_SIZE
+    pixels = arr.reshape(rows, PATCH_SIZE, cols, PATCH_SIZE, c).transpose(0, 2, 1, 3, 4)
+    r0 = np.repeat(np.arange(rows), cols) * PATCH_SIZE
+    c0 = np.tile(np.arange(cols), rows) * PATCH_SIZE
+    intervals = np.stack([r0 / h, (r0 + PATCH_SIZE) / h, c0 / w, (c0 + PATCH_SIZE) / w], axis=1)
+    return pixels.reshape(rows * cols, PATCH_SIZE, PATCH_SIZE, c), intervals
 
 
-def patches_to_image(patches: list[ImagePatch], height: int, width: int) -> np.ndarray:
-    """Reassemble raster-ordered patches into a normalized float image."""
+def patches_to_image(pixels: np.ndarray, height: int, width: int) -> np.ndarray:
+    """Reassemble raster-ordered (P, 16, 16, C) patches into a normalized float image."""
     if height % PATCH_SIZE or width % PATCH_SIZE:
         raise SchemaError(f"target dims {height}x{width} not divisible by {PATCH_SIZE}")
     rows, cols = height // PATCH_SIZE, width // PATCH_SIZE
-    if len(patches) != rows * cols:
-        raise SchemaError(f"need {rows * cols} patches, got {len(patches)}")
-    channels = patches[0].channels
-    out = np.empty((height, width, channels), dtype=np.float64)
-    for i, patch in enumerate(patches):
-        r, c = divmod(i, cols)
-        out[r * PATCH_SIZE:(r + 1) * PATCH_SIZE, c * PATCH_SIZE:(c + 1) * PATCH_SIZE, :] = patch.pixels
-    return out
+    pixels = np.asarray(pixels, dtype=np.float64)
+    if pixels.ndim != 4 or pixels.shape[:3] != (rows * cols, PATCH_SIZE, PATCH_SIZE):
+        raise SchemaError(f"need {rows * cols} patches of {PATCH_SIZE}x{PATCH_SIZE}xC, "
+                          f"got shape {pixels.shape}")
+    c = pixels.shape[3]
+    grid = pixels.reshape(rows, cols, PATCH_SIZE, PATCH_SIZE, c).transpose(0, 2, 1, 3, 4)
+    return grid.reshape(height, width, c)
 
 
-def patches_to_bytes(patches: list[ImagePatch], height: int, width: int) -> np.ndarray:
+def patches_to_bytes(pixels: np.ndarray, height: int, width: int) -> np.ndarray:
     """Reassemble and undo normalization back to the original uint8 image."""
-    return denormalize_patch(patches_to_image(patches, height, width))
+    return denormalize_patch(patches_to_image(pixels, height, width))

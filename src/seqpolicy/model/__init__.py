@@ -17,7 +17,6 @@ from .network import (
     zero_grads,
 )
 from .positions import (
-    local_position_indices,
     patch_position_index,
     quantize_patch_interval,
     resolve_local_indices,
@@ -34,7 +33,6 @@ __all__ = [
     "hidden_fwd",
     "init_params",
     "load_checkpoint",
-    "local_position_indices",
     "loss_and_grads",
     "masked_nll_loss",
     "micro",

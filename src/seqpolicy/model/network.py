@@ -151,20 +151,9 @@ def embed_batch(
     if batch.patch_pixels is not None and len(batch.patch_pixels):
         pe, patch_cache = patch_embed_fwd(params, cfg, batch.patch_pixels)
         rng = streams.patch_pos if streams is not None else None
-        row_idx = np.array(
-            [
-                patch_position_index((lo, hi), mode, rng, cfg.patch_pos_vocab)
-                for lo, hi in batch.patch_intervals[:, 0:2]
-            ],
-            dtype=np.int64,
-        )
-        col_idx = np.array(
-            [
-                patch_position_index((lo, hi), mode, rng, cfg.patch_pos_vocab)
-                for lo, hi in batch.patch_intervals[:, 2:4]
-            ],
-            dtype=np.int64,
-        )
+        vocab = cfg.patch_pos_vocab
+        row_idx = patch_position_index(batch.patch_intervals[:, 0:2], mode, rng, vocab)
+        col_idx = patch_position_index(batch.patch_intervals[:, 2:4], mode, rng, vocab)
         pe = pe + params["embed/patch_row"][row_idx] + params["embed/patch_col"][col_idx]
         emb[batch.patch_slots[:, 0], batch.patch_slots[:, 1]] += pe
 

@@ -15,43 +15,48 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import CapacityError
-from ..sequencer import ElementSequence, ElementSource
+from ..sequencer import ElementSource
 from .config import ModelConfig
 
 TRAIN_MODES = ("pretrain", "finetune", "train")
 
 
-def quantize_patch_interval(interval: tuple[float, float], vocab: int = 128) -> tuple[int, int]:
-    """Closed quantized index interval for one normalized patch extent."""
-    lo, hi = interval
-    if not (0.0 <= lo < hi <= 1.0):
-        raise ValueError(f"patch interval ({lo}, {hi}) must satisfy 0 <= lo < hi <= 1")
-    lo_q = int(np.rint(lo * vocab))
-    hi_q = int(np.rint(hi * vocab))
+def quantize_patch_interval(interval, vocab: int = 128) -> tuple[np.ndarray, np.ndarray]:
+    """Closed quantized index intervals of normalized patch extents.
+
+    ``interval`` is one ``(lo, hi)`` pair or a (P, 2) array of them; the two
+    results have its shape without the last axis.
+    """
+    extent = np.asarray(interval, dtype=np.float64)
+    lo, hi = extent[..., 0], extent[..., 1]
+    valid = (0.0 <= lo) & (lo < hi) & (hi <= 1.0)
+    if not np.all(valid):
+        raise ValueError(
+            f"patch intervals {extent[~valid].tolist()} must satisfy 0 <= lo < hi <= 1"
+        )
     # keep indices addressable in the vocab-row table
-    lo_q = min(lo_q, vocab - 1)
-    hi_q = min(hi_q, vocab - 1)
+    lo_q = np.minimum(np.rint(lo * vocab), vocab - 1).astype(np.int64)
+    hi_q = np.minimum(np.rint(hi * vocab), vocab - 1).astype(np.int64)
     return lo_q, hi_q
 
 
 def patch_position_index(
-    interval: tuple[float, float],
+    interval,
     mode: str,
     rng: np.random.Generator | None = None,
     vocab: int = 128,
-) -> int:
-    """Row or column encoding index for one patch."""
+) -> np.ndarray:
+    """Row or column encoding indices, one per ``(lo, hi)`` pair of ``interval``.
+
+    Train mode draws all indices with one ``rng.integers`` call, which yields
+    the same values and leaves the same generator state as one call per patch.
+    """
     lo_q, hi_q = quantize_patch_interval(interval, vocab)
     if mode in TRAIN_MODES:
         if rng is None:
             raise ValueError("train-mode patch positions need a random stream")
-        return int(rng.integers(lo_q, hi_q + 1))
-    return int(np.rint((lo_q + hi_q) / 2.0))
-
-
-def local_position_indices(seq: ElementSequence, cfg: ModelConfig) -> np.ndarray:
-    """Resolve per-element local position table indices for one sequence."""
-    return resolve_local_indices(seq.sources, seq.local_pos, cfg)
+        return rng.integers(lo_q, hi_q + 1)
+    return np.rint((lo_q + hi_q) / 2.0).astype(np.int64)
 
 
 def resolve_local_indices(

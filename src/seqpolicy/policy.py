@@ -29,6 +29,7 @@ from .sequencer import (
     assemble_batch,
     concat_sequences,
     flatten_episode,
+    prompt_timesteps,
 )
 
 LEGAL_DISCRETE = (0, codec.DISCRETE_VOCAB)
@@ -96,8 +97,6 @@ def _action_element(token: int, timestep_id: int, task_id: str) -> ElementSequen
         sources=np.array([ElementSource.ACTION], np.uint8),
         tokens=np.array([token], np.int32),
         local_pos=np.array([-1], np.int32),
-        mask=np.array([1], np.uint8),
-        targets=np.array([token], np.int32),
         timestep=np.array([timestep_id], np.int32),
         task_id=task_id,
     )
@@ -108,8 +107,7 @@ def _prompt_fragments(prompt: Episode, budget: int, task_id: str) -> list[Elemen
     flat = flat.slice(0, min(budget, len(flat)))
     if len(flat) == 0:
         return []
-    shift = int(flat.timestep.max()) + 1
-    flat.timestep = (flat.timestep.astype(np.int64) - shift).astype(np.int32)
+    flat.timestep = prompt_timesteps(flat.timestep)
     flat.task_id = task_id
     fragments = []
     boundaries = np.nonzero(np.diff(flat.timestep))[0] + 1
@@ -207,9 +205,7 @@ def sample_action_parallel(
     tokens = [
         sample_token(logits[j], lo, hi, cfg.sampling, cfg.temperature, rng) for j in range(count)
     ]
-    last = context.fragments[-1]
-    last.tokens[-count:] = tokens
-    last.targets[-count:] = tokens
+    context.fragments[-1].tokens[-count:] = tokens
     return tokens
 
 

@@ -14,14 +14,13 @@ tokens, which are never predicted.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from itertools import accumulate
+from dataclasses import dataclass
 from typing import Any, Iterable
 
 import numpy as np
 
 from . import codec
-from .codec import ImagePatch, Modality, TensorSchema
+from .codec import Modality, TensorSchema
 from .errors import SchemaError
 
 TOKEN_NONE = -1
@@ -152,68 +151,83 @@ class ElementSequence:
 
     ``local_pos`` holds the within-timestep observation ordinal for
     observation elements and -1 for separator/action elements; the model maps
-    the -1 slots to its dedicated table indices. ``targets`` is -1 where the
-    element is never predicted. ``timestep`` groups elements into timesteps
-    (prompt regions use negative ids so they never merge with the live ones).
+    the -1 slots to its dedicated table indices. ``timestep`` groups elements
+    into timesteps (prompt regions use negative ids so they never merge with
+    the live ones). Row k of ``patch_pixels`` (P, 16, 16, C) and
+    ``patch_intervals`` (P, 4) belongs to the k-th ``PATCH`` element; both are
+    None when there is none. The loss mask and targets are not stored: they
+    are :func:`mask_of` and :func:`targets_of` of the sources and tokens.
     """
 
     sources: np.ndarray
     tokens: np.ndarray
     local_pos: np.ndarray
-    mask: np.ndarray
-    targets: np.ndarray
     timestep: np.ndarray
-    patches: dict[int, ImagePatch] = field(default_factory=dict)
+    patch_pixels: np.ndarray | None = None
+    patch_intervals: np.ndarray | None = None
     task_id: str = ""
     dataset: str | None = None
 
     def __post_init__(self):
         n = len(self.sources)
-        for name in ("tokens", "local_pos", "mask", "targets", "timestep"):
+        for name in ("tokens", "local_pos", "timestep"):
             if len(getattr(self, name)) != n:
                 raise SchemaError(f"{name} length != element count")
-        for pos in self.patches:
-            if self.sources[pos] != ElementSource.PATCH:
-                raise SchemaError(f"patch payload at non-patch position {pos}")
+        count = int(np.count_nonzero(self.sources == ElementSource.PATCH))
+        for name in ("patch_pixels", "patch_intervals"):
+            rows = getattr(self, name)
+            if (0 if rows is None else len(rows)) != count:
+                raise SchemaError(f"{name} has a row count != {count} patch elements")
 
     def __len__(self) -> int:
         return len(self.sources)
 
     def slice(self, start: int, stop: int) -> "ElementSequence":
-        patches = {
-            pos - start: p for pos, p in self.patches.items() if start <= pos < stop
-        }
+        pixels = intervals = None
+        if self.patch_pixels is not None:
+            is_patch = self.sources == ElementSource.PATCH
+            first = int(np.count_nonzero(is_patch[:start]))
+            last = first + int(np.count_nonzero(is_patch[start:stop]))
+            if last > first:
+                pixels = self.patch_pixels[first:last]
+                intervals = self.patch_intervals[first:last]
         return ElementSequence(
             sources=self.sources[start:stop].copy(),
             tokens=self.tokens[start:stop].copy(),
             local_pos=self.local_pos[start:stop].copy(),
-            mask=self.mask[start:stop].copy(),
-            targets=self.targets[start:stop].copy(),
             timestep=self.timestep[start:stop].copy(),
-            patches=patches,
+            patch_pixels=pixels,
+            patch_intervals=intervals,
             task_id=self.task_id,
             dataset=self.dataset,
         )
+
+
+def _join_patches(pixels: list, intervals: list) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Patch rows concatenated in order (None entries skipped), or (None, None)."""
+    pixels = [p for p in pixels if p is not None]
+    if not pixels:
+        return None, None
+    channels = {p.shape[3] for p in pixels}
+    if len(channels) != 1:
+        raise SchemaError(f"mixed patch channel counts: {sorted(channels)}")
+    return np.concatenate(pixels), np.concatenate([i for i in intervals if i is not None])
 
 
 def concat_sequences(parts: Iterable[ElementSequence]) -> ElementSequence:
     parts = [p for p in parts if len(p) > 0]
     if not parts:
         raise ValueError("nothing to concatenate")
-    patches: dict[int, ImagePatch] = {}
-    offset = 0
-    for p in parts:
-        for pos, patch in p.patches.items():
-            patches[pos + offset] = patch
-        offset += len(p)
+    pixels, intervals = _join_patches(
+        [p.patch_pixels for p in parts], [p.patch_intervals for p in parts]
+    )
     return ElementSequence(
         sources=np.concatenate([p.sources for p in parts]),
         tokens=np.concatenate([p.tokens for p in parts]),
         local_pos=np.concatenate([p.local_pos for p in parts]),
-        mask=np.concatenate([p.mask for p in parts]),
-        targets=np.concatenate([p.targets for p in parts]),
         timestep=np.concatenate([p.timestep for p in parts]),
-        patches=patches,
+        patch_pixels=pixels,
+        patch_intervals=intervals,
         task_id=parts[0].task_id,
         dataset=parts[0].dataset,
     )
@@ -250,7 +264,7 @@ def flatten_episode(ep: Episode, dataset: str | None = None) -> ElementSequence:
     """Per timestep: observation streams, the separator, then action tokens."""
     _check_schema_consistency(ep)
     sources, tokens, local, ts_ids = [], [], [], []
-    patches: dict[int, ImagePatch] = {}
+    pixels, intervals = [], []
     for t, ts in enumerate(ep.timesteps):
         start = len(sources)
         for schema, value in order_observation(ts.observations):
@@ -258,8 +272,9 @@ def flatten_episode(ep: Episode, dataset: str | None = None) -> ElementSequence:
                 arr = np.asarray(value)
                 if arr.shape != schema.shape:
                     raise SchemaError(f"{schema.key}: image shape {arr.shape} != {schema.shape}")
-                cut = codec.image_to_patches(arr)
-                patches.update(zip(range(len(sources), len(sources) + len(cut)), cut))
+                cut, extents = codec.image_to_patches(arr)
+                pixels.append(cut)
+                intervals.append(extents)
                 sources.extend([ElementSource.PATCH] * len(cut))
                 tokens.extend([TOKEN_NONE] * len(cut))
             else:
@@ -275,16 +290,14 @@ def flatten_episode(ep: Episode, dataset: str | None = None) -> ElementSequence:
             tokens.extend(ids)
         local.extend([LOCAL_NONE] * (len(sources) - len(local)))
         ts_ids.extend([t] * (len(sources) - start))
-    sources = np.array(sources, np.uint8)
-    tokens = np.array(tokens, np.int32)
+    patch_pixels, patch_intervals = _join_patches(pixels, intervals)
     return ElementSequence(
-        sources=sources,
-        tokens=tokens,
+        sources=np.array(sources, np.uint8),
+        tokens=np.array(tokens, np.int32),
         local_pos=np.array(local, np.int32),
-        mask=mask_of(sources),
-        targets=targets_of(sources, tokens),
         timestep=np.array(ts_ids, np.int32),
-        patches=patches,
+        patch_pixels=patch_pixels,
+        patch_intervals=patch_intervals,
         task_id=ep.task_id,
         dataset=dataset,
     )
@@ -376,10 +389,13 @@ def apply_prompt(
     else:
         start = int(rng.integers(0, len(src) - budget + 1))
         prompt = src.slice(start, start + budget)
-    # shift prompt timestep ids below zero so they never merge with live ones
-    shifted = prompt.timestep.astype(np.int64) - (int(prompt.timestep.max()) + 1)
-    prompt.timestep = shifted.astype(np.int32)
+    prompt.timestep = prompt_timesteps(prompt.timestep)
     return concat_sequences([prompt, item]).slice(0, length), True
+
+
+def prompt_timesteps(timestep: np.ndarray) -> np.ndarray:
+    """Timestep ids shifted below zero so a prompt never merges with live ones."""
+    return (timestep.astype(np.int64) - (int(timestep.max()) + 1)).astype(np.int32)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +459,8 @@ def assemble_batch(items: list[ElementSequence]) -> MaskedBatch:
     order. ``segments`` keeps windows apart: the model never attends across
     them and a window's last position predicts nothing. A row's trailing
     padding belongs to its last window. Patch arrays follow window order;
-    ``patch_slots`` gives each patch's (row, position).
+    ``patch_slots`` gives each patch's (row, position). The loss mask and
+    targets are derived once from the laid-out sources and tokens.
     """
     if not items:
         raise ValueError("cannot assemble an empty batch")
@@ -463,7 +480,6 @@ def assemble_batch(items: list[ElementSequence]) -> MaskedBatch:
     # the last window of a row also spans the row's trailing padding
     pads = [left if w == row[-1] else 0 for row, left in layout for w in row]
     spans = [lengths[w] + pad for w, pad in zip(order, pads)]
-    start = dict(zip(order, accumulate([0] + spans)))
     shape = (len(layout), capacity)
     real = None
     if any(pads):
@@ -478,29 +494,25 @@ def assemble_batch(items: list[ElementSequence]) -> MaskedBatch:
             flat = out
         return flat.reshape(shape)
 
-    slots, pixels, intervals = [], [], []
-    for w, item in enumerate(items):
-        for pos in sorted(item.patches):
-            patch = item.patches[pos]
-            slots.append(divmod(start[w] + pos, capacity))
-            pixels.append(patch.pixels)
-            intervals.append((*patch.row_interval, *patch.col_interval))
-    if pixels:
-        channels = {p.shape[2] for p in pixels}
-        if len(channels) != 1:
-            raise SchemaError(f"mixed patch channel counts in one batch: {channels}")
-        patch_pixels = np.stack(pixels)
-        patch_slots = np.array(slots, np.int32)
-        patch_intervals = np.array(intervals, np.float64)
-    else:
-        patch_pixels = patch_slots = patch_intervals = None
+    tokens = lay("tokens", TOKEN_NONE)
+    sources = lay("sources", ElementSource.PAD)
+    segments = np.repeat(np.array(order, np.int32), spans).reshape(shape)
+    patch_pixels, patch_intervals = _join_patches(
+        [it.patch_pixels for it in items], [it.patch_intervals for it in items]
+    )
+    patch_slots = None
+    if patch_pixels is not None:
+        # patch positions in layout order, stably re-sorted into window order
+        at = np.flatnonzero(sources == ElementSource.PATCH)
+        at = at[np.argsort(segments.ravel()[at], kind="stable")]
+        patch_slots = np.stack(np.divmod(at, capacity), axis=1).astype(np.int32)
     return MaskedBatch(
-        tokens=lay("tokens", TOKEN_NONE),
-        sources=lay("sources", ElementSource.PAD),
+        tokens=tokens,
+        sources=sources,
         local_pos=lay("local_pos", LOCAL_NONE),
-        mask=lay("mask", 0),
-        targets=lay("targets", TARGET_NONE),
-        segments=np.repeat(np.array(order, np.int32), spans).reshape(shape),
+        mask=mask_of(sources),
+        targets=targets_of(sources, tokens),
+        segments=segments,
         patch_pixels=patch_pixels,
         patch_slots=patch_slots,
         patch_intervals=patch_intervals,

@@ -215,7 +215,7 @@ def manual_sequence(spec, seed=0, task_id="manual", dataset=None):
 
     rng = np.random.default_rng(seed)
     sources, tokens, local, ts_ids = [], [], [], []
-    patches = {}
+    pixels, intervals = [], []
     t, ordinal = 0, 0
     for entry in spec:
         kind = entry[0]
@@ -231,11 +231,8 @@ def manual_sequence(spec, seed=0, task_id="manual", dataset=None):
             continue
         if kind == "patch":
             src = sq.ElementSource.PATCH
-            patches[len(sources)] = codec.ImagePatch(
-                pixels=rng.uniform(-0.25, 0.25, size=(16, 16, 3)),
-                row_interval=entry[1],
-                col_interval=entry[2],
-            )
+            pixels.append(rng.uniform(-0.25, 0.25, size=(16, 16, 3)))
+            intervals.append(entry[1] + entry[2])
             tok = sq.TOKEN_NONE
         else:
             src = {
@@ -253,16 +250,13 @@ def manual_sequence(spec, seed=0, task_id="manual", dataset=None):
         else:
             local.append(sq.LOCAL_NONE)
         ts_ids.append(t)
-    sources = np.array(sources, np.uint8)
-    tokens = np.array(tokens, np.int32)
     return sq.ElementSequence(
-        sources=sources,
-        tokens=tokens,
+        sources=np.array(sources, np.uint8),
+        tokens=np.array(tokens, np.int32),
         local_pos=np.array(local, np.int32),
-        mask=sq.mask_of(sources),
-        targets=sq.targets_of(sources, tokens),
         timestep=np.array(ts_ids, np.int32),
-        patches=patches,
+        patch_pixels=np.stack(pixels) if pixels else None,
+        patch_intervals=np.array(intervals, np.float64) if pixels else None,
         task_id=task_id,
         dataset=dataset,
     )

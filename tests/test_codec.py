@@ -231,25 +231,44 @@ class TestPatches:
         assert abs(norm.mean()) < 0.02  # uniform noise centers near 0
 
     def test_patch_count_80x64(self):
-        img = np.zeros((80, 64, 3), dtype=np.uint8)
-        assert len(codec.image_to_patches(img)) == 20
+        pixels, intervals = codec.image_to_patches(np.zeros((80, 64, 3), dtype=np.uint8))
+        assert pixels.shape == (20, 16, 16, 3) and pixels.dtype == np.float64
+        assert intervals.shape == (20, 4) and intervals.dtype == np.float64
 
     def test_intervals(self):
         img = np.zeros((80, 64, 1), dtype=np.uint8)
-        patches = codec.image_to_patches(img)
+        _, intervals = codec.image_to_patches(img)
         # patch row index 1 covers pixel rows [16, 32) of 80
-        second_row_patch = patches[4]  # raster order: 4 patches per row
-        assert second_row_patch.row_interval == (16 / 80, 32 / 80)
-        assert second_row_patch.row_interval == (0.2, 0.4)
-        single = codec.image_to_patches(np.zeros((16, 16, 1), dtype=np.uint8))
-        assert single[0].row_interval == (0.0, 1.0)
-        assert single[0].col_interval == (0.0, 1.0)
+        second_row_patch = intervals[4]  # raster order: 4 patches per row
+        assert tuple(second_row_patch[:2]) == (16 / 80, 32 / 80)
+        assert tuple(second_row_patch[:2]) == (0.2, 0.4)
+        _, single = codec.image_to_patches(np.zeros((16, 16, 1), dtype=np.uint8))
+        assert single.tolist() == [[0.0, 1.0, 0.0, 1.0]]
+
+    def test_matches_per_patch_slicing(self):
+        """The reshape equals cutting each 16x16 block out in raster order."""
+        rng = np.random.default_rng(5)
+        img = rng.integers(0, 256, size=(48, 32, 3), dtype=np.uint8)
+        pixels, intervals = codec.image_to_patches(img)
+        norm = codec.normalize_patch(img)
+        k = 0
+        for r0 in range(0, 48, 16):
+            for c0 in range(0, 32, 16):
+                assert np.array_equal(pixels[k], norm[r0:r0 + 16, c0:c0 + 16])
+                assert tuple(intervals[k]) == (r0 / 48, (r0 + 16) / 48, c0 / 32, (c0 + 16) / 32)
+                k += 1
+        assert k == len(pixels)
 
     def test_raster_roundtrip_bytes(self):
         rng = np.random.default_rng(4)
         img = rng.integers(0, 256, size=(48, 32, 3), dtype=np.uint8)
-        patches = codec.image_to_patches(img)
-        assert np.array_equal(codec.patches_to_bytes(patches, 48, 32), img)
+        pixels, _ = codec.image_to_patches(img)
+        assert np.array_equal(codec.patches_to_bytes(pixels, 48, 32), img)
+
+    def test_wrong_patch_count_rejected(self):
+        pixels, _ = codec.image_to_patches(np.zeros((32, 32, 1), dtype=np.uint8))
+        with pytest.raises(SchemaError):
+            codec.patches_to_image(pixels[:3], 32, 32)
 
     def test_non_divisible_rejected(self):
         with pytest.raises(SchemaError):

@@ -18,7 +18,7 @@ from seqpolicy.envs import (
     make_env,
     make_expert,
 )
-from seqpolicy.sequencer import episode_layout, flatten_episode
+from seqpolicy.sequencer import episode_layout, flatten_episode, mask_of
 
 
 class TestGridReach:
@@ -133,6 +133,6 @@ class TestCorpora:
         assert all(ep.task_id == "text" for ep in eps)
         seq = flatten_episode(eps[0])
         # text tokens are masked targets; the separator is not
-        assert int(seq.mask.sum()) == len(seq) - 1
+        assert int(mask_of(seq.sources).sum()) == len(seq) - 1
         again = synthetic_text_episodes(4, seed=1)
         assert eps == again

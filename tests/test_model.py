@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from seqpolicy import codec
 from seqpolicy import model as M
 from seqpolicy.errors import CapacityError, ChecksumError, ConfigError
 from seqpolicy.model.network import embed_batch, hidden_fwd
 from seqpolicy.model.ops import gelu_bwd, gelu_fwd
-from seqpolicy.sequencer import ElementSource, assemble_batch
+from seqpolicy.sequencer import assemble_batch
 
 from conftest import manual_sequence, micro_cfg
 
@@ -33,7 +34,71 @@ def small_batch(L=12, seed=0, with_sep=True):
     return assemble_batch([small_item(L, seed, with_sep)])
 
 
+def _reference_patch_index(interval, mode, rng=None, vocab=128):
+    """The one-patch index computation before it took arrays, kept verbatim."""
+    lo, hi = interval
+    if not (0.0 <= lo < hi <= 1.0):
+        raise ValueError(f"patch interval ({lo}, {hi}) must satisfy 0 <= lo < hi <= 1")
+    lo_q = int(np.rint(lo * vocab))
+    hi_q = int(np.rint(hi * vocab))
+    # keep indices addressable in the vocab-row table
+    lo_q = min(lo_q, vocab - 1)
+    hi_q = min(hi_q, vocab - 1)
+    if mode in ("pretrain", "finetune", "train"):
+        if rng is None:
+            raise ValueError("train-mode patch positions need a random stream")
+        return int(rng.integers(lo_q, hi_q + 1))
+    return int(np.rint((lo_q + hi_q) / 2.0))
+
+
+def _reference_patch_loop(intervals, mode, rng, vocab):
+    """Row then column indices, one call per patch, as embedding once did."""
+    row_idx = np.array(
+        [
+            _reference_patch_index((lo, hi), mode, rng, vocab)
+            for lo, hi in intervals[:, 0:2]
+        ],
+        dtype=np.int64,
+    )
+    col_idx = np.array(
+        [
+            _reference_patch_index((lo, hi), mode, rng, vocab)
+            for lo, hi in intervals[:, 2:4]
+        ],
+        dtype=np.int64,
+    )
+    return row_idx, col_idx
+
+
+def _random_intervals(rng, count):
+    """(count, 4) patch extents, many so narrow that lo and hi quantize alike."""
+    lo = rng.uniform(0.0, 1.0, size=(count, 2))
+    width = 10.0 ** rng.uniform(-4, 0, size=(count, 2))
+    hi = np.minimum(lo + width, 1.0)
+    return np.stack([lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1]], axis=1)
+
+
 class TestPatchPositions:
+    def test_vectorized_matches_per_patch_loop(self):
+        rng = np.random.default_rng(12)
+        for trial in range(200):
+            vocab = (8, 128)[trial % 2]
+            intervals = _random_intervals(rng, int(rng.integers(1, 40)))
+            if trial == 0:
+                _, intervals = codec.image_to_patches(np.zeros((80, 64, 1), np.uint8))
+            for mode in ("pretrain", "eval"):
+                ref_rng, new_rng = np.random.default_rng(trial), np.random.default_rng(trial)
+                expected = _reference_patch_loop(intervals, mode, ref_rng, vocab)
+                rows = M.patch_position_index(intervals[:, 0:2], mode, new_rng, vocab)
+                cols = M.patch_position_index(intervals[:, 2:4], mode, new_rng, vocab)
+                assert rows.dtype == cols.dtype == np.int64
+                assert np.array_equal(rows, expected[0]) and np.array_equal(cols, expected[1])
+                assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_worked_example_as_array(self):
+        intervals = np.array([[0.25, 0.5], [0.4, 0.6]])
+        assert M.patch_position_index(intervals, mode="eval").tolist() == [48, 64]
+
     def test_worked_example_row(self):
         assert M.quantize_patch_interval((0.25, 0.5)) == (32, 64)
         assert M.patch_position_index((0.25, 0.5), mode="eval") == 48
@@ -70,7 +135,7 @@ class TestLocalPositions:
         seq = manual_sequence(
             [("tensor", 1), ("tensor", 2), ("tensor", 3), ("sep",), ("action", 0), ("action", 1)]
         )
-        idx = M.local_position_indices(seq, cfg)
+        idx = M.resolve_local_indices(seq.sources, seq.local_pos, cfg)
         sep, act = cfg.separator_local_index, cfg.action_local_index
         assert idx.tolist() == [0, 1, 2, sep, act, act]
 
@@ -78,7 +143,7 @@ class TestLocalPositions:
         cfg = micro_cfg()
         step = [("tensor", 1), ("tensor", 2), ("sep",), ("action", 0)]
         seq = manual_sequence(step + [("ts",)] + step)
-        idx = M.local_position_indices(seq, cfg)
+        idx = M.resolve_local_indices(seq.sources, seq.local_pos, cfg)
         assert idx[:4].tolist() == idx[4:].tolist()
 
     def test_capacity_error(self):
@@ -86,7 +151,7 @@ class TestLocalPositions:
         spec = [("tensor", 0)] * 512 + [("sep",)]
         seq = manual_sequence(spec)
         with pytest.raises(CapacityError):
-            M.local_position_indices(seq, cfg)
+            M.resolve_local_indices(seq.sources, seq.local_pos, cfg)
 
 
 class TestEmbedding:

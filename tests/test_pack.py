@@ -14,7 +14,7 @@ import pytest
 
 from seqpolicy import model as M
 from seqpolicy.model.network import embed_batch, hidden_fwd
-from seqpolicy.sequencer import TARGET_NONE, ElementSource, assemble_batch
+from seqpolicy.sequencer import TARGET_NONE, ElementSource, assemble_batch, mask_of, targets_of
 from seqpolicy.trainer import _draw_batch
 
 from conftest import (
@@ -72,23 +72,31 @@ class TestPackedLayout:
         items = mixed_items()
         packed = assemble_batch(items)
         assert packed.batch_size < len(items)
-        order = [(w, pos) for w, item in enumerate(items) for pos in sorted(item.patches)]
+        order = [
+            (w, j, pos)
+            for w, item in enumerate(items)
+            for j, pos in enumerate(np.flatnonzero(item.sources == ElementSource.PATCH))
+        ]
         assert len(order) == len(packed.patch_slots) > 0
-        for k, ((w, pos), (r, col)) in enumerate(zip(order, packed.patch_slots)):
+        for k, ((w, j, pos), (r, col)) in enumerate(zip(order, packed.patch_slots)):
             assert packed.segments[r, col] == w
             start = int(np.argmax(packed.segments[r] == w))
             assert col - start == pos
             assert packed.sources[r, col] == ElementSource.PATCH
             assert packed.local_pos[r, col] == items[w].local_pos[pos]
-            assert np.array_equal(packed.patch_pixels[k], items[w].patches[pos].pixels)
+            assert np.array_equal(packed.patch_pixels[k], items[w].patch_pixels[j])
 
     def test_full_batch_is_returned_itself(self):
         items = [_text_window(4), _text_window(4, first_token=5)]
         packed = assemble_batch(items)
-        for name in ("tokens", "sources", "local_pos", "mask", "targets"):
+        for name in ("tokens", "sources", "local_pos"):
             np.testing.assert_array_equal(
                 getattr(packed, name), np.stack([getattr(w, name) for w in items])
             )
+        np.testing.assert_array_equal(packed.mask, [mask_of(w.sources) for w in items])
+        np.testing.assert_array_equal(
+            packed.targets, [targets_of(w.sources, w.tokens) for w in items]
+        )
         np.testing.assert_array_equal(packed.segments, [[0] * 4, [1] * 4])
 
     def test_unpackable_batch_is_trimmed(self):

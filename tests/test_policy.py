@@ -4,11 +4,11 @@ import pytest
 from seqpolicy import policy
 from seqpolicy.codec import CONTINUOUS_BASE, CONTINUOUS_END, TensorSchema
 from seqpolicy.corpora import run_policy_episode
-from seqpolicy.envs import GridReach, GridReachExpert, LineReacher, make_env, make_expert
+from seqpolicy.envs import GridReach, GridReachExpert, LineReacher
 from seqpolicy.errors import ConfigError
 from seqpolicy.model import ModelConfig, ModelState
 from seqpolicy.policy import RolloutConfig, evaluate_policy, rollout, sample_token
-from seqpolicy.sequencer import ElementSource, flatten_episode
+from seqpolicy.sequencer import flatten_episode
 
 
 def tiny_state(**overrides):
@@ -151,8 +151,7 @@ class TestRollout:
         assert np.array_equal(live.sources, trained_view.sources)
         assert np.array_equal(live.tokens, trained_view.tokens)
         assert np.array_equal(live.local_pos, trained_view.local_pos)
-        assert np.array_equal(live.mask, trained_view.mask)
-        assert np.array_equal(live.targets, trained_view.targets)
+        assert np.array_equal(live.timestep, trained_view.timestep)
 
     def test_truncation_at_timestep_granularity(self):
         # context big enough for ~3 gridreach timesteps (4 elements each)

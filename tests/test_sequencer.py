@@ -12,6 +12,7 @@ from seqpolicy.envs import make_env, make_expert
 from seqpolicy.errors import SchemaError
 from seqpolicy.trainer import _draw_batch
 from seqpolicy.sequencer import (
+    ElementSequence,
     ElementSource,
     Episode,
     Timestep,
@@ -19,11 +20,15 @@ from seqpolicy.sequencer import (
     assemble_batch,
     episode_layout,
     flatten_episode,
+    mask_of,
     order_observation,
     sample_subsequence,
+    targets_of,
 )
 
-from conftest import build_layout_episode, mixed_sampler, rich_episode
+from conftest import build_layout_episode, manual_sequence, mixed_sampler, rich_episode
+
+SEQUENCE_ARRAYS = ("sources", "tokens", "local_pos", "timestep", "patch_pixels", "patch_intervals")
 
 
 def _discrete_obs(key, values):
@@ -86,7 +91,7 @@ class TestFlattenTimestep:
         assert seq.sources[-1] == ElementSource.SEPARATOR
 
     def test_mask_bits(self):
-        assert self._flat().mask.tolist() == [0, 0, 0, 0, 1, 1]
+        assert mask_of(self._flat().sources).tolist() == [0, 0, 0, 0, 1, 1]
 
 
 class TestFlattenEpisode:
@@ -103,15 +108,13 @@ class TestFlattenEpisode:
     def test_mask_count(self):
         ep = build_layout_episode(T=4, text_len=3, tensor_shape=(2,), action_shape=(2,))
         seq = flatten_episode(ep)
-        assert int(seq.mask.sum()) == 4 * (3 + 2)
+        assert int(mask_of(seq.sources).sum()) == 4 * (3 + 2)
 
     def test_deterministic(self):
         ep = build_layout_episode(T=3, text_len=1, patch_grid=(1, 1), tensor_shape=(2,))
         a, b = flatten_episode(ep), flatten_episode(ep)
-        for name in ("sources", "tokens", "local_pos", "mask", "targets", "timestep"):
+        for name in SEQUENCE_ARRAYS:
             assert np.array_equal(getattr(a, name), getattr(b, name))
-        for pos in a.patches:
-            assert np.array_equal(a.patches[pos].pixels, b.patches[pos].pixels)
 
     def test_local_positions(self):
         ep = build_layout_episode(T=2, tensor_shape=(3,), action_shape=(2,))
@@ -124,17 +127,18 @@ class TestFlattenEpisode:
     def test_targets_follow_sources(self):
         ep = build_layout_episode(T=2, text_len=2, tensor_shape=(2,), action_shape=(1,))
         seq = flatten_episode(ep)
+        targets, mask = targets_of(seq.sources, seq.tokens), mask_of(seq.sources)
         for i, src in enumerate(seq.sources):
             src = ElementSource(int(src))
             if src in (ElementSource.TEXT, ElementSource.ACTION, ElementSource.SEPARATOR):
-                assert seq.targets[i] == seq.tokens[i]
+                assert targets[i] == seq.tokens[i]
             else:
-                assert seq.targets[i] == sequencer.TARGET_NONE
+                assert targets[i] == sequencer.TARGET_NONE
         # mask=1 implies a concrete target
-        assert np.all(seq.targets[seq.mask == 1] >= 0)
+        assert np.all(targets[mask == 1] >= 0)
         # separators never masked
         sep = seq.sources == ElementSource.SEPARATOR
-        assert not np.any(seq.mask[sep])
+        assert not np.any(mask[sep])
 
     def test_inconsistent_schema_rejected(self):
         s1 = TensorSchema.discrete("o", (1,))
@@ -171,7 +175,7 @@ class TestFlattenEpisode:
         seq = flatten_episode(ep)
         layout = episode_layout(ep)
         assert len(seq) == layout.T * (layout.k + layout.m + layout.n + 1 + layout.A)
-        assert int(seq.mask.sum()) == layout.T * (layout.k + layout.A)
+        assert int(mask_of(seq.sources).sum()) == layout.T * (layout.k + layout.A)
 
 
 # SHA-256 of the flattened arrays of the episodes below, pinned before the
@@ -196,16 +200,15 @@ def test_flatten_golden_digest():
     patch_count = 0
     for ep in _golden_episodes():
         seq = flatten_episode(ep)
-        for name in ("sources", "tokens", "local_pos", "mask", "targets", "timestep"):
-            arr = getattr(seq, name)
+        mask, targets = mask_of(seq.sources), targets_of(seq.sources, seq.tokens)
+        for arr in (seq.sources, seq.tokens, seq.local_pos, mask, targets, seq.timestep):
             h.update(arr.dtype.str.encode())
             h.update(arr.tobytes())
-        for pos in sorted(seq.patches):
-            patch = seq.patches[pos]
+        for k, pos in enumerate(np.flatnonzero(seq.sources == ElementSource.PATCH)):
             h.update(np.int64(pos).tobytes())
-            h.update(patch.pixels.dtype.str.encode())
-            h.update(patch.pixels.tobytes())
-            h.update(np.array(patch.row_interval + patch.col_interval, np.float64).tobytes())
+            h.update(seq.patch_pixels.dtype.str.encode())
+            h.update(seq.patch_pixels[k].tobytes())
+            h.update(seq.patch_intervals[k].tobytes())
             patch_count += 1
     assert patch_count == 12
     assert h.hexdigest() == FLATTEN_DIGEST
@@ -252,7 +255,7 @@ class TestSampleSubsequence:
         seq = self._seq(2)  # 6 elements
         out = sample_subsequence(seq, 11, np.random.default_rng(0))
         assert len(out) == 6
-        for name in ("sources", "tokens", "local_pos", "mask", "targets", "timestep"):
+        for name in SEQUENCE_ARRAYS:
             assert np.array_equal(getattr(out, name), getattr(seq, name))
 
     def test_uniform_starts(self):
@@ -306,7 +309,7 @@ class TestApplyPrompt:
         item, src = self._item_and_source()
         out, _ = apply_prompt(item, src, scripted_rng(randoms=[0.0, 0.0]), 8)
         src_seq = flatten_episode(src)
-        assert np.array_equal(out.mask[:4], src_seq.mask[-4:])
+        assert np.array_equal(mask_of(out.sources[:4]), mask_of(src_seq.sources[-4:]))
 
     def test_prompt_timesteps_negative(self, scripted_rng):
         item, src = self._item_and_source()
@@ -350,7 +353,7 @@ class TestAssembleBatch:
     def test_mask_sum_additive(self):
         items = self._items(3)
         batch = assemble_batch(items)
-        assert int(batch.mask.sum()) == sum(int(it.mask.sum()) for it in items)
+        assert int(batch.mask.sum()) == sum(int(mask_of(it.sources).sum()) for it in items)
 
     def test_unbatch_roundtrip(self):
         # every window's elements and patches can be read back from its segment
@@ -362,14 +365,15 @@ class TestAssembleBatch:
         for w, item in enumerate(items):
             rows, cols = np.nonzero(batch.segments == w)
             rows, cols = rows[: len(item)], cols[: len(item)]
-            for name in ("sources", "tokens", "local_pos", "mask", "targets"):
+            for name in ("sources", "tokens", "local_pos"):
                 assert np.array_equal(getattr(batch, name)[rows, cols], getattr(item, name))
+            assert np.array_equal(batch.mask[rows, cols], mask_of(item.sources))
+            assert np.array_equal(batch.targets[rows, cols], targets_of(item.sources, item.tokens))
             mine = [k for k, (r, c) in enumerate(batch.patch_slots) if batch.segments[r, c] == w]
-            assert [int(batch.patch_slots[k, 1] - cols[0]) for k in mine] == sorted(item.patches)
-            for k, pos in zip(mine, sorted(item.patches)):
-                assert np.array_equal(batch.patch_pixels[k], item.patches[pos].pixels)
-                patch = item.patches[pos]
-                assert tuple(batch.patch_intervals[k]) == patch.row_interval + patch.col_interval
+            positions = np.flatnonzero(item.sources == ElementSource.PATCH)
+            assert (batch.patch_slots[mine, 1] - cols[0]).tolist() == positions.tolist()
+            assert np.array_equal(batch.patch_pixels[mine], item.patch_pixels)
+            assert np.array_equal(batch.patch_intervals[mine], item.patch_intervals)
         assert batch.provenance == [(it.task_id, it.dataset) for it in items]
 
     def test_shifted_views(self):
@@ -378,3 +382,49 @@ class TestAssembleBatch:
         assert batch.shifted_targets()[0, -1] == sequencer.TARGET_NONE
         assert np.array_equal(batch.shifted_mask()[0, :-1], batch.mask[0, 1:])
         assert batch.shifted_mask()[0, -1] == 0
+
+    def test_mixed_patch_channels_rejected(self):
+        def image_window(channels):
+            schema = TensorSchema.image("img", 16, 16, channels)
+            obs = {"img": (schema, np.zeros((16, 16, channels), np.uint8))}
+            return flatten_episode(Episode("t", [Timestep(observations=obs)], [0.0]))
+
+        with pytest.raises(SchemaError):
+            assemble_batch([image_window(1), image_window(3)])
+
+
+class TestPatchRows:
+    def _seq(self):
+        return manual_sequence([
+            ("text", 1), ("patch", (0.0, 0.5), (0.0, 1.0)), ("patch", (0.5, 1.0), (0.0, 1.0)),
+        ])
+
+    def test_row_count_must_match_patch_elements(self):
+        seq = self._seq()
+        arrays = dict(
+            sources=seq.sources, tokens=seq.tokens, local_pos=seq.local_pos, timestep=seq.timestep
+        )
+        for pixels, intervals in (
+            (seq.patch_pixels[:1], seq.patch_intervals[:1]),
+            (seq.patch_pixels, seq.patch_intervals[:1]),
+            (None, None),
+        ):
+            with pytest.raises(SchemaError):
+                ElementSequence(**arrays, patch_pixels=pixels, patch_intervals=intervals)
+        text_only = {name: arr[:1] for name, arr in arrays.items()}
+        with pytest.raises(SchemaError):
+            ElementSequence(
+                **text_only,
+                patch_pixels=seq.patch_pixels[:1],
+                patch_intervals=seq.patch_intervals[:1],
+            )
+
+    def test_slice_keeps_rows_aligned(self):
+        seq = self._seq()
+        assert seq.slice(0, 1).patch_pixels is None
+        tail = seq.slice(2, 3)
+        assert np.array_equal(tail.patch_pixels, seq.patch_pixels[1:])
+        assert np.array_equal(tail.patch_intervals, seq.patch_intervals[1:])
+        again = sequencer.concat_sequences([seq.slice(0, 2), tail])
+        for name in SEQUENCE_ARRAYS:
+            assert np.array_equal(getattr(again, name), getattr(seq, name))
