@@ -32,6 +32,7 @@ CONTINUOUS_BASE = TEXT_VOCAB
 CONTINUOUS_END = CONTINUOUS_BASE + CONTINUOUS_BINS
 SEPARATOR_TOKEN = CONTINUOUS_END
 VOCAB_SIZE = SEPARATOR_TOKEN + 1
+COMPACT_VOCAB = DISCRETE_VOCAB + CONTINUOUS_BINS + 1  # the ids bytes and the codecs emit
 
 PATCH_SIZE = 16
 PATCH_SCALE = math.sqrt(PATCH_SIZE)  # pixel values divided by sqrt(16) = 4
@@ -156,9 +157,12 @@ def mu_law_compand(x, params: MuLawParams = DEFAULT_MU_LAW):
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValueError("mu_law_compand: input must be finite")
-    denom = np.log1p(params.M * params.mu)
-    out = np.sign(arr) * np.log1p(params.mu * np.abs(arr)) / denom
+    out = _compand(arr, params)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+
+
+def _compand(arr: np.ndarray, params: MuLawParams) -> np.ndarray:
+    return np.sign(arr) * np.log1p(params.mu * np.abs(arr)) / np.log1p(params.M * params.mu)
 
 
 def mu_law_expand(y, params: MuLawParams = DEFAULT_MU_LAW):
@@ -214,7 +218,8 @@ def _unbin_array(bins: np.ndarray) -> np.ndarray:
 def encode_continuous(
     values, schema: TensorSchema, params: MuLawParams = DEFAULT_MU_LAW
 ) -> list[int]:
-    """Flatten row-major, compand when the schema says so, clip, bin."""
+    """Flatten row-major, compand when the schema says so, bin; values
+    beyond ``[-1, 1]`` saturate to the end bins."""
     if schema.modality is not Modality.CONTINUOUS:
         raise SchemaError(f"{schema.key}: encode_continuous needs a continuous schema")
     arr = np.asarray(values, dtype=np.float64)
@@ -224,8 +229,7 @@ def encode_continuous(
     if not np.all(np.isfinite(flat)):
         raise ValueError(f"{schema.key}: non-finite continuous value")
     if schema.compand:
-        flat = mu_law_compand(flat, params)
-    flat = np.clip(flat, -1.0, 1.0)
+        flat = _compand(flat, params)
     return (CONTINUOUS_BASE + _bin_array(flat)).tolist()
 
 

@@ -1,7 +1,7 @@
 """Embedding function, decoder-only transformer, masked loss, checkpoints."""
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import FULL_SCALE, ModelConfig, micro, tiny
+from .config import FULL_SCALE, ModelConfig, micro, tiny, vocab_table
 from .network import (
     LossResult,
     ModelState,
@@ -43,5 +43,6 @@ __all__ = [
     "save_checkpoint",
     "tiny",
     "validate_gradients",
+    "vocab_table",
     "zero_grads",
 ]

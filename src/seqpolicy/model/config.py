@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
-from ..codec import VOCAB_SIZE
+import numpy as np
+
+from ..codec import COMPACT_VOCAB, CONTINUOUS_BASE, VOCAB_SIZE
 from ..errors import ConfigError
 
 
@@ -16,6 +19,10 @@ class ModelConfig:
     attention output concatenation is ``heads * kv_size`` wide and projected
     back to ``width``. The discrete vocabulary shares its embedding matrix
     with the output projection.
+
+    ``vocab`` counts the ``embed/vocab`` rows, at most ``VOCAB_SIZE``. From
+    ``COMPACT_VOCAB`` (2049) up they hold text ids ``[0, vocab - 1025)``, then
+    bins and separator ``[32000, 33025)``; fewer rows hold ids ``[0, vocab)``.
     """
 
     blocks: int
@@ -36,6 +43,8 @@ class ModelConfig:
         for name in ("blocks", "heads", "width", "ff_hidden", "kv_size", "context", "vocab"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.vocab > VOCAB_SIZE:
+            raise ConfigError(f"vocab {self.vocab} exceeds the {VOCAB_SIZE} token ids")
         if self.width % 4:
             raise ConfigError("width must be divisible by 4 (patch embedder channels)")
         if self.local_pos_table < 3:
@@ -67,8 +76,28 @@ class ModelConfig:
         return ModelConfig(**current)
 
 
+@lru_cache(maxsize=None)
+def vocab_table(vocab: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(ids, rows)`` of a model with ``vocab`` rows, built once per size.
+
+    ``ids[r]`` is the token id row ``r`` holds, ascending. ``rows[i]`` is the
+    row holding id ``i`` in ``[0, VOCAB_SIZE)``, or -1 where no row does.
+    Both arrays are read-only.
+    """
+    if vocab < COMPACT_VOCAB:
+        ids = np.arange(vocab)
+    else:
+        text = vocab - (VOCAB_SIZE - CONTINUOUS_BASE)
+        ids = np.concatenate([np.arange(text), np.arange(CONTINUOUS_BASE, VOCAB_SIZE)])
+    rows = np.full(VOCAB_SIZE, -1, dtype=np.int64)
+    rows[ids] = np.arange(vocab)
+    ids.flags.writeable = rows.flags.writeable = False
+    return ids, rows
+
+
 def tiny(**overrides) -> ModelConfig:
-    """Desk-scale default sized for CI runtimes."""
+    """Desk-scale default sized for CI runtimes; its rows hold the ids the
+    codecs emit (``vocab=VOCAB_SIZE`` gives the full text range)."""
     cfg = ModelConfig(
         blocks=4,
         heads=4,
@@ -76,6 +105,7 @@ def tiny(**overrides) -> ModelConfig:
         ff_hidden=512,
         kv_size=32,
         context=256,
+        vocab=COMPACT_VOCAB,
     )
     return cfg.replace(**overrides) if overrides else cfg
 

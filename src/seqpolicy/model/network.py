@@ -4,6 +4,8 @@ Parameters live in a flat ``{name: ndarray}`` dict. Forward passes stash the
 caches needed for the hand-written reverse pass; ``loss_and_grads`` returns
 exact gradients for every parameter, with the shared vocabulary matrix
 accumulating both its input-lookup and output-projection contributions.
+Token ids reach ``embed/vocab`` rows through ``vocab_table(cfg.vocab)``;
+logits have one entry per row.
 
 Modes: ``"pretrain"`` applies stochastic depth (sub-layers skipped with the
 configured probability), ``"finetune"`` applies dropout on attention weights
@@ -19,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..codec import VOCAB_SIZE
 from ..errors import CapacityError, MissingGradientError
 from ..sequencer import ElementSource, MaskedBatch
-from .config import ModelConfig
+from .config import ModelConfig, vocab_table
 from .ops import (
     gelu_bwd,
     gelu_fwd,
@@ -112,6 +115,16 @@ def validate_gradients(params: dict, grads: dict) -> None:
         raise MissingGradientError(f"no gradient for parameters: {sorted(missing)}")
 
 
+def vocab_rows(cfg: ModelConfig, ids: np.ndarray) -> np.ndarray:
+    """The ``embed/vocab`` rows holding token ``ids``; ValueError on an id no row holds."""
+    inside = (ids >= 0) & (ids < VOCAB_SIZE)
+    rows = vocab_table(cfg.vocab)[1][np.where(inside, ids, 0)]
+    bad = ~inside | (rows < 0)
+    if bad.any():
+        raise ValueError(f"token id {ids[bad][0]} has no row in a model with vocab {cfg.vocab}")
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # embedding
 # ---------------------------------------------------------------------------
@@ -136,10 +149,8 @@ def embed_batch(
     )
     if cfg.zero_action_inputs:
         token_mask &= batch.sources != ElementSource.ACTION
-    token_ids = batch.tokens[token_mask].astype(np.int64)
-    if token_ids.size and (token_ids.min() < 0 or token_ids.max() >= cfg.vocab):
-        raise ValueError(f"token id outside [0, {cfg.vocab})")
-    emb[token_mask] = params["embed/vocab"][token_ids]
+    token_rows = vocab_rows(cfg, batch.tokens[token_mask].astype(np.int64))
+    emb[token_mask] = params["embed/vocab"][token_rows]
 
     local_idx = resolve_local_indices(batch.sources, batch.local_pos, cfg)
     add_mask = token_mask | (batch.sources == ElementSource.PATCH)
@@ -157,13 +168,13 @@ def embed_batch(
         pe = pe + params["embed/patch_row"][row_idx] + params["embed/patch_col"][col_idx]
         emb[batch.patch_slots[:, 0], batch.patch_slots[:, 1]] += pe
 
-    cache = (token_mask, token_ids, add_mask, local_sel, patch_cache, row_idx, col_idx, batch)
+    cache = (token_mask, token_rows, add_mask, local_sel, patch_cache, row_idx, col_idx, batch)
     return emb, cache
 
 
 def embed_bwd(demb: np.ndarray, cache, params: dict, grads: dict) -> None:
-    token_mask, token_ids, add_mask, local_sel, patch_cache, row_idx, col_idx, batch = cache
-    np.add.at(grads["embed/vocab"], token_ids, demb[token_mask])
+    token_mask, token_rows, add_mask, local_sel, patch_cache, row_idx, col_idx, batch = cache
+    np.add.at(grads["embed/vocab"], token_rows, demb[token_mask])
     np.add.at(grads["embed/local_pos"], local_sel, demb[add_mask])
     if patch_cache is not None:
         dpe = demb[batch.patch_slots[:, 0], batch.patch_slots[:, 1]]
@@ -395,8 +406,9 @@ def loss_and_grads(
 
     hsel = hidden[rows, cols]
     picked = tgt[rows, cols].astype(np.int64)
-    if picked.min() < 0 or picked.max() >= cfg.vocab:
+    if picked.min() < 0:
         raise ValueError("masked position has no concrete target token")
+    picked = vocab_rows(cfg, picked)
     logits = hsel @ params["embed/vocab"].T
     # fused log-softmax: one exp pass; nll gathered without a full logp array
     shifted = logits - logits.max(axis=-1, keepdims=True)
@@ -434,7 +446,7 @@ def forward_logits(
     mode: str = "eval",
     streams: RngStreams | None = None,
 ) -> np.ndarray:
-    """Logits over the vocabulary at all positions, or at ``positions``.
+    """Logits over the ``embed/vocab`` rows at all positions, or at ``positions``.
 
     ``positions`` holds one position per row; for a one-row batch it may be
     any index array, giving one logits row per entry.

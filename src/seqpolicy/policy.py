@@ -8,7 +8,8 @@ timesteps, so the local structure the model saw during training survives.
 
 Sampled action tokens are range-masked to the legal token range of the
 action schema (continuous bins or the discrete range), so illegal ids are
-never emitted.
+never emitted. A legal id range is contiguous in the model's rows too
+(``vocab_table``), so sampling runs on that row range and maps back to ids.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from . import codec
 from .codec import Modality, TensorSchema
 from .errors import ConfigError
-from .model import ModelState, forward_logits
+from .model import ModelState, forward_logits, vocab_table
 from .sequencer import (
     ElementSequence,
     ElementSource,
@@ -82,6 +83,19 @@ def sample_token(
     p = np.exp(z)
     p /= p.sum()
     return lo + int(rng.choice(hi - lo, p=p))
+
+
+def _sample_ids(
+    state: ModelState, logits: np.ndarray, schema: TensorSchema, cfg: RolloutConfig,
+    rng: np.random.Generator,
+) -> list[int]:
+    """One legal token id per logits row: sampled over the rows holding the
+    schema's legal ids, then mapped back to ids."""
+    ids = vocab_table(state.cfg.vocab)[0]
+    lo, hi = (int(r) for r in np.searchsorted(ids, legal_token_range(schema)))
+    return [
+        int(ids[sample_token(row, lo, hi, cfg.sampling, cfg.temperature, rng)]) for row in logits
+    ]
 
 
 def _observation_fragment(task_id: str, observations, timestep_id: int) -> ElementSequence:
@@ -155,7 +169,7 @@ class _Context:
 def _logits_at(
     state: ModelState, seq: ElementSequence, positions: np.ndarray, stats: RolloutStats
 ) -> np.ndarray:
-    """(len(positions), vocab) logits from one forward pass over ``seq``."""
+    """(len(positions), cfg.vocab) logits from one forward pass over ``seq``."""
     stats.forward_passes += 1
     return forward_logits(state.params, state.cfg, assemble_batch([seq]), positions=positions)
 
@@ -170,12 +184,11 @@ def sample_action_autoregressive(
     stats: RolloutStats,
 ) -> list[int]:
     """One token at a time, each conditioned on everything sampled so far."""
-    lo, hi = legal_token_range(schema)
     tokens = []
     for _ in range(schema.num_elements):
         seq = context.sequence()
-        logits = _logits_at(state, seq, np.array([len(seq) - 1]), stats)[0]
-        token = sample_token(logits, lo, hi, cfg.sampling, cfg.temperature, rng)
+        logits = _logits_at(state, seq, np.array([len(seq) - 1]), stats)
+        [token] = _sample_ids(state, logits, schema, cfg, rng)
         tokens.append(token)
         context.extend_last(_action_element(token, timestep_id, context.fragments[-1].task_id))
     return tokens
@@ -194,7 +207,6 @@ def sample_action_parallel(
 
     :func:`rollout` has already refused a model without ``zero_action_inputs``.
     """
-    lo, hi = legal_token_range(schema)
     count = schema.num_elements
     task_id = context.fragments[-1].task_id
     for _ in range(count):
@@ -202,9 +214,7 @@ def sample_action_parallel(
     seq = context.sequence()
     # the separator and all but the last placeholder feed the action slots
     logits = _logits_at(state, seq, np.arange(len(seq) - 1 - count, len(seq) - 1), stats)
-    tokens = [
-        sample_token(logits[j], lo, hi, cfg.sampling, cfg.temperature, rng) for j in range(count)
-    ]
+    tokens = _sample_ids(state, logits, schema, cfg, rng)
     context.fragments[-1].tokens[-count:] = tokens
     return tokens
 

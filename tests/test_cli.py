@@ -7,6 +7,7 @@ from seqpolicy.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_OK,
+    _state_from_checkpoint,
     _token_range_violations,
     main,
     parse_config_file,
@@ -174,6 +175,57 @@ class TestPretrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "empty" in err
         assert err.count("\n") == 1
+
+
+def _grid_manifest(tmp_path):
+    episodes = collect_episodes(GridReach(seed=0), GridReachExpert(), 4)
+    manifest = build_dataset(tmp_path / "data", "grid", episodes)
+    mpath = tmp_path / "manifest.cfg"
+    write_manifest([manifest], mpath)
+    return mpath
+
+
+class TestVocabLayouts:
+    def test_full_layout_checkpoint_finetunes_and_rolls_out(self, tmp_path, capsys):
+        # every tiny() checkpoint written before tiny() held 2049 rows has 33025
+        cfg = M.tiny(vocab=33025)
+        path = tmp_path / "old.ckpt"
+        M.save_checkpoint(path, cfg, M.init_params(cfg, seed=2))
+        state, _ = _state_from_checkpoint(path)
+        assert state.cfg == cfg and state.params["embed/vocab"].shape == (33025, 128)
+        out = tmp_path / "ft"
+        code = main([
+            "finetune", "--set", f"manifest={_grid_manifest(tmp_path)}",
+            "--set", f"checkpoint={path}", "--set", "steps=1", "--set", "batch_size=2",
+            "--set", "seq_len=32", "--set", "eval_every=0", "--set", f"out_dir={out}",
+        ])
+        assert code == EXIT_OK
+        tuned, _ = _state_from_checkpoint(out / "final.ckpt")
+        assert tuned.cfg == cfg and tuned.params["embed/vocab"].shape == (33025, 128)
+        assert not np.array_equal(tuned.params["embed/vocab"], state.params["embed/vocab"])
+        capsys.readouterr()
+        code = main(["rollout", "--checkpoint", str(out / "final.ckpt"), "--env", "gridreach",
+                     "--temperature", "1", "-n", "2", "--seed", "4"])
+        assert code == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        printed = [float(l.split("return=")[1]) for l in lines if l.startswith("episode=")]
+        rollout_cfg = RolloutConfig(sampling="temperature", temperature=1.0)
+        expected = evaluate_policy(tuned, lambda s: make_env("gridreach", s), rollout_cfg, 2,
+                                   seed=4)
+        assert printed == expected.returns
+
+    @pytest.mark.parametrize("override, rows", [([], 2049), (["model.vocab=33025"], 33025)])
+    def test_pretrain_vocab_rows(self, tmp_path, override, rows):
+        out = tmp_path / "run"
+        args = ["pretrain", "--set", f"manifest={_grid_manifest(tmp_path)}",
+                "--set", "steps=1", "--set", "batch_size=2", "--set", "seq_len=32",
+                "--set", "checkpoint_every=0", "--set", f"out_dir={out}"]
+        for item in override:
+            args += ["--set", item]
+        assert main(args) == EXIT_OK
+        loaded = M.load_checkpoint(out / "final.ckpt")
+        assert loaded["cfg"].vocab == rows
+        assert loaded["params"]["embed/vocab"].shape == (rows, 128)
 
 
 class TestRolloutCommand:

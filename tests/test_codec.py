@@ -147,6 +147,42 @@ class TestContinuousStreams:
         assert toks[0] == 32000 and toks[-1] == 33023
         assert toks == sorted(toks)
 
+    @pytest.mark.parametrize("value_range", [(-1.0, 1.0), (-256.0, 256.0)])
+    def test_matches_clipping_reference(self, value_range):
+        """The bins saturate out-of-range values as clipping first did."""
+
+        def reference(values, schema, params=codec.DEFAULT_MU_LAW):
+            if schema.modality is not Modality.CONTINUOUS:
+                raise SchemaError(f"{schema.key}: encode_continuous needs a continuous schema")
+            arr = np.asarray(values, dtype=np.float64)
+            if arr.shape != schema.shape:
+                raise SchemaError(f"{schema.key}: shape {arr.shape} != schema {schema.shape}")
+            flat = arr.ravel(order="C")
+            if not np.all(np.isfinite(flat)):
+                raise ValueError(f"{schema.key}: non-finite continuous value")
+            if schema.compand:
+                flat = codec.mu_law_compand(flat, params)
+            flat = np.clip(flat, -1.0, 1.0)
+            return (CONTINUOUS_BASE + codec._bin_array(flat)).tolist()
+
+        edges = np.linspace(-1.0, 1.0, CONTINUOUS_BINS + 1)
+        if value_range[1] > 1.0:
+            edges = codec.mu_law_expand(edges)
+        near = np.concatenate([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)])
+        beyond = [1.0, 1.0 + 1e-12, 2.0, 256.0, 257.0, 1e6, 1e300, 1e308, np.finfo(float).max]
+        values = np.concatenate([near, beyond, np.negative(beyond), [0.0, -0.0]])
+        schema = TensorSchema.continuous("v", values.shape, value_range)
+        assert schema.compand == (value_range[1] > 1.0)
+        with np.errstate(over="ignore"):
+            assert codec.encode_continuous(values, schema) == reference(values, schema)
+            for v in values:
+                one = TensorSchema.continuous("v", (), value_range)
+                assert codec.encode_continuous(v, one) == reference(v, one)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                codec.encode_continuous(np.array([0.0, bad]), TensorSchema.continuous(
+                    "v", (2,), value_range))
+
 
 class TestDiscreteStreams:
     def test_identity_scalar(self):

@@ -399,6 +399,8 @@ class TestModelConfig:
             micro_cfg(blocks=0)
         with pytest.raises(ConfigError):
             micro_cfg(stochastic_depth=1.0)
+        with pytest.raises(ConfigError, match="33026"):
+            micro_cfg(vocab=codec.VOCAB_SIZE + 1)  # no id reaches the extra rows
 
     def test_presets(self):
         tiny = M.tiny()
