@@ -15,10 +15,12 @@ from .config import ModelConfig
 from .ops import (
     conv2d_bwd,
     conv2d_fwd,
+    conv2d_param_grads,
     gelu_bwd,
     gelu_fwd,
     groupnorm_bwd,
     groupnorm_fwd,
+    groupnorm_param_grads,
     linear_bwd,
     linear_fwd,
     truncated_normal,
@@ -80,9 +82,7 @@ def patch_embed_bwd(dout: np.ndarray, cache, params: dict) -> dict[str, np.ndarr
         dout, c_proj, params["patch/proj/w"]
     )
     dres = dflat.reshape(res_shape)
-    _, grads["patch/skip/w"], grads["patch/skip/b"] = conv2d_bwd(
-        dres, c_skip, params["patch/skip/w"]
-    )
+    grads["patch/skip/w"], grads["patch/skip/b"] = conv2d_param_grads(dres, c_skip)
     da2, grads["patch/conv2/w"], grads["patch/conv2/b"] = conv2d_bwd(
         dres, c_cv2, params["patch/conv2/w"]
     )
@@ -92,5 +92,5 @@ def patch_embed_bwd(dout: np.ndarray, cache, params: dict) -> dict[str, np.ndarr
         dh2, c_cv1, params["patch/conv1/w"]
     )
     dh1 = gelu_bwd(da1, c_ge1)
-    _, grads["patch/gn1/g"], grads["patch/gn1/b"] = groupnorm_bwd(dh1, c_gn1)
+    grads["patch/gn1/g"], grads["patch/gn1/b"] = groupnorm_param_grads(dh1, c_gn1)
     return grads
