@@ -2,9 +2,10 @@
 
 The loop tokenizes each observation exactly as training did (same flattening
 code path), appends a separator, samples the action tokens, decodes them by
-inverting the codec, and steps the environment. The context is a sliding
-window over the most recent elements; truncation only ever drops whole
-timesteps, so the local structure the model saw during training survives.
+inverting the codec, and steps the environment. The context is one element
+sequence: the prompt on timestep ids below zero, then each observation and
+its action tokens. Truncation drops its oldest whole timesteps, so the local
+structure the model saw during training survives.
 
 Sampled action tokens are range-masked to the legal token range of the
 action schema (continuous bins or the discrete range), so illegal ids are
@@ -46,6 +47,16 @@ class RolloutConfig:
     temperature: float = 1.0
     action_mode: str = "autoregressive"  # or "parallel"
     context_timesteps: int | None = None  # low-latency mode: 1
+
+    def __post_init__(self):
+        if self.action_mode not in ("autoregressive", "parallel"):
+            raise ConfigError(f"unknown action_mode {self.action_mode!r}")
+        if self.prompt_budget < 0:
+            raise ConfigError(f"prompt_budget must be >= 0, got {self.prompt_budget}")
+        if self.context_timesteps is not None and self.context_timesteps < 1:
+            raise ConfigError(
+                f"context_timesteps must be >= 1 or None, got {self.context_timesteps}"
+            )
 
 
 @dataclass
@@ -106,64 +117,47 @@ def _observation_fragment(task_id: str, observations, timestep_id: int) -> Eleme
     return frag
 
 
-def _action_element(token: int, timestep_id: int, task_id: str) -> ElementSequence:
-    return ElementSequence(
-        sources=np.array([ElementSource.ACTION], np.uint8),
-        tokens=np.array([token], np.int32),
-        local_pos=np.array([-1], np.int32),
-        timestep=np.array([timestep_id], np.int32),
-        task_id=task_id,
+def _with_actions(seq: ElementSequence, tokens: list[int]) -> ElementSequence:
+    """``seq`` followed by action elements in its last timestep."""
+    n = len(tokens)
+    actions = ElementSequence(
+        sources=np.full(n, ElementSource.ACTION, np.uint8),
+        tokens=np.array(tokens, np.int32),
+        local_pos=np.full(n, -1, np.int32),
+        timestep=np.full(n, seq.timestep[-1], np.int32),
+        task_id=seq.task_id,
     )
+    return concat_sequences([seq, actions])
 
 
-def _prompt_fragments(prompt: Episode, budget: int, task_id: str) -> list[ElementSequence]:
-    flat = flatten_episode(prompt)
-    flat = flat.slice(0, min(budget, len(flat)))
-    if len(flat) == 0:
-        return []
-    flat.timestep = prompt_timesteps(flat.timestep)
+def _prompt_sequence(prompt: Episode, budget: int, task_id: str) -> ElementSequence:
+    """The first ``budget`` prompt elements, on timestep ids below zero."""
+    flat = flatten_episode(prompt).slice(0, budget)
     flat.task_id = task_id
-    fragments = []
-    boundaries = np.nonzero(np.diff(flat.timestep))[0] + 1
-    start = 0
-    for stop in list(boundaries) + [len(flat)]:
-        fragments.append(flat.slice(start, int(stop)))
-        start = int(stop)
-    return fragments
+    if len(flat):
+        flat.timestep = prompt_timesteps(flat.timestep)
+    return flat
 
 
-class _Context:
-    """Timestep-granular sliding window of sequence fragments."""
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.fragments: list[ElementSequence] = []
-        self.truncations = 0
-
-    def total(self) -> int:
-        return sum(len(f) for f in self.fragments)
-
-    def append(self, frag: ElementSequence) -> None:
-        self.fragments.append(frag)
-
-    def extend_last(self, frag: ElementSequence) -> None:
-        self.fragments[-1] = concat_sequences([self.fragments[-1], frag])
-
-    def enforce(self, reserve: int = 0, keep_timesteps: int | None = None) -> None:
-        if keep_timesteps is not None and len(self.fragments) > keep_timesteps:
-            self.truncations += len(self.fragments) - keep_timesteps
-            self.fragments = self.fragments[-keep_timesteps:]
-        while self.total() + reserve > self.limit and len(self.fragments) > 1:
-            self.fragments.pop(0)
-            self.truncations += 1
-        if self.total() + reserve > self.limit:
-            raise ConfigError(
-                f"a single timestep ({self.total()} elements + {reserve} action tokens) "
-                f"exceeds the context window of {self.limit}"
-            )
-
-    def sequence(self) -> ElementSequence:
-        return concat_sequences(self.fragments)
+def _drop_oldest_timesteps(
+    seq: ElementSequence, limit: int, reserve: int, keep_timesteps: int | None,
+    stats: RolloutStats,
+) -> ElementSequence:
+    """Drop whole timesteps from the front of ``seq``: first down to
+    ``keep_timesteps`` of them, then until ``reserve`` more elements fit in
+    ``limit``."""
+    starts = np.r_[0, np.flatnonzero(np.diff(seq.timestep)) + 1]
+    fits = np.flatnonzero(len(seq) - starts + reserve <= limit)
+    if fits.size == 0:
+        raise ConfigError(
+            f"a single timestep ({len(seq) - int(starts[-1])} elements + {reserve} action "
+            f"tokens) exceeds the context window of {limit}"
+        )
+    drop = int(fits[0])
+    if keep_timesteps is not None:
+        drop = max(drop, len(starts) - keep_timesteps)
+    stats.truncations += drop
+    return seq.slice(int(starts[drop]), len(seq)) if drop else seq
 
 
 def _logits_at(
@@ -176,47 +170,41 @@ def _logits_at(
 
 def sample_action_autoregressive(
     state: ModelState,
-    context: _Context,
+    seq: ElementSequence,
     schema: TensorSchema,
     cfg: RolloutConfig,
     rng: np.random.Generator,
-    timestep_id: int,
     stats: RolloutStats,
-) -> list[int]:
+) -> tuple[ElementSequence, list[int]]:
     """One token at a time, each conditioned on everything sampled so far."""
     tokens = []
     for _ in range(schema.num_elements):
-        seq = context.sequence()
         logits = _logits_at(state, seq, np.array([len(seq) - 1]), stats)
         [token] = _sample_ids(state, logits, schema, cfg, rng)
         tokens.append(token)
-        context.extend_last(_action_element(token, timestep_id, context.fragments[-1].task_id))
-    return tokens
+        seq = _with_actions(seq, [token])
+    return seq, tokens
 
 
 def sample_action_parallel(
     state: ModelState,
-    context: _Context,
+    seq: ElementSequence,
     schema: TensorSchema,
     cfg: RolloutConfig,
     rng: np.random.Generator,
-    timestep_id: int,
     stats: RolloutStats,
-) -> list[int]:
+) -> tuple[ElementSequence, list[int]]:
     """All action tokens from a single forward pass over zeroed placeholders.
 
     :func:`rollout` has already refused a model without ``zero_action_inputs``.
     """
     count = schema.num_elements
-    task_id = context.fragments[-1].task_id
-    for _ in range(count):
-        context.extend_last(_action_element(0, timestep_id, task_id))
-    seq = context.sequence()
+    seq = _with_actions(seq, [0] * count)
     # the separator and all but the last placeholder feed the action slots
     logits = _logits_at(state, seq, np.arange(len(seq) - 1 - count, len(seq) - 1), stats)
     tokens = _sample_ids(state, logits, schema, cfg, rng)
-    context.fragments[-1].tokens[-count:] = tokens
-    return tokens
+    seq.tokens[-count:] = tokens
+    return seq, tokens
 
 
 def decode_action(tokens: list[int], schema: TensorSchema):
@@ -236,19 +224,16 @@ def rollout(
     """Run the model as a policy for one episode; returns the realized
     episode, its total return, and per-rollout statistics."""
     rng = rng if rng is not None else np.random.default_rng(0)
-    if cfg.action_mode not in ("autoregressive", "parallel"):
-        raise ConfigError(f"unknown action_mode {cfg.action_mode!r}")
     if cfg.action_mode == "parallel" and not state.cfg.zero_action_inputs:
         raise ConfigError(
             "parallel action sampling needs a model trained with zero_action_inputs"
         )
     schema = env.spec.action_schema
-    reserve = schema.num_elements
+    limit = min(cfg.context, state.cfg.context)
     stats = RolloutStats()
-    context = _Context(limit=min(cfg.context, state.cfg.context))
+    seq = None
     if cfg.prompt is not None:
-        for frag in _prompt_fragments(cfg.prompt, cfg.prompt_budget, env.task_id):
-            context.append(frag)
+        seq = _prompt_sequence(cfg.prompt, cfg.prompt_budget, env.task_id)
         stats.prompted = True
 
     sampler = (
@@ -260,9 +245,12 @@ def rollout(
     timesteps: list[Timestep] = []
     rewards: list[float] = []
     for t in range(env.spec.episode_length):
-        context.append(_observation_fragment(env.task_id, observations, t))
-        context.enforce(reserve=reserve, keep_timesteps=cfg.context_timesteps)
-        tokens = sampler(state, context, schema, cfg, rng, t, stats)
+        step = _observation_fragment(env.task_id, observations, t)
+        seq = step if seq is None else concat_sequences([seq, step])
+        seq = _drop_oldest_timesteps(
+            seq, limit, schema.num_elements, cfg.context_timesteps, stats
+        )
+        seq, tokens = sampler(state, seq, schema, cfg, rng, stats)
         action = decode_action(tokens, schema)
         next_observations, reward, done = env.step(action)
         timesteps.append(Timestep(observations=observations, action=(schema, action)))
@@ -271,7 +259,6 @@ def rollout(
         observations = next_observations
         if done:
             break
-    stats.truncations = context.truncations
     episode = Episode(task_id=env.task_id, timesteps=timesteps, rewards=rewards)
     return episode, episode.total_return, stats
 

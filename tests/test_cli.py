@@ -271,6 +271,16 @@ class TestRolloutCommand:
         expected = evaluate_policy(state, lambda s: make_env("gridreach", s), rollout_cfg, 3, seed=4)
         assert printed == expected.returns
 
+    @pytest.mark.parametrize("flag", [("--context-timesteps", "0"), ("--prompt-budget", "-3")])
+    def test_bad_context_flags_exit_2(self, tmp_path, capsys, flag):
+        path = tmp_path / "model.ckpt"
+        cfg = micro_cfg(context=64)
+        M.save_checkpoint(path, cfg, M.init_params(cfg, seed=2))
+        code = main(["rollout", "--checkpoint", str(path), "--env", "gridreach", "-n", "1",
+                     *flag])
+        assert code == EXIT_CONFIG
+        assert flag[0][2:].replace("-", "_") in capsys.readouterr().err
+
 
 class TestInspectCommand:
     def test_layout_identity(self, tmp_path, capsys):

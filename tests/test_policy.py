@@ -1,14 +1,26 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
 from seqpolicy import policy
 from seqpolicy.codec import CONTINUOUS_BASE, CONTINUOUS_END, TensorSchema
 from seqpolicy.corpora import run_policy_episode
-from seqpolicy.envs import GridReach, GridReachExpert, LineReacher
+from seqpolicy.envs import (
+    ENV_NAMES,
+    GridReach,
+    GridReachExpert,
+    LineReacher,
+    make_env,
+    make_expert,
+)
 from seqpolicy.errors import ConfigError
-from seqpolicy.model import ModelConfig, ModelState
+from seqpolicy.model import ModelConfig, ModelState, RngStreams, init_params
 from seqpolicy.policy import RolloutConfig, evaluate_policy, rollout, sample_token
 from seqpolicy.sequencer import flatten_episode
+
+from conftest import micro_cfg
 
 
 def tiny_state(**overrides):
@@ -55,6 +67,19 @@ class TestSampleToken:
             logits = rng.normal(size=33025) * 5
             tok = sample_token(logits, lo, hi, "temperature", 1.0, rng)
             assert 0 <= tok < 1024
+
+
+def _spy_batches(monkeypatch):
+    """The list of every sequence ``rollout`` hands to ``assemble_batch``."""
+    seen = []
+    real = policy.assemble_batch
+
+    def spy(items):
+        seen.extend(item.slice(0, len(item)) for item in items)
+        return real(items)
+
+    monkeypatch.setattr(policy, "assemble_batch", spy)
+    return seen
 
 
 class _FixedVectorEnv:
@@ -136,18 +161,13 @@ class TestRollout:
             tokens = policy.encode_action(value, schema)
             assert policy.decode_action(tokens, schema).tolist() == np.asarray(value).tolist()
 
-    def test_deployment_layout_matches_training(self):
+    def test_deployment_layout_matches_training(self, monkeypatch):
         state = tiny_state()
-        env = GridReach(seed=7)
-        episode, _, _ = rollout(state, env, RolloutConfig())
-        trained_view = flatten_episode(episode)
-        # replay the deployment accumulation for the same realized episode
-        ctx = policy._Context(limit=10_000)
-        for t, ts in enumerate(episode.timesteps):
-            ctx.append(policy._observation_fragment(env.task_id, ts.observations, t))
-            for tok in policy.encode_action(ts.action[1], ts.action[0]):
-                ctx.extend_last(policy._action_element(tok, t, env.task_id))
-        live = ctx.sequence()
+        seen = _spy_batches(monkeypatch)
+        episode, _, _ = rollout(state, GridReach(seed=7), RolloutConfig())
+        # the last context the model sees is the episode up to its final action
+        trained_view = flatten_episode(episode).slice(0, -1)
+        live = seen[-1]
         assert np.array_equal(live.sources, trained_view.sources)
         assert np.array_equal(live.tokens, trained_view.tokens)
         assert np.array_equal(live.local_pos, trained_view.local_pos)
@@ -174,18 +194,75 @@ class TestRollout:
         )
         assert stats.env_steps == 2
 
-    def test_prompt_prepended_and_budgeted(self):
+    def test_prompt_prepended_and_budgeted(self, monkeypatch):
         state = tiny_state()
         demo = run_policy_episode(GridReach(seed=9), GridReachExpert())
-        cfg = RolloutConfig(prompt=demo, prompt_budget=6)
-        ctx_frames = policy._prompt_fragments(demo, cfg.prompt_budget, "gridreach")
-        assert sum(len(f) for f in ctx_frames) == 6
-        assert all((f.timestep < 0).all() for f in ctx_frames)
-        episode, _, stats = rollout(state, GridReach(seed=9), cfg)
+        seen = _spy_batches(monkeypatch)
+        _, _, stats = rollout(state, GridReach(seed=9), RolloutConfig(prompt=demo, prompt_budget=6))
         assert stats.prompted
+        first = seen[0]
+        prompt = first.timestep < 0
+        assert np.count_nonzero(prompt) == 6 and prompt[:6].all()
+        assert np.array_equal(first.tokens[:6], flatten_episode(demo).tokens[:6])
+        assert (first.timestep[6:] == 0).all()
+
+    @pytest.mark.parametrize(
+        "bad", [{"context_timesteps": 0}, {"prompt_budget": -3}, {"action_mode": "beam"}]
+    )
+    def test_bad_config_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            RolloutConfig(**bad)
 
     def test_evaluate_policy_mean(self):
         state = tiny_state()
         result = evaluate_policy(state, lambda s: GridReach(seed=s), RolloutConfig(), episodes=4)
         assert result.mean_return == pytest.approx(float(np.mean(result.returns)))
         assert len(result.episodes) == 4
+
+
+# SHA-256 over 192 rollouts: actions, return and stats of each, plus the
+# integer arrays and positions of every batch the model is asked for logits
+# on. Logits stay out, so the BLAS build cannot move it. Pinned while the
+# rollout context was still a list of per-timestep fragments.
+ROLLOUT_DIGEST = "59c79cc8e72808d9978d95266dbdfed0fa7bbc2c2b58c9bafb6b5c7993b1179c"
+
+
+def test_rollout_golden_digest(monkeypatch):
+    h = hashlib.sha256()
+    real_forward = policy.forward_logits
+
+    def recording_forward(params, cfg, batch, positions=None, **kwargs):
+        for name in ("tokens", "sources", "local_pos", "mask", "targets", "segments"):
+            arr = getattr(batch, name)
+            h.update(name.encode() + arr.dtype.str.encode() + repr(arr.shape).encode())
+            h.update(arr.tobytes())
+        h.update(np.asarray(positions, np.int64).tobytes())
+        return real_forward(params, cfg, batch, positions=positions, **kwargs)
+
+    monkeypatch.setattr(policy, "forward_logits", recording_forward)
+    states = {}
+    for action_mode in ("autoregressive", "parallel"):
+        cfg = micro_cfg(vocab=2049, width=32, kv_size=16, context=128, local_pos_table=32,
+                        zero_action_inputs=action_mode == "parallel")
+        states[action_mode] = ModelState(
+            cfg, init_params(cfg, seed=5, dtype=np.float64), RngStreams(0)
+        )
+    prompts = {
+        name: run_policy_episode(make_env(name, seed=99), make_expert(name)) for name in ENV_NAMES
+    }
+    grid = list(itertools.product(
+        states, ENV_NAMES, (False, True), (1024, 12), (None, 1, 2), ("greedy", "temperature")
+    ))
+    for action_mode, env_name, prompted, context, context_timesteps, sampling in grid:
+        rcfg = RolloutConfig(
+            prompt=prompts[env_name] if prompted else None, context=context,
+            sampling=sampling, temperature=0.7, action_mode=action_mode,
+            context_timesteps=context_timesteps,
+        )
+        episode, ret, stats = rollout(
+            states[action_mode], make_env(env_name, seed=3), rcfg, np.random.default_rng(8)
+        )
+        actions = [np.asarray(ts.action[1]).tolist() for ts in episode.timesteps]
+        h.update(repr((actions, ret, stats)).encode())
+    assert len(grid) == 192
+    assert h.hexdigest() == ROLLOUT_DIGEST

@@ -2,19 +2,35 @@
 
 ``perfbench/bench_trace.py`` wraps ``owner.__dict__[attr]`` for each trace
 point, so a rename in the program breaks a traced benchmark run. This test
-reads that table and fails on the rename instead.
+reads that table and fails on the rename instead. A name that stays imported
+but is no longer called would silently zero the benchmark's numbers, so a
+traced rollout must also reach every ``policy`` trace point.
 """
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from seqpolicy import model as M
+from seqpolicy.corpora import run_policy_episode
+from seqpolicy.envs import GridReach, GridReachExpert
+from seqpolicy.policy import RolloutConfig
+
+from conftest import micro_cfg
+
 BENCH_TRACE = Path(__file__).resolve().parents[1] / "perfbench" / "bench_trace.py"
 
 
-def test_every_trace_point_resolves():
+def _bench_trace():
     spec = importlib.util.spec_from_file_location("_bench_trace_points", BENCH_TRACE)
     bench_trace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_trace)
+    return bench_trace
+
+
+def test_every_trace_point_resolves():
+    bench_trace = _bench_trace()
     assert bench_trace.TRACE_POINTS
     missing = [
         f"{owner.__name__}.{attr}"
@@ -22,3 +38,22 @@ def test_every_trace_point_resolves():
         if not callable(vars(owner).get(attr))
     ]
     assert not missing, f"trace points that no longer resolve: {missing}"
+
+
+def test_prompted_rollout_reaches_every_policy_trace_point():
+    bench_trace = _bench_trace()
+    policy = bench_trace.policy
+    cfg = micro_cfg(vocab=2049, context=64)
+    state = M.ModelState(cfg, M.init_params(cfg, seed=1), M.RngStreams(0))
+    prompt = run_policy_episode(GridReach(seed=2), GridReachExpert())
+    tracer = bench_trace.Tracer()
+    tracer.install()
+    try:
+        policy.rollout(state, GridReach(seed=3), RolloutConfig(prompt=prompt),
+                       np.random.default_rng(0))
+    finally:
+        tracer.uninstall()
+    recorded = {span[0] for span in tracer.spans}
+    expected = {name for owner, _, name in bench_trace.TRACE_POINTS if owner is policy}
+    assert len(expected) == 6
+    assert not expected - recorded, f"trace points never reached: {expected - recorded}"
