@@ -2,8 +2,13 @@
 
 Configuration comes from a text key-value file with command-line overrides
 (``--set key=value``); flags beat the config file, which beats defaults.
-Every run prints and stores its fully resolved configuration. Unknown keys
-are errors.
+The keys of ``pretrain``/``finetune`` are the fields of ``TrainConfig``
+(with its schedule and optimizer fields) or ``FinetuneConfig``,
+``model.<field>`` for ``ModelConfig``, and the command-line keys
+``manifest``, ``out_dir``, ``preset``, ``checkpoint``, ``seed``,
+``model.preset``, plus ``target_domain`` (pretrain) or ``env`` and
+``eval_rollouts`` (finetune). Every run prints and stores its fully
+resolved configuration. Unknown keys are errors.
 
 Exit codes: 0 success, 2 usage/config error, 3 data error, 4 numeric abort.
 """
@@ -14,7 +19,9 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -51,8 +58,6 @@ from .policy import RolloutConfig, evaluate_policy
 from .sequencer import ElementSource, Episode, episode_layout, flatten_episode, mask_of
 from .trainer import (
     FinetuneConfig,
-    OptimizerConfig,
-    ScheduleConfig,
     TrainConfig,
     ablation_manifests,
     eval_protocol,
@@ -72,103 +77,52 @@ EXIT_NUMERIC = 4
 # run configuration
 # ---------------------------------------------------------------------------
 
-_MODEL_KEYS = {
-    "model.preset": str,
-    "model.blocks": int,
-    "model.heads": int,
-    "model.width": int,
-    "model.ff_hidden": int,
-    "model.kv_size": int,
-    "model.context": int,
-    "model.vocab": int,
-    "model.local_pos_table": int,
-    "model.patch_pos_vocab": int,
-    "model.patch_channels": int,
-    "model.stochastic_depth": float,
-    "model.dropout": float,
-    "model.zero_action_inputs": bool,
+# Keys of the command line itself; every other key is a config dataclass
+# field. (type, default); a MISSING default leaves the key out unless set.
+_SHARED_CLI_KEYS = {
+    "manifest": (str, MISSING),
+    "preset": (str, "all"),
+    "checkpoint": (str, ""),
+    "seed": (int, 0),
+    "model.preset": (str, "tiny"),
+}
+_CLI_KEYS = {
+    "pretrain": {**_SHARED_CLI_KEYS, "out_dir": (str, "runs/pretrain"), "target_domain": (str, "")},
+    "finetune": {**_SHARED_CLI_KEYS, "out_dir": (str, "runs/finetune"), "env": (str, ""),
+                 "eval_rollouts": (int, 10)},
 }
 
-_COMMAND_KEYS: dict[str, dict[str, type]] = {
-    "pretrain": {
-        "manifest": str,
-        "out_dir": str,
-        "steps": int,
-        "batch_size": int,
-        "seq_len": int,
-        "warmup_steps": int,
-        "lr_start": float,
-        "lr_max": float,
-        "decay_steps": int,
-        "decay_factor": float,
-        "beta1": float,
-        "beta2": float,
-        "eps": float,
-        "weight_decay": float,
-        "prompt_probability": float,
-        "checkpoint_every": int,
-        "preset": str,
-        "target_domain": str,
-        "checkpoint": str,
-        "seed": int,
-        **_MODEL_KEYS,
-    },
-    "finetune": {
-        "manifest": str,
-        "out_dir": str,
-        "checkpoint": str,
-        "preset": str,
-        "steps": int,
-        "batch_size": int,
-        "seq_len": int,
-        "lr": float,
-        "eval_every": int,
-        "eval_rollouts": int,
-        "prompt_probability": float,
-        "env": str,
-        "seed": int,
-        **_MODEL_KEYS,
-    },
-}
 
-_DEFAULTS: dict[str, dict] = {
-    "pretrain": {
-        "out_dir": "runs/pretrain",
-        "steps": 100,
-        "batch_size": 16,
-        "seq_len": 256,
-        "warmup_steps": 15_000,
-        "lr_start": 1e-7,
-        "lr_max": 1e-4,
-        "decay_steps": 1_000_000,
-        "decay_factor": 10.0,
-        "beta1": 0.9,
-        "beta2": 0.95,
-        "eps": 1e-8,
-        "weight_decay": 0.1,
-        "prompt_probability": 0.25,
-        "checkpoint_every": 500,
-        "preset": "all",
-        "target_domain": "",
-        "checkpoint": "",
-        "seed": 0,
-        "model.preset": "tiny",
-    },
-    "finetune": {
-        "out_dir": "runs/finetune",
-        "checkpoint": "",
-        "preset": "all",
-        "steps": 10_000,
-        "batch_size": 64,
-        "seq_len": 256,
-        "lr": 1e-5,
-        "eval_every": 100,
-        "eval_rollouts": 10,
-        "prompt_probability": 0.25,
-        "env": "",
-        "seed": 0,
-        "model.preset": "tiny",
-    },
+def _typed_fields(cls) -> list[tuple[str, type, object]]:
+    hints = get_type_hints(cls)
+    return [(f.name, hints[f.name], f.default) for f in fields(cls)]
+
+
+def _config_keys(cls) -> dict[str, tuple[type, object]]:
+    """Key -> (type, default) per field; nested config dataclasses flatten
+    to their own field names."""
+    keys = {}
+    for name, kind, default in _typed_fields(cls):
+        keys.update(_config_keys(kind) if is_dataclass(kind) else {name: (kind, default)})
+    return keys
+
+
+def _build(cls, resolved: dict):
+    """``cls`` from the resolved keys, nested config dataclasses included."""
+    return cls(**{
+        name: _build(kind, resolved) if is_dataclass(kind) else resolved[name]
+        for name, kind, _ in _typed_fields(cls)
+    })
+
+
+_SCHEMA = {
+    command: {
+        **_config_keys(cls),
+        # the model preset decides every ModelConfig field left unset
+        **{f"model.{k}": (kind, MISSING) for k, (kind, _) in _config_keys(ModelConfig).items()},
+        **_CLI_KEYS[command],
+    }
+    for command, cls in (("pretrain", TrainConfig), ("finetune", FinetuneConfig))
 }
 
 
@@ -202,8 +156,8 @@ def parse_config_file(path) -> dict[str, str]:
 
 
 def resolve_config(command: str, config_path, overrides: list[str], seed_flag) -> dict:
-    schema = _COMMAND_KEYS[command]
-    resolved = dict(_DEFAULTS[command])
+    schema = _SCHEMA[command]
+    resolved = {key: default for key, (_, default) in schema.items() if default is not MISSING}
     raw: dict[str, str] = {}
     if config_path:
         raw.update(parse_config_file(config_path))
@@ -216,7 +170,7 @@ def resolve_config(command: str, config_path, overrides: list[str], seed_flag) -
     if unknown:
         raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
     for key, value in raw.items():
-        resolved[key] = _coerce(key, value, schema[key])
+        resolved[key] = _coerce(key, value, schema[key][0])
     if seed_flag is not None:
         resolved["seed"] = int(seed_flag)
     elif os.environ.get(SEED_ENV_VAR) and "seed" not in raw:
@@ -235,7 +189,7 @@ def _log_resolved(command: str, resolved: dict, out_dir: Path | None) -> None:
 
 
 def build_model_config(resolved: dict) -> ModelConfig:
-    preset = resolved.get("model.preset", "tiny")
+    preset = resolved["model.preset"]
     if preset == "tiny":
         cfg = tiny()
     elif preset == "micro":
@@ -247,7 +201,7 @@ def build_model_config(resolved: dict) -> ModelConfig:
     overrides = {
         key.split(".", 1)[1]: value
         for key, value in resolved.items()
-        if key.startswith("model.") and key != "model.preset" and value is not None
+        if key.startswith("model.") and key != "model.preset"
     }
     return cfg.replace(**overrides) if overrides else cfg
 
@@ -325,26 +279,7 @@ def cmd_pretrain(args) -> int:
         seq_len=resolved["seq_len"],
         rng=np.random.default_rng(seed),
     )
-    cfg = TrainConfig(
-        steps=resolved["steps"],
-        batch_size=resolved["batch_size"],
-        seq_len=resolved["seq_len"],
-        schedule=ScheduleConfig(
-            warmup_steps=resolved["warmup_steps"],
-            lr_start=resolved["lr_start"],
-            lr_max=resolved["lr_max"],
-            decay_steps=resolved["decay_steps"],
-            decay_factor=resolved["decay_factor"],
-        ),
-        optim=OptimizerConfig(
-            beta1=resolved["beta1"],
-            beta2=resolved["beta2"],
-            eps=resolved["eps"],
-            weight_decay=resolved["weight_decay"],
-        ),
-        prompt_probability=resolved["prompt_probability"],
-        checkpoint_every=resolved["checkpoint_every"],
-    )
+    cfg = _build(TrainConfig, resolved)
     result = pretrain(sampler, state, cfg, out_dir=out_dir, log_path=out_dir / "metrics.log")
     final_loss = result.metrics.column("loss_mean")[-1] if result.metrics.lines else float("nan")
     print(f"final loss_mean={final_loss!r} prompted_fraction={result.prompted_fraction!r}")
@@ -382,14 +317,7 @@ def cmd_finetune(args) -> int:
                                      RolloutConfig(), rollouts, seed=10_000)
             return result.mean_return
 
-    cfg = FinetuneConfig(
-        steps=resolved["steps"],
-        batch_size=resolved["batch_size"],
-        seq_len=resolved["seq_len"],
-        lr=resolved["lr"],
-        prompt_probability=resolved["prompt_probability"],
-        eval_every=resolved["eval_every"],
-    )
+    cfg = _build(FinetuneConfig, resolved)
     result = finetune(state, sampler, cfg, eval_fn=eval_fn,
                       out_dir=out_dir, log_path=out_dir / "metrics.log")
     if result.eval_scores:

@@ -11,7 +11,6 @@ from .network import (
     hidden_fwd,
     init_params,
     loss_and_grads,
-    masked_nll_loss,
     parameter_count,
     validate_gradients,
     zero_grads,
@@ -34,7 +33,6 @@ __all__ = [
     "init_params",
     "load_checkpoint",
     "loss_and_grads",
-    "masked_nll_loss",
     "micro",
     "parameter_count",
     "patch_position_index",

@@ -352,32 +352,6 @@ class LossResult:
         return self.total / self.masked_tokens if self.masked_tokens else 0.0
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
-def masked_nll_loss(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray) -> LossResult:
-    """-sum over masked positions of log softmax(logits)[target].
-
-    ``logits``: (..., V); ``targets`` and ``mask`` match the leading shape.
-    Positions with mask 0 contribute exactly zero whatever their target says.
-    An all-zero mask yields a defined 0 loss.
-    """
-    flat_logits = logits.reshape(-1, logits.shape[-1])
-    flat_targets = np.asarray(targets).reshape(-1)
-    flat_mask = np.asarray(mask).reshape(-1)
-    sel = np.nonzero(flat_mask != 0)[0]
-    if sel.size == 0:
-        return LossResult(total=0.0, masked_tokens=0)
-    picked = flat_targets[sel]
-    if picked.min() < 0 or picked.max() >= logits.shape[-1]:
-        raise ValueError("masked position has no concrete target token")
-    logp = _log_softmax(flat_logits[sel].astype(np.float64))
-    nll = -logp[np.arange(sel.size), picked]
-    return LossResult(total=float(nll.sum()), masked_tokens=int(sel.size))
-
-
 def loss_and_grads(
     params: dict,
     cfg: ModelConfig,

@@ -44,13 +44,17 @@ class RolloutConfig:
     prompt_budget: int = 1024
     context: int = 1024
     sampling: str = "greedy"  # "greedy" or "temperature"
-    temperature: float = 1.0
+    temperature: float = 1.0  # 0 samples greedily
     action_mode: str = "autoregressive"  # or "parallel"
     context_timesteps: int | None = None  # low-latency mode: 1
 
     def __post_init__(self):
         if self.action_mode not in ("autoregressive", "parallel"):
             raise ConfigError(f"unknown action_mode {self.action_mode!r}")
+        if self.sampling not in ("greedy", "temperature"):
+            raise ConfigError(f"unknown sampling {self.sampling!r}")
+        if self.temperature < 0:
+            raise ConfigError(f"temperature must be >= 0, got {self.temperature}")
         if self.prompt_budget < 0:
             raise ConfigError(f"prompt_budget must be >= 0, got {self.prompt_budget}")
         if self.context_timesteps is not None and self.context_timesteps < 1:

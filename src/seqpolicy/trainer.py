@@ -19,7 +19,6 @@ from .datastore import MixtureSampler
 from .errors import CapacityError, NonFiniteAbort
 from .framing import atomic_writer
 from .model import ModelState, loss_and_grads, save_checkpoint
-from .model.config import ModelConfig
 from .sequencer import apply_prompt, assemble_batch
 
 
@@ -190,7 +189,7 @@ def moving_average(values, window: int) -> list[float]:
 
 @dataclass
 class TrainConfig:
-    steps: int
+    steps: int = 100
     batch_size: int = 16
     seq_len: int = 256
     schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
@@ -341,7 +340,6 @@ class FinetuneConfig:
     lr: float = 1e-5
     prompt_probability: float = 0.25
     eval_every: int = 100
-    checkpoint_every: int = 0
 
 
 def finetune(
@@ -370,7 +368,7 @@ def finetune(
         seq_len=cfg.seq_len,
         optim=OptimizerConfig(weight_decay=0.0),
         prompt_probability=cfg.prompt_probability,
-        checkpoint_every=cfg.checkpoint_every,
+        checkpoint_every=0,
     )
     return _train_loop(
         state,
@@ -396,20 +394,8 @@ def eval_protocol(scores: list[float], window: int = 5) -> float:
 
 
 # ---------------------------------------------------------------------------
-# scaling and ablation harnesses
+# ablation harness
 # ---------------------------------------------------------------------------
-
-def scaling_ladder(context: int = 128) -> list[ModelConfig]:
-    """Three shapes with strictly increasing parameter counts."""
-    return [
-        ModelConfig(blocks=2, heads=2, width=32, ff_hidden=128, kv_size=16,
-                    context=context, stochastic_depth=0.1, dropout=0.1),
-        ModelConfig(blocks=2, heads=4, width=64, ff_hidden=256, kv_size=16,
-                    context=context, stochastic_depth=0.1, dropout=0.1),
-        ModelConfig(blocks=4, heads=4, width=96, ff_hidden=384, kv_size=24,
-                    context=context, stochastic_depth=0.1, dropout=0.1),
-    ]
-
 
 ABLATION_ARMS = ("all", "same_domain", "no_control", "scratch")
 

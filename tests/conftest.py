@@ -260,3 +260,27 @@ def manual_sequence(spec, seed=0, task_id="manual", dataset=None):
         task_id=task_id,
         dataset=dataset,
     )
+
+
+def masked_nll_loss(logits: np.ndarray, targets, mask) -> M.LossResult:
+    """Reference loss, independent of the fused one in ``loss_and_grads``:
+    -sum over masked positions of log softmax(logits)[target].
+
+    ``logits``: (..., V); ``targets`` and ``mask`` match the leading shape.
+    Positions with mask 0 contribute exactly zero whatever their target says.
+    An all-zero mask yields a defined 0 loss.
+    """
+    flat_logits = logits.reshape(-1, logits.shape[-1])
+    flat_targets = np.asarray(targets).reshape(-1)
+    flat_mask = np.asarray(mask).reshape(-1)
+    sel = np.nonzero(flat_mask != 0)[0]
+    if sel.size == 0:
+        return M.LossResult(total=0.0, masked_tokens=0)
+    picked = flat_targets[sel]
+    if picked.min() < 0 or picked.max() >= logits.shape[-1]:
+        raise ValueError("masked position has no concrete target token")
+    shifted = flat_logits[sel].astype(np.float64)
+    shifted -= shifted.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    nll = -logp[np.arange(sel.size), picked]
+    return M.LossResult(total=float(nll.sum()), masked_tokens=int(sel.size))

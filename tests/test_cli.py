@@ -1,8 +1,11 @@
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
+from seqpolicy import cli
 from seqpolicy.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -29,6 +32,7 @@ from seqpolicy.framing import frame, unframe
 from seqpolicy.policy import RolloutConfig, evaluate_policy
 from seqpolicy.sequencer import ElementSource, Episode, Timestep, flatten_episode
 from seqpolicy.codec import TensorSchema
+from seqpolicy.trainer import FinetuneConfig, OptimizerConfig, ScheduleConfig, TrainConfig
 
 from conftest import manual_sequence, micro_cfg, one_stream_record, rich_episode
 
@@ -81,6 +85,205 @@ class TestConfigResolution:
         assert resolved["model.zero_action_inputs"] is True
         with pytest.raises(ConfigError):
             resolve_config("pretrain", None, ["model.zero_action_inputs=maybe"], None)
+
+    def test_nested_keys_reach_train_config(self, tmp_path, monkeypatch):
+        class Captured(Exception):
+            pass
+
+        def spy(sampler, state, cfg, **kwargs):
+            raise Captured(cfg)
+
+        monkeypatch.setattr(cli, "pretrain", spy)
+        with pytest.raises(Captured) as exc:
+            main(["pretrain", *_sets(f"manifest={_grid_manifest(tmp_path)}", "seq_len=32",
+                                     "model.preset=micro", f"out_dir={tmp_path / 'run'}",
+                                     "weight_decay=0.05", "warmup_steps=7")])
+        [cfg] = exc.value.args
+        assert cfg.optim == OptimizerConfig(weight_decay=0.05)
+        assert cfg.schedule == ScheduleConfig(warmup_steps=7)
+        assert (cfg.steps, cfg.batch_size, cfg.seq_len) == (100, 16, 32)
+
+    @pytest.mark.parametrize("command, classes", [
+        ("pretrain", (TrainConfig, ScheduleConfig, OptimizerConfig)),
+        ("finetune", (FinetuneConfig,)),
+    ])
+    def test_every_config_field_is_a_key(self, command, classes):
+        keys = [f"model.{f.name}" for f in fields(M.ModelConfig)]
+        for cls in classes:
+            hints = get_type_hints(cls)
+            keys += [f.name for f in fields(cls) if not is_dataclass(hints[f.name])]
+        for key in keys:
+            assert resolve_config(command, None, [f"{key}=1"], None)[key] == 1, key
+
+
+_PRETRAIN_DEFAULTS = [
+    "pretrain.batch_size = 16",
+    "pretrain.beta1 = 0.9",
+    "pretrain.beta2 = 0.95",
+    "pretrain.checkpoint = ",
+    "pretrain.checkpoint_every = 500",
+    "pretrain.decay_factor = 10.0",
+    "pretrain.decay_steps = 1000000",
+    "pretrain.eps = 1e-08",
+    "pretrain.lr_max = 0.0001",
+    "pretrain.lr_start = 1e-07",
+    "pretrain.model.preset = tiny",
+    "pretrain.out_dir = runs/pretrain",
+    "pretrain.preset = all",
+    "pretrain.prompt_probability = 0.25",
+    "pretrain.seed = 0",
+    "pretrain.seq_len = 256",
+    "pretrain.steps = 100",
+    "pretrain.target_domain = ",
+    "pretrain.warmup_steps = 15000",
+    "pretrain.weight_decay = 0.1",
+]
+
+_FINETUNE_DEFAULTS = [
+    "finetune.batch_size = 64",
+    "finetune.checkpoint = ",
+    "finetune.env = ",
+    "finetune.eval_every = 100",
+    "finetune.eval_rollouts = 10",
+    "finetune.lr = 1e-05",
+    "finetune.model.preset = tiny",
+    "finetune.out_dir = runs/finetune",
+    "finetune.preset = all",
+    "finetune.prompt_probability = 0.25",
+    "finetune.seed = 0",
+    "finetune.seq_len = 256",
+    "finetune.steps = 10000",
+]
+
+_README_PRETRAIN = [
+    "pretrain.batch_size = 16",
+    "pretrain.beta1 = 0.9",
+    "pretrain.beta2 = 0.95",
+    "pretrain.checkpoint = ",
+    "pretrain.checkpoint_every = 500",
+    "pretrain.decay_factor = 10.0",
+    "pretrain.decay_steps = 630",
+    "pretrain.eps = 1e-08",
+    "pretrain.lr_max = 0.001",
+    "pretrain.lr_start = 1e-07",
+    "pretrain.manifest = corpus/filtered/manifest.cfg",
+    "pretrain.model.preset = tiny",
+    "pretrain.out_dir = runs/grid",
+    "pretrain.preset = all",
+    "pretrain.prompt_probability = 0.25",
+    "pretrain.seed = 0",
+    "pretrain.seq_len = 32",
+    "pretrain.steps = 700",
+    "pretrain.target_domain = ",
+    "pretrain.warmup_steps = 70",
+    "pretrain.weight_decay = 0.1",
+]
+
+_MICRO_PRETRAIN = [
+    "pretrain.batch_size = 2",
+    "pretrain.beta1 = 0.9",
+    "pretrain.beta2 = 0.95",
+    "pretrain.checkpoint = ",
+    "pretrain.checkpoint_every = 0",
+    "pretrain.decay_factor = 10.0",
+    "pretrain.decay_steps = 1000000",
+    "pretrain.eps = 1e-08",
+    "pretrain.lr_max = 0.0001",
+    "pretrain.lr_start = 1e-07",
+    "pretrain.manifest = absent.cfg",
+    "pretrain.model.dropout = 0.25",
+    "pretrain.model.local_pos_table = 16",
+    "pretrain.model.preset = micro",
+    "pretrain.model.vocab = 33025",
+    "pretrain.model.zero_action_inputs = True",
+    "pretrain.out_dir = runs/micro",
+    "pretrain.preset = all",
+    "pretrain.prompt_probability = 0.25",
+    "pretrain.seed = 3",
+    "pretrain.seq_len = 32",
+    "pretrain.steps = 5",
+    "pretrain.target_domain = ",
+    "pretrain.warmup_steps = 15000",
+    "pretrain.weight_decay = 0.1",
+]
+
+_FINETUNE_OVERRIDES = [
+    "finetune.batch_size = 64",
+    "finetune.checkpoint = old.ckpt",
+    "finetune.env = gridreach",
+    "finetune.eval_every = 100",
+    "finetune.eval_rollouts = 3",
+    "finetune.lr = 0.0003",
+    "finetune.manifest = absent.cfg",
+    "finetune.model.preset = tiny",
+    "finetune.out_dir = runs/ft",
+    "finetune.preset = all",
+    "finetune.prompt_probability = 0.25",
+    "finetune.seed = 0",
+    "finetune.seq_len = 256",
+    "finetune.steps = 10000",
+]
+
+
+def _sets(*items):
+    return [arg for item in items for arg in ("--set", item)]
+
+
+# Each run stops before training: at the missing manifest key (exit 2) or the
+# absent manifest file (exit 3), after writing its resolved config.
+GOLDEN_RESOLVED = {
+    "pretrain-defaults": (["pretrain"], "runs/pretrain", EXIT_CONFIG, _PRETRAIN_DEFAULTS),
+    "finetune-defaults": (["finetune"], "runs/finetune", EXIT_CONFIG, _FINETUNE_DEFAULTS),
+    "readme-walkthrough": (
+        ["pretrain", *_sets("manifest=corpus/filtered/manifest.cfg", "steps=700", "seq_len=32",
+                            "warmup_steps=70", "lr_max=1e-3", "decay_steps=630",
+                            "out_dir=runs/grid"), "--seed", "0"],
+        "runs/grid", EXIT_DATA, _README_PRETRAIN,
+    ),
+    "micro-model-overrides": (
+        ["pretrain", *_sets("manifest=absent.cfg", "steps=5", "batch_size=2", "seq_len=32",
+                            "checkpoint_every=0", "model.preset=micro", "model.vocab=33025",
+                            "model.local_pos_table=16", "model.zero_action_inputs=yes",
+                            "model.dropout=0.25", "out_dir=runs/micro"), "--seed", "3"],
+        "runs/micro", EXIT_DATA, _MICRO_PRETRAIN,
+    ),
+    "finetune-overrides": (
+        ["finetune", *_sets("manifest=absent.cfg", "checkpoint=old.ckpt", "env=gridreach",
+                            "eval_rollouts=3", "lr=3e-4", "out_dir=runs/ft")],
+        "runs/ft", EXIT_DATA, _FINETUNE_OVERRIDES,
+    ),
+}
+
+
+class TestResolvedConfigGolden:
+    """Resolved configs and config errors, pinned byte for byte."""
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_RESOLVED))
+    def test_resolved_config_bytes(self, tmp_path, monkeypatch, capsys, case):
+        argv, out_dir, code, lines = GOLDEN_RESOLVED[case]
+        monkeypatch.delenv("SEQPOLICY_SEED", raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == code
+        expected = "".join(f"{line}\n" for line in lines)
+        assert (tmp_path / out_dir / "resolved_config.txt").read_bytes() == expected.encode()
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("command, item, message", [
+        ("pretrain", "nonsense=1", "unknown config keys for pretrain: ['nonsense']"),
+        ("pretrain", "steps=many", "steps: expected int, got 'many'"),
+        ("pretrain", "lr_max=fast", "lr_max: expected float, got 'fast'"),
+        ("pretrain", "model.zero_action_inputs=maybe",
+         "model.zero_action_inputs: expected a boolean, got 'maybe'"),
+        ("finetune", "warmup_steps=3", "unknown config keys for finetune: ['warmup_steps']"),
+        ("finetune", "checkpoint_every=0",
+         "unknown config keys for finetune: ['checkpoint_every']"),
+    ])
+    def test_config_error_messages(self, capsys, command, item, message):
+        with pytest.raises(ConfigError) as exc:
+            resolve_config(command, None, [item], None)
+        assert str(exc.value) == message
+        assert main([command, "--set", item]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestFilterCommand:
@@ -271,7 +474,8 @@ class TestRolloutCommand:
         expected = evaluate_policy(state, lambda s: make_env("gridreach", s), rollout_cfg, 3, seed=4)
         assert printed == expected.returns
 
-    @pytest.mark.parametrize("flag", [("--context-timesteps", "0"), ("--prompt-budget", "-3")])
+    @pytest.mark.parametrize("flag", [("--context-timesteps", "0"), ("--prompt-budget", "-3"),
+                                      ("--temperature", "-1")])
     def test_bad_context_flags_exit_2(self, tmp_path, capsys, flag):
         path = tmp_path / "model.ckpt"
         cfg = micro_cfg(context=64)

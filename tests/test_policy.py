@@ -207,11 +207,23 @@ class TestRollout:
         assert (first.timestep[6:] == 0).all()
 
     @pytest.mark.parametrize(
-        "bad", [{"context_timesteps": 0}, {"prompt_budget": -3}, {"action_mode": "beam"}]
+        "bad", [{"context_timesteps": 0}, {"prompt_budget": -3}, {"action_mode": "beam"},
+                {"sampling": "temperature", "temperature": -1.0}, {"temperature": -0.5},
+                {"sampling": "nucleus"}]
     )
     def test_bad_config_rejected(self, bad):
         with pytest.raises(ConfigError):
             RolloutConfig(**bad)
+
+    def test_temperature_zero_is_greedy(self):
+        state = tiny_state()
+        episodes = [
+            rollout(state, GridReach(seed=5), cfg, np.random.default_rng(seed))[0]
+            for cfg, seed in ((RolloutConfig(sampling="temperature", temperature=0.0), 1),
+                              (RolloutConfig(sampling="greedy"), 2))
+        ]
+        tokens = [flatten_episode(ep).tokens for ep in episodes]
+        assert np.array_equal(tokens[0], tokens[1])
 
     def test_evaluate_policy_mean(self):
         state = tiny_state()

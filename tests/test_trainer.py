@@ -22,7 +22,6 @@ from seqpolicy.trainer import (
     moving_average,
     optimizer_step,
     pretrain,
-    scaling_ladder,
 )
 
 
@@ -344,6 +343,18 @@ class TestFinetune:
         assert len(calls) == 3
         assert result.eval_scores == [1.0, 2.0, 3.0]
         assert eval_protocol(result.eval_scores) == 2.0  # trailing mean of [1,2,3]
+
+
+def scaling_ladder(context: int = 128) -> list[ModelConfig]:
+    """Three shapes with strictly increasing parameter counts."""
+    return [
+        ModelConfig(blocks=2, heads=2, width=32, ff_hidden=128, kv_size=16,
+                    context=context, stochastic_depth=0.1, dropout=0.1),
+        ModelConfig(blocks=2, heads=4, width=64, ff_hidden=256, kv_size=16,
+                    context=context, stochastic_depth=0.1, dropout=0.1),
+        ModelConfig(blocks=4, heads=4, width=96, ff_hidden=384, kv_size=24,
+                    context=context, stochastic_depth=0.1, dropout=0.1),
+    ]
 
 
 class TestHarnesses:

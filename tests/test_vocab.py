@@ -18,7 +18,7 @@ from seqpolicy.model.network import embed_batch, embed_bwd, hidden_bwd, hidden_f
 from seqpolicy.policy import RolloutConfig, rollout
 from seqpolicy.sequencer import assemble_batch
 
-from conftest import MIXED_LEN, manual_sequence, micro_cfg, mixed_items
+from conftest import MIXED_LEN, manual_sequence, masked_nll_loss, micro_cfg, mixed_items
 
 FULL = codec.VOCAB_SIZE
 COMPACT = codec.COMPACT_VOCAB
@@ -178,7 +178,7 @@ def test_compact_gradients_match_finite_differences():
     def dense_loss():
         logits = M.forward_logits(params, cfg, batch)
         targets = np.where(batch.shifted_mask() == 1, rows_of[batch.shifted_targets()], -1)
-        return M.masked_nll_loss(logits, targets, batch.shifted_mask()).total
+        return masked_nll_loss(logits, targets, batch.shifted_mask()).total
 
     res, grads = M.loss_and_grads(params, cfg, batch, mode="eval")
     assert res.total == pytest.approx(dense_loss(), rel=1e-12)
