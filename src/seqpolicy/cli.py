@@ -57,6 +57,7 @@ from .model import (
 from .policy import RolloutConfig, evaluate_policy
 from .sequencer import ElementSource, Episode, episode_layout, flatten_episode, mask_of
 from .trainer import (
+    ABLATION_ARMS,
     FinetuneConfig,
     TrainConfig,
     ablation_manifests,
@@ -171,6 +172,8 @@ def resolve_config(command: str, config_path, overrides: list[str], seed_flag) -
         raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
     for key, value in raw.items():
         resolved[key] = _coerce(key, value, schema[key][0])
+    if (arm := resolved["preset"]) not in ABLATION_ARMS:
+        raise ConfigError(f"unknown ablation arm {arm!r}; choose from {ABLATION_ARMS}")
     if seed_flag is not None:
         resolved["seed"] = int(seed_flag)
     elif os.environ.get(SEED_ENV_VAR) and "seed" not in raw:
@@ -333,12 +336,12 @@ def cmd_rollout(args) -> int:
     warnings: list[str] = []
     prompt = None
     if args.prompt:
-        if Path(args.prompt).exists():
-            prompt_eps = read_episodes(args.prompt)
-            if prompt_eps:
-                prompt = prompt_eps[0]
-        else:
+        if not Path(args.prompt).exists():
             warnings.append(f"prompt file {args.prompt} absent; rolling out unprompted")
+        elif not (prompt_eps := read_episodes(args.prompt)):
+            warnings.append(f"prompt file {args.prompt} holds no episodes; rolling out unprompted")
+        else:
+            prompt = prompt_eps[0]
     if prompt is None and args.env.startswith("bandit"):
         warnings.append(f"{args.env} is prompt-disambiguated; unprompted rollouts are a coin flip")
     for w in warnings:
@@ -365,8 +368,7 @@ def cmd_rollout(args) -> int:
             prompt=prompt,
             prompt_budget=args.prompt_budget,
             context=args.context,
-            sampling="temperature" if args.temperature is not None else "greedy",
-            temperature=args.temperature if args.temperature is not None else 1.0,
+            temperature=args.temperature,
             action_mode="parallel" if args.parallel else "autoregressive",
             context_timesteps=args.context_timesteps,
         )
@@ -467,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prompt-budget", type=int, default=1024)
     p.add_argument("--context", type=int, default=1024)
     p.add_argument("--context-timesteps", type=int, default=None)
-    p.add_argument("--temperature", type=float, default=None)
+    p.add_argument("--temperature", type=float, default=0.0)
     p.add_argument("--parallel", action="store_true")
     p.add_argument("--expert", action="store_true")
     p.add_argument("--out", default="")

@@ -2,10 +2,11 @@
 
 The unified vocabulary packs four modalities into integer ids:
 
-* text subwords occupy ``[0, 32000)`` (byte-level default tokenizer),
+* text is its UTF-8 bytes, so its ids stay in ``[0, 256)`` of the text
+  range ``[0, 32000)``,
 * discrete values map identically into ``[0, 1024)``,
-* continuous values are mu-law companded, clipped to ``[-1, 1]``,
-  quantized into 1024 uniform bins and shifted to ``[32000, 33024)``,
+* continuous values are mu-law companded (mu = 100, M = 256), clipped to
+  ``[-1, 1]``, quantized into 1024 uniform bins and shifted to ``[32000, 33024)``,
 * ``33024`` is the observation/action separator.
 
 Images never become token ids; they are cut into non-overlapping 16x16
@@ -37,27 +38,17 @@ COMPACT_VOCAB = DISCRETE_VOCAB + CONTINUOUS_BINS + 1  # the ids bytes and the co
 PATCH_SIZE = 16
 PATCH_SCALE = math.sqrt(PATCH_SIZE)  # pixel values divided by sqrt(16) = 4
 
+# mu-law companding constants; they compress ``[-256, 256]`` onto ``[-1, 1]``
+MU_LAW_MU = 100.0
+MU_LAW_M = 256.0
+_MU_LAW_LOG_TOP = np.log1p(MU_LAW_M * MU_LAW_MU)
+
 
 class Modality(enum.Enum):
     TEXT = "text"
     IMAGE = "image"
     DISCRETE = "discrete"
     CONTINUOUS = "continuous"
-
-
-@dataclass(frozen=True)
-class MuLawParams:
-    """Companding constants; the defaults compress ``[-256, 256]`` onto ``[-1, 1]``."""
-
-    mu: float = 100.0
-    M: float = 256.0
-
-    def __post_init__(self):
-        if not (self.mu > 0 and self.M > 0):
-            raise ValueError(f"mu and M must be positive, got mu={self.mu}, M={self.M}")
-
-
-DEFAULT_MU_LAW = MuLawParams()
 
 
 @dataclass(frozen=True)
@@ -152,28 +143,27 @@ class TensorSchema:
 # mu-law companding
 # ---------------------------------------------------------------------------
 
-def mu_law_compand(x, params: MuLawParams = DEFAULT_MU_LAW):
+def mu_law_compand(x):
     """sgn(x) * log(|x| * mu + 1) / log(M * mu + 1). Accepts scalars or arrays."""
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValueError("mu_law_compand: input must be finite")
-    out = _compand(arr, params)
+    out = _compand(arr)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
-def _compand(arr: np.ndarray, params: MuLawParams) -> np.ndarray:
-    return np.sign(arr) * np.log1p(params.mu * np.abs(arr)) / np.log1p(params.M * params.mu)
+def _compand(arr: np.ndarray) -> np.ndarray:
+    return np.sign(arr) * np.log1p(MU_LAW_MU * np.abs(arr)) / _MU_LAW_LOG_TOP
 
 
-def mu_law_expand(y, params: MuLawParams = DEFAULT_MU_LAW):
+def mu_law_expand(y):
     """Exact analytic inverse of :func:`mu_law_compand` on ``[-1, 1]``."""
     arr = np.asarray(y, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValueError("mu_law_expand: input must be finite")
     if np.any(np.abs(arr) > 1.0):
         raise ValueError("mu_law_expand: input outside [-1, 1]")
-    log_top = np.log1p(params.M * params.mu)
-    out = np.sign(arr) * np.expm1(np.abs(arr) * log_top) / params.mu
+    out = np.sign(arr) * np.expm1(np.abs(arr) * _MU_LAW_LOG_TOP) / MU_LAW_MU
     return float(out) if np.isscalar(y) or arr.ndim == 0 else out
 
 
@@ -181,30 +171,11 @@ def mu_law_expand(y, params: MuLawParams = DEFAULT_MU_LAW):
 # uniform binning on [-1, 1]
 # ---------------------------------------------------------------------------
 
-def bin_continuous(v: float) -> int:
-    """Map ``v`` in ``[-1, 1]`` to a token id in ``[32000, 33024)``.
-
-    Bins are half-open with the top bin closed, so v = 1.0 lands in bin 1023.
-    """
-    if not math.isfinite(v):
-        raise ValueError("bin_continuous: input must be finite")
-    if v < -1.0 or v > 1.0:
-        raise ValueError(f"bin_continuous: {v} outside [-1, 1]; clip first")
-    return CONTINUOUS_BASE + _bin_array(np.float64(v)).item()
-
-
 def _bin_array(values: np.ndarray) -> np.ndarray:
+    """Bin indices in ``[0, 1024)`` of values on ``[-1, 1]``; the bins are
+    half-open, the top bin closed, and values beyond the range saturate."""
     bins = np.floor((values + 1.0) * (CONTINUOUS_BINS / 2.0))
     return np.clip(bins, 0, CONTINUOUS_BINS - 1).astype(np.int64)
-
-
-def unbin_continuous(token: int) -> float:
-    """Return the bin center for a continuous token id."""
-    if not (CONTINUOUS_BASE <= token < CONTINUOUS_END):
-        raise ValueError(
-            f"unbin_continuous: token {token} outside [{CONTINUOUS_BASE}, {CONTINUOUS_END})"
-        )
-    return float(_unbin_array(np.asarray(token - CONTINUOUS_BASE)))
 
 
 def _unbin_array(bins: np.ndarray) -> np.ndarray:
@@ -215,9 +186,7 @@ def _unbin_array(bins: np.ndarray) -> np.ndarray:
 # continuous streams
 # ---------------------------------------------------------------------------
 
-def encode_continuous(
-    values, schema: TensorSchema, params: MuLawParams = DEFAULT_MU_LAW
-) -> list[int]:
+def encode_continuous(values, schema: TensorSchema) -> list[int]:
     """Flatten row-major, compand when the schema says so, bin; values
     beyond ``[-1, 1]`` saturate to the end bins."""
     if schema.modality is not Modality.CONTINUOUS:
@@ -229,13 +198,11 @@ def encode_continuous(
     if not np.all(np.isfinite(flat)):
         raise ValueError(f"{schema.key}: non-finite continuous value")
     if schema.compand:
-        flat = _compand(flat, params)
+        flat = _compand(flat)
     return (CONTINUOUS_BASE + _bin_array(flat)).tolist()
 
 
-def decode_continuous(
-    tokens, schema: TensorSchema, params: MuLawParams = DEFAULT_MU_LAW
-) -> np.ndarray:
+def decode_continuous(tokens, schema: TensorSchema) -> np.ndarray:
     """Inverse of :func:`encode_continuous` up to bin quantization."""
     if schema.modality is not Modality.CONTINUOUS:
         raise SchemaError(f"{schema.key}: decode_continuous needs a continuous schema")
@@ -248,7 +215,7 @@ def decode_continuous(
         raise ValueError(f"{schema.key}: token outside continuous range")
     values = _unbin_array(ids - CONTINUOUS_BASE)
     if schema.compand:
-        values = mu_law_expand(values, params)
+        values = mu_law_expand(values)
     return values.reshape(schema.shape)
 
 
@@ -287,49 +254,9 @@ def decode_discrete(tokens, schema: TensorSchema) -> np.ndarray:
 # text
 # ---------------------------------------------------------------------------
 
-class ByteTextTokenizer:
-    """Reversible zero-dependency default: one token per UTF-8 byte."""
-
-    name = "bytes"
-
-    def encode(self, text: str) -> list[int]:
-        return list(text.encode("utf-8"))
-
-    def decode(self, tokens: list[int]) -> str:
-        return bytes(tokens).decode("utf-8")
-
-
-_text_tokenizer = ByteTextTokenizer()
-
-
-def get_text_tokenizer():
-    return _text_tokenizer
-
-
-def set_text_tokenizer(tokenizer) -> None:
-    """Register a replacement tokenizer; it must emit ids in [0, 32000)."""
-    global _text_tokenizer
-    _text_tokenizer = tokenizer
-
-
-def encode_text(text: str, tokenizer=None) -> list[int]:
-    tok = tokenizer if tokenizer is not None else _text_tokenizer
-    ids = list(tok.encode(text))
-    for t in ids:
-        if not (0 <= t < TEXT_VOCAB):
-            raise ValueError(
-                f"text tokenizer emitted id {t} outside [0, {TEXT_VOCAB}): contract violation"
-            )
-    return ids
-
-
-def decode_text(tokens, tokenizer=None) -> str:
-    tok = tokenizer if tokenizer is not None else _text_tokenizer
-    ids = list(tokens)
-    for t in ids:
-        if not (0 <= t < TEXT_VOCAB):
-            raise ValueError(f"text token {t} outside [0, {TEXT_VOCAB})")
-    return tok.decode(ids)
+def encode_text(text: str) -> list[int]:
+    """One token per UTF-8 byte."""
+    return list(text.encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -370,11 +297,6 @@ def normalize_patch(raw: np.ndarray) -> np.ndarray:
     return (arr.astype(np.float64) / 127.5 - 1.0) / PATCH_SCALE
 
 
-def denormalize_patch(pixels: np.ndarray) -> np.ndarray:
-    """Exact byte recovery from :func:`normalize_patch` output."""
-    return np.rint((np.asarray(pixels) * PATCH_SCALE + 1.0) * 127.5).clip(0, 255).astype(np.uint8)
-
-
 def image_to_patches(image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cut an HxWxC image into normalized 16x16 patches in raster order.
 
@@ -402,22 +324,3 @@ def image_to_patches(image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     c0 = np.tile(np.arange(cols), rows) * PATCH_SIZE
     intervals = np.stack([r0 / h, (r0 + PATCH_SIZE) / h, c0 / w, (c0 + PATCH_SIZE) / w], axis=1)
     return pixels.reshape(rows * cols, PATCH_SIZE, PATCH_SIZE, c), intervals
-
-
-def patches_to_image(pixels: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Reassemble raster-ordered (P, 16, 16, C) patches into a normalized float image."""
-    if height % PATCH_SIZE or width % PATCH_SIZE:
-        raise SchemaError(f"target dims {height}x{width} not divisible by {PATCH_SIZE}")
-    rows, cols = height // PATCH_SIZE, width // PATCH_SIZE
-    pixels = np.asarray(pixels, dtype=np.float64)
-    if pixels.ndim != 4 or pixels.shape[:3] != (rows * cols, PATCH_SIZE, PATCH_SIZE):
-        raise SchemaError(f"need {rows * cols} patches of {PATCH_SIZE}x{PATCH_SIZE}xC, "
-                          f"got shape {pixels.shape}")
-    c = pixels.shape[3]
-    grid = pixels.reshape(rows, cols, PATCH_SIZE, PATCH_SIZE, c).transpose(0, 2, 1, 3, 4)
-    return grid.reshape(height, width, c)
-
-
-def patches_to_bytes(pixels: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Reassemble and undo normalization back to the original uint8 image."""
-    return denormalize_patch(patches_to_image(pixels, height, width))

@@ -408,7 +408,6 @@ def loss_and_grads(
 
     demb = hidden_bwd(dhidden, h_cache, params, cfg, grads)
     embed_bwd(demb, emb_cache, params, grads)
-    validate_gradients(params, grads)
     return LossResult(total=total, masked_tokens=int(rows.size), per_item=per_item), grads
 
 

@@ -18,7 +18,7 @@ from ..errors import CapacityError
 from ..sequencer import ElementSource
 from .config import ModelConfig
 
-TRAIN_MODES = ("pretrain", "finetune", "train")
+TRAIN_MODES = ("pretrain", "finetune")
 
 
 def quantize_patch_interval(interval, vocab: int = 128) -> tuple[np.ndarray, np.ndarray]:

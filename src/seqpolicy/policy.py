@@ -43,16 +43,13 @@ class RolloutConfig:
     prompt: Episode | None = None
     prompt_budget: int = 1024
     context: int = 1024
-    sampling: str = "greedy"  # "greedy" or "temperature"
-    temperature: float = 1.0  # 0 samples greedily
+    temperature: float = 0.0  # 0 samples greedily
     action_mode: str = "autoregressive"  # or "parallel"
     context_timesteps: int | None = None  # low-latency mode: 1
 
     def __post_init__(self):
         if self.action_mode not in ("autoregressive", "parallel"):
             raise ConfigError(f"unknown action_mode {self.action_mode!r}")
-        if self.sampling not in ("greedy", "temperature"):
-            raise ConfigError(f"unknown sampling {self.sampling!r}")
         if self.temperature < 0:
             raise ConfigError(f"temperature must be >= 0, got {self.temperature}")
         if self.prompt_budget < 0:
@@ -83,16 +80,14 @@ def sample_token(
     logits: np.ndarray,
     lo: int,
     hi: int,
-    sampling: str,
     temperature: float,
     rng: np.random.Generator,
 ) -> int:
-    """Pick one token id in [lo, hi) after renormalizing over that range."""
+    """Pick one token id in [lo, hi) after renormalizing over that range;
+    temperature 0 takes the argmax."""
     sub = np.asarray(logits[lo:hi], dtype=np.float64)
-    if sampling == "greedy" or (sampling == "temperature" and temperature <= 0.0):
+    if temperature == 0.0:
         return lo + int(np.argmax(sub))
-    if sampling != "temperature":
-        raise ConfigError(f"unknown sampling mode {sampling!r}")
     z = sub / temperature
     z -= z.max()
     p = np.exp(z)
@@ -109,7 +104,7 @@ def _sample_ids(
     ids = vocab_table(state.cfg.vocab)[0]
     lo, hi = (int(r) for r in np.searchsorted(ids, legal_token_range(schema)))
     return [
-        int(ids[sample_token(row, lo, hi, cfg.sampling, cfg.temperature, rng)]) for row in logits
+        int(ids[sample_token(row, lo, hi, cfg.temperature, rng)]) for row in logits
     ]
 
 

@@ -356,20 +356,23 @@ def sample_subsequence(seq: ElementSequence, length: int, rng: np.random.Generat
     return seq.slice(start, start + take)
 
 
+PROMPT_END_PROBABILITY = 0.5  # a prompt is the source's final tokens this often
+PROMPT_BUDGET_FRACTION = 0.5  # a prompt holds at most this share of the window
+
+
 def apply_prompt(
     item: ElementSequence,
     source: Episode | ElementSequence | None,
     rng: np.random.Generator,
     length: int,
     prompt_probability: float = 0.25,
-    end_probability: float = 0.5,
-    budget_fraction: float = 0.5,
 ) -> tuple[ElementSequence, bool]:
     """Maybe prepend a same-task prompt window, keeping at most ``length`` elements.
 
-    With ``prompt_probability`` a prompt window (at most ``budget_fraction``
-    of the training ``length``) is taken from the source episode: its final
-    tokens with ``end_probability``, otherwise a uniformly positioned window.
+    With ``prompt_probability`` a prompt window (at most
+    ``PROMPT_BUDGET_FRACTION`` of the training ``length``) is taken from the
+    source episode: its final tokens with ``PROMPT_END_PROBABILITY``,
+    otherwise a uniformly positioned window.
     The combined sequence keeps its leftmost ``length`` elements, so the
     prompt can displace the tail of the primary subsequence but never more
     than the budget fraction. Prompt tokens keep their modality-derived mask.
@@ -381,10 +384,10 @@ def apply_prompt(
     if rng.random() >= prompt_probability or source is None:
         return item, False
     src = source if isinstance(source, ElementSequence) else flatten_episode(source)
-    budget = min(int(length * budget_fraction), len(src))
+    budget = min(int(length * PROMPT_BUDGET_FRACTION), len(src))
     if budget == 0:
         return item, False
-    if rng.random() < end_probability:
+    if rng.random() < PROMPT_END_PROBABILITY:
         prompt = src.slice(len(src) - budget, len(src))
     else:
         start = int(rng.integers(0, len(src) - budget + 1))

@@ -1,3 +1,4 @@
+import json
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import get_type_hints
@@ -277,6 +278,9 @@ class TestResolvedConfigGolden:
         ("finetune", "warmup_steps=3", "unknown config keys for finetune: ['warmup_steps']"),
         ("finetune", "checkpoint_every=0",
          "unknown config keys for finetune: ['checkpoint_every']"),
+        ("finetune", "preset=scrach",
+         "unknown ablation arm 'scrach'; choose from "
+         "('all', 'same_domain', 'no_control', 'scratch')"),
     ])
     def test_config_error_messages(self, capsys, command, item, message):
         with pytest.raises(ConfigError) as exc:
@@ -412,7 +416,7 @@ class TestVocabLayouts:
         assert code == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         printed = [float(l.split("return=")[1]) for l in lines if l.startswith("episode=")]
-        rollout_cfg = RolloutConfig(sampling="temperature", temperature=1.0)
+        rollout_cfg = RolloutConfig(temperature=1.0)
         expected = evaluate_policy(tuned, lambda s: make_env("gridreach", s), rollout_cfg, 2,
                                    seed=4)
         assert printed == expected.returns
@@ -456,6 +460,17 @@ class TestRolloutCommand:
         assert code == EXIT_OK
         assert "warning" in capsys.readouterr().err
 
+    def test_empty_prompt_warns_and_runs(self, tmp_path, capsys):
+        prompt, out = tmp_path / "empty.ep", tmp_path / "out"
+        write_episodes([], prompt)
+        code = main(["rollout", "--env", "gridreach", "--expert", "-n", "1",
+                     "--prompt", str(prompt), "--out", str(out)])
+        assert code == EXIT_OK
+        warning = f"prompt file {prompt} holds no episodes; rolling out unprompted"
+        assert capsys.readouterr().err == f"warning: {warning}\n"
+        summary = json.loads((out / "rollout_summary.json").read_text())
+        assert summary["warnings"] == [warning]
+
     def test_needs_checkpoint_or_expert(self, capsys):
         assert main(["rollout", "--env", "gridreach", "-n", "1"]) == EXIT_CONFIG
 
@@ -470,7 +485,7 @@ class TestRolloutCommand:
         printed = [float(l.split("return=")[1]) for l in lines if l.startswith("episode=")]
         loaded = M.load_checkpoint(path)
         state = M.ModelState(cfg=loaded["cfg"], params=loaded["params"], streams=M.RngStreams(0))
-        rollout_cfg = RolloutConfig(sampling="temperature", temperature=1.0)
+        rollout_cfg = RolloutConfig(temperature=1.0)
         expected = evaluate_policy(state, lambda s: make_env("gridreach", s), rollout_cfg, 3, seed=4)
         assert printed == expected.returns
 

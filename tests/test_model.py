@@ -116,7 +116,7 @@ class TestPatchPositions:
     def test_train_uniform_over_interval(self):
         rng = np.random.default_rng(0)
         draws = np.array(
-            [M.patch_position_index((0.25, 0.5), "train", rng) for _ in range(20_000)]
+            [M.patch_position_index((0.25, 0.5), "pretrain", rng) for _ in range(20_000)]
         )
         assert draws.min() == 32 and draws.max() == 64
         counts = np.bincount(draws - 32, minlength=33)

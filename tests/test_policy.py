@@ -44,9 +44,7 @@ class TestSampleToken:
         rng = np.random.default_rng(0)
         logits = rng.normal(size=40_000)
         lo, hi = 100, 1100
-        greedy = sample_token(logits, lo, hi, "greedy", 1.0, rng)
-        temp0 = sample_token(logits, lo, hi, "temperature", 0.0, rng)
-        assert greedy == temp0 == lo + int(np.argmax(logits[lo:hi]))
+        assert sample_token(logits, lo, hi, 0.0, rng) == lo + int(np.argmax(logits[lo:hi]))
 
     def test_range_masking_continuous(self):
         rng = np.random.default_rng(1)
@@ -55,7 +53,7 @@ class TestSampleToken:
         assert (lo, hi) == (CONTINUOUS_BASE, CONTINUOUS_END)
         for _ in range(200):
             logits = rng.normal(size=33025) * 5
-            tok = sample_token(logits, lo, hi, "temperature", 1.0, rng)
+            tok = sample_token(logits, lo, hi, 1.0, rng)
             assert CONTINUOUS_BASE <= tok < CONTINUOUS_END
 
     def test_range_masking_discrete(self):
@@ -65,7 +63,7 @@ class TestSampleToken:
         assert (lo, hi) == (0, 1024)
         for _ in range(200):
             logits = rng.normal(size=33025) * 5
-            tok = sample_token(logits, lo, hi, "temperature", 1.0, rng)
+            tok = sample_token(logits, lo, hi, 1.0, rng)
             assert 0 <= tok < 1024
 
 
@@ -116,7 +114,7 @@ class TestRollout:
     def test_one_token_sampled_per_step_single_action(self):
         state = tiny_state()
         env = GridReach(seed=0)
-        episode, _, stats = rollout(state, env, RolloutConfig(sampling="greedy"))
+        episode, _, stats = rollout(state, env, RolloutConfig(temperature=0.0))
         # A=1: exactly one forward pass per environment step
         assert stats.forward_passes == stats.env_steps == len(episode)
 
@@ -208,8 +206,7 @@ class TestRollout:
 
     @pytest.mark.parametrize(
         "bad", [{"context_timesteps": 0}, {"prompt_budget": -3}, {"action_mode": "beam"},
-                {"sampling": "temperature", "temperature": -1.0}, {"temperature": -0.5},
-                {"sampling": "nucleus"}]
+                {"temperature": -1.0}, {"temperature": -0.5}]
     )
     def test_bad_config_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -219,8 +216,7 @@ class TestRollout:
         state = tiny_state()
         episodes = [
             rollout(state, GridReach(seed=5), cfg, np.random.default_rng(seed))[0]
-            for cfg, seed in ((RolloutConfig(sampling="temperature", temperature=0.0), 1),
-                              (RolloutConfig(sampling="greedy"), 2))
+            for cfg, seed in ((RolloutConfig(temperature=0.0), 1), (RolloutConfig(), 2))
         ]
         tokens = [flatten_episode(ep).tokens for ep in episodes]
         assert np.array_equal(tokens[0], tokens[1])
@@ -263,12 +259,12 @@ def test_rollout_golden_digest(monkeypatch):
         name: run_policy_episode(make_env(name, seed=99), make_expert(name)) for name in ENV_NAMES
     }
     grid = list(itertools.product(
-        states, ENV_NAMES, (False, True), (1024, 12), (None, 1, 2), ("greedy", "temperature")
+        states, ENV_NAMES, (False, True), (1024, 12), (None, 1, 2), (0.0, 0.7)
     ))
-    for action_mode, env_name, prompted, context, context_timesteps, sampling in grid:
+    for action_mode, env_name, prompted, context, context_timesteps, temperature in grid:
         rcfg = RolloutConfig(
             prompt=prompts[env_name] if prompted else None, context=context,
-            sampling=sampling, temperature=0.7, action_mode=action_mode,
+            temperature=temperature, action_mode=action_mode,
             context_timesteps=context_timesteps,
         )
         episode, ret, stats = rollout(

@@ -4,7 +4,8 @@
 point, so a rename in the program breaks a traced benchmark run. This test
 reads that table and fails on the rename instead. A name that stays imported
 but is no longer called would silently zero the benchmark's numbers, so a
-traced rollout must also reach every ``policy`` trace point.
+traced rollout must also reach every ``policy`` trace point, and flattening
+and action decoding every ``codec`` one.
 """
 
 import importlib.util
@@ -13,11 +14,13 @@ from pathlib import Path
 import numpy as np
 
 from seqpolicy import model as M
+from seqpolicy.codec import TensorSchema
 from seqpolicy.corpora import run_policy_episode
 from seqpolicy.envs import GridReach, GridReachExpert
 from seqpolicy.policy import RolloutConfig
+from seqpolicy.sequencer import flatten_episode
 
-from conftest import micro_cfg
+from conftest import micro_cfg, rich_episode
 
 BENCH_TRACE = Path(__file__).resolve().parents[1] / "perfbench" / "bench_trace.py"
 
@@ -57,3 +60,38 @@ def test_prompted_rollout_reaches_every_policy_trace_point():
     expected = {name for owner, _, name in bench_trace.TRACE_POINTS if owner is policy}
     assert len(expected) == 6
     assert not expected - recorded, f"trace points never reached: {expected - recorded}"
+
+
+def test_flatten_and_decode_reach_every_codec_trace_point():
+    """The codec's trace points share two span names, so this records which
+    wrapped functions ran rather than which spans were opened."""
+    bench_trace = _bench_trace()
+    codec = bench_trace.codec
+
+    class CallRecorder(bench_trace.Tracer):
+        def __init__(self):
+            super().__init__()
+            self.called = set()
+
+        def wrap(self, original, name):
+            traced = super().wrap(original, name)
+
+            def recorded(*args, **kwargs):
+                self.called.add(original.__name__)
+                return traced(*args, **kwargs)
+
+            return recorded
+
+    discrete = TensorSchema.discrete("a", (2,), is_action=True)
+    continuous = TensorSchema.continuous("b", (2,), (-1.0, 1.0), is_action=True)
+    tracer = CallRecorder()
+    tracer.install()
+    try:
+        flatten_episode(rich_episode())
+        bench_trace.policy.decode_action([3, 7], discrete)
+        bench_trace.policy.decode_action([32000, 33023], continuous)
+    finally:
+        tracer.uninstall()
+    expected = {attr for owner, attr, _ in bench_trace.TRACE_POINTS if owner is codec}
+    assert len(expected) == 6
+    assert not expected - tracer.called, f"trace points never reached: {expected - tracer.called}"
