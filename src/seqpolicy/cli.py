@@ -221,12 +221,10 @@ def cmd_filter(args) -> int:
     filtered_manifests = []
     for manifest in manifests:
         dataset = LoadedDataset(manifest)
-        by_task: dict[str, list] = {}
-        for ep in dataset.episodes:
-            by_task.setdefault(ep.task_id, []).append(ep)
         kept_all = []
-        for task_id in sorted(by_task):
-            kept, report = filter_episodes(by_task[task_id], fraction=args.fraction)
+        for task_id in sorted(dataset.by_task):
+            episodes = [dataset.episodes[i] for i in dataset.by_task[task_id]]
+            kept, report = filter_episodes(episodes, fraction=args.fraction)
             kept_all.extend(kept)
             report_lines.append(
                 f"dataset={manifest.name} task={task_id} expert_return={report.expert_return!r} "

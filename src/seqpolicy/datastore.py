@@ -17,7 +17,7 @@ import configparser
 import glob as globlib
 import io
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -202,23 +202,15 @@ def write_episodes(episodes: list[Episode], path) -> None:
             f.write(encode_episode(ep))
 
 
-def read_episodes(source) -> list[Episode]:
-    """Read all records concatenated in a file or byte string."""
-    data = _as_bytes(source)
+def read_episodes(path) -> list[Episode]:
+    """Read all records concatenated in the file at ``path``."""
+    data = Path(path).read_bytes()
     episodes = []
     offset = 0
     while offset < len(data):
         episode, offset = decode_episode(data, offset)
         episodes.append(episode)
     return episodes
-
-
-def _as_bytes(source) -> bytes:
-    if isinstance(source, (bytes, bytearray, memoryview)):
-        return bytes(source)
-    if hasattr(source, "read"):
-        return source.read()
-    return Path(source).read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +275,6 @@ class DatasetManifest:
     name: str
     paths: list[str]
     sample_weight: float
-    task_ids: set[str] = field(default_factory=set)
 
     def __post_init__(self):
         if not self.name:
@@ -342,7 +333,6 @@ class LoadedDataset:
             for p in manifest.paths:
                 episodes.extend(read_episodes(p))
         self.episodes = episodes
-        manifest.task_ids = {ep.task_id for ep in episodes}
         self._flat: list[ElementSequence | None] = [None] * len(episodes)
         self.by_task: dict[str, list[int]] = {}
         for i, ep in enumerate(episodes):
@@ -362,13 +352,13 @@ class LoadedDataset:
 
 
 class MixtureSampler:
-    """Infinite stream of training windows drawn across weighted datasets.
+    """Training windows drawn across weighted datasets, each with a prompt source.
 
-    Every item comes from dataset ``d`` with probability proportional to its
-    weight; within a dataset the episode is uniform, and the window is a
+    Every window comes from dataset ``d`` with probability proportional to
+    its weight; within a dataset the episode is uniform, and the window is a
     uniform contiguous subsequence of ``seq_len`` elements, or the whole
     episode if it is shorter; windows are never padded. Fixed seeds make
-    the stream exactly reproducible.
+    the draws exactly reproducible.
     """
 
     def __init__(self, datasets: list[LoadedDataset], seq_len: int, rng: np.random.Generator):
@@ -386,25 +376,17 @@ class MixtureSampler:
         self.seq_len = seq_len
         self.rng = rng
 
-    def __iter__(self):
-        return self
+    def draw(self) -> tuple[ElementSequence, ElementSequence]:
+        """One training window and a uniform same-task episode of its dataset.
 
-    def __next__(self) -> ElementSequence:
-        return self.draw()[0]
-
-    def draw(self) -> tuple[ElementSequence, LoadedDataset, int]:
-        """One training window plus its dataset and episode index."""
+        The generator is consumed in a fixed order: dataset, episode, window
+        start, then the prompt source's episode.
+        """
         d = int(self.rng.choice(len(self.datasets), p=self.probabilities))
         ds = self.datasets[d]
         e = int(self.rng.integers(0, len(ds)))
         window = sample_subsequence(ds.flattened(e), self.seq_len, self.rng)
-        return window, ds, e
-
-    def prompt_source(self, ds: LoadedDataset, task_id: str) -> ElementSequence | None:
-        """A same-task episode to prompt with, or None if the task is unknown."""
-        indices = ds.by_task.get(task_id)
-        if not indices:
-            return None
-        pick = indices[int(self.rng.integers(0, len(indices)))]
-        return ds.flattened(pick)
+        same_task = ds.by_task[window.task_id]
+        source = ds.flattened(same_task[int(self.rng.integers(0, len(same_task)))])
+        return window, source
 

@@ -9,6 +9,7 @@ construction so rollouts are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -113,13 +114,14 @@ class TwoTaskBandit:
     """
 
     HORIZON = 1
+    OPTIMAL_ACTION = {"a": 0, "b": 1}
 
     def __init__(self, variant: str, seed: int | None = 0):
-        if variant not in ("a", "b"):
+        if variant not in self.OPTIMAL_ACTION:
             raise ValueError("variant must be 'a' or 'b'")
         self.variant = variant
         self.task_id = f"bandit_{variant}"
-        self.optimal_action = 0 if variant == "a" else 1
+        self.optimal_action = self.OPTIMAL_ACTION[variant]
         self._signal_schema = TensorSchema.discrete("signal", ())
         self.spec = EnvSpec(
             observation_schemas={"signal": self._signal_schema},
@@ -139,7 +141,7 @@ class TwoTaskBandit:
 
 class TwoTaskBanditExpert:
     def __init__(self, variant: str):
-        self.optimal_action = 0 if variant == "a" else 1
+        self.optimal_action = TwoTaskBandit.OPTIMAL_ACTION[variant]
 
     def act(self, observation_set):
         return np.int64(self.optimal_action)
@@ -204,28 +206,25 @@ class LineReacherExpert:
         return np.array([np.clip(-self.GAIN * delta, -1.0, 1.0)])
 
 
-ENV_NAMES = ("gridreach", "bandit_a", "bandit_b", "linereacher")
+# name -> (environment factory taking a seed, expert factory)
+ENVIRONMENTS = {
+    "gridreach": (GridReach, GridReachExpert),
+    "bandit_a": (partial(TwoTaskBandit, "a"), partial(TwoTaskBanditExpert, "a")),
+    "bandit_b": (partial(TwoTaskBandit, "b"), partial(TwoTaskBanditExpert, "b")),
+    "linereacher": (LineReacher, LineReacherExpert),
+}
+ENV_NAMES = tuple(ENVIRONMENTS)
+
+
+def _factories(name: str):
+    if name not in ENVIRONMENTS:
+        raise ValueError(f"unknown environment {name!r}; choose from {ENV_NAMES}")
+    return ENVIRONMENTS[name]
 
 
 def make_env(name: str, seed: int | None = 0):
-    if name == "gridreach":
-        return GridReach(seed)
-    if name == "bandit_a":
-        return TwoTaskBandit("a", seed)
-    if name == "bandit_b":
-        return TwoTaskBandit("b", seed)
-    if name == "linereacher":
-        return LineReacher(seed)
-    raise ValueError(f"unknown environment {name!r}; choose from {ENV_NAMES}")
+    return _factories(name)[0](seed)
 
 
 def make_expert(name: str):
-    if name == "gridreach":
-        return GridReachExpert()
-    if name == "bandit_a":
-        return TwoTaskBanditExpert("a")
-    if name == "bandit_b":
-        return TwoTaskBanditExpert("b")
-    if name == "linereacher":
-        return LineReacherExpert()
-    raise ValueError(f"unknown environment {name!r}; choose from {ENV_NAMES}")
+    return _factories(name)[1]()

@@ -1,7 +1,7 @@
 """Embedding function, decoder-only transformer, masked loss, checkpoints."""
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import FULL_SCALE, ModelConfig, micro, tiny, vocab_table
+from .config import FULL_SCALE, MODES, ModelConfig, micro, tiny, vocab_table
 from .network import (
     LossResult,
     ModelState,
@@ -24,6 +24,7 @@ from .positions import (
 __all__ = [
     "FULL_SCALE",
     "LossResult",
+    "MODES",
     "ModelConfig",
     "ModelState",
     "RngStreams",

@@ -12,6 +12,29 @@ from ..errors import ConfigError
 
 
 @dataclass(frozen=True)
+class ModeRules:
+    """What a model mode randomises: patch positions, block skips, dropout."""
+
+    random_patch_positions: bool
+    stochastic_depth: bool
+    dropout: bool
+
+
+MODES = {
+    "pretrain": ModeRules(random_patch_positions=True, stochastic_depth=True, dropout=False),
+    "finetune": ModeRules(random_patch_positions=True, stochastic_depth=False, dropout=True),
+    "eval": ModeRules(random_patch_positions=False, stochastic_depth=False, dropout=False),
+}
+
+
+def mode_rules(mode: str) -> ModeRules:
+    """The rules of ``mode``; a mode outside ``MODES`` is an error, never eval."""
+    if mode not in MODES:
+        raise ValueError(f"unknown model mode {mode!r}; choose from {tuple(MODES)}")
+    return MODES[mode]
+
+
+@dataclass(frozen=True)
 class ModelConfig:
     """Decoder-only transformer shapes.
 

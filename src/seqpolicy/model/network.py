@@ -24,7 +24,7 @@ import numpy as np
 from ..codec import VOCAB_SIZE
 from ..errors import CapacityError, MissingGradientError
 from ..sequencer import ElementSource, MaskedBatch
-from .config import ModelConfig, vocab_table
+from .config import ModelConfig, mode_rules, vocab_table
 from .ops import (
     gelu_bwd,
     gelu_fwd,
@@ -283,8 +283,9 @@ def hidden_fwd(params, cfg: ModelConfig, emb, mode: str, streams: RngStreams | N
     and never crosses windows. None means one window per row. Every position
     attends to itself, so no softmax row is empty.
     """
-    sd_p = cfg.stochastic_depth if mode == "pretrain" else 0.0
-    drop_p = cfg.dropout if mode == "finetune" else 0.0
+    rules = mode_rules(mode)
+    sd_p = cfg.stochastic_depth if rules.stochastic_depth else 0.0
+    drop_p = cfg.dropout if rules.dropout else 0.0
     if streams is None and (sd_p > 0.0 or drop_p > 0.0):
         raise ValueError(f"{mode}-mode stochastic depth and dropout need random streams")
     drop_rng = streams.dropout if streams is not None else None

@@ -16,9 +16,7 @@ import numpy as np
 
 from ..errors import CapacityError
 from ..sequencer import ElementSource
-from .config import ModelConfig
-
-TRAIN_MODES = ("pretrain", "finetune")
+from .config import ModelConfig, mode_rules
 
 
 def quantize_patch_interval(interval, vocab: int = 128) -> tuple[np.ndarray, np.ndarray]:
@@ -48,11 +46,12 @@ def patch_position_index(
 ) -> np.ndarray:
     """Row or column encoding indices, one per ``(lo, hi)`` pair of ``interval``.
 
-    Train mode draws all indices with one ``rng.integers`` call, which yields
-    the same values and leaves the same generator state as one call per patch.
+    Pretrain and finetune draw all indices with one ``rng.integers`` call,
+    which yields the same values and leaves the same generator state as one
+    call per patch.
     """
     lo_q, hi_q = quantize_patch_interval(interval, vocab)
-    if mode in TRAIN_MODES:
+    if mode_rules(mode).random_patch_positions:
         if rng is None:
             raise ValueError("train-mode patch positions need a random stream")
         return rng.integers(lo_q, hi_q + 1)

@@ -50,7 +50,7 @@ class RolloutConfig:
     def __post_init__(self):
         if self.action_mode not in ("autoregressive", "parallel"):
             raise ConfigError(f"unknown action_mode {self.action_mode!r}")
-        if self.temperature < 0:
+        if not (self.temperature >= 0):
             raise ConfigError(f"temperature must be >= 0, got {self.temperature}")
         if self.prompt_budget < 0:
             raise ConfigError(f"prompt_budget must be >= 0, got {self.prompt_budget}")

@@ -362,7 +362,7 @@ PROMPT_BUDGET_FRACTION = 0.5  # a prompt holds at most this share of the window
 
 def apply_prompt(
     item: ElementSequence,
-    source: Episode | ElementSequence | None,
+    source: ElementSequence,
     rng: np.random.Generator,
     length: int,
     prompt_probability: float = 0.25,
@@ -371,27 +371,26 @@ def apply_prompt(
 
     With ``prompt_probability`` a prompt window (at most
     ``PROMPT_BUDGET_FRACTION`` of the training ``length``) is taken from the
-    source episode: its final tokens with ``PROMPT_END_PROBABILITY``,
+    same-task source: its final tokens with ``PROMPT_END_PROBABILITY``,
     otherwise a uniformly positioned window.
     The combined sequence keeps its leftmost ``length`` elements, so the
     prompt can displace the tail of the primary subsequence but never more
     than the budget fraction. Prompt tokens keep their modality-derived mask.
     """
-    if source is not None and source.task_id != item.task_id:
+    if source.task_id != item.task_id:
         raise ValueError(
             f"prompt source task {source.task_id!r} != item task {item.task_id!r}"
         )
-    if rng.random() >= prompt_probability or source is None:
+    if rng.random() >= prompt_probability:
         return item, False
-    src = source if isinstance(source, ElementSequence) else flatten_episode(source)
-    budget = min(int(length * PROMPT_BUDGET_FRACTION), len(src))
+    budget = min(int(length * PROMPT_BUDGET_FRACTION), len(source))
     if budget == 0:
         return item, False
     if rng.random() < PROMPT_END_PROBABILITY:
-        prompt = src.slice(len(src) - budget, len(src))
+        prompt = source.slice(len(source) - budget, len(source))
     else:
-        start = int(rng.integers(0, len(src) - budget + 1))
-        prompt = src.slice(start, start + budget)
+        start = int(rng.integers(0, len(source) - budget + 1))
+        prompt = source.slice(start, start + budget)
     prompt.timestep = prompt_timesteps(prompt.timestep)
     return concat_sequences([prompt, item]).slice(0, length), True
 

@@ -204,21 +204,15 @@ class TrainResult:
     optimizer_state: dict
     metrics: MetricsLog
     prompted_fraction: float
-    counters: dict
     eval_scores: list[float] = field(default_factory=list)
 
 
-def _draw_batch(sampler: MixtureSampler, batch_size: int, prompt_probability: float, counters):
+def _draw_batch(sampler: MixtureSampler, batch_size: int, prompt_probability: float):
     """One batch of windows (some prompted), packed several to a row."""
     items = []
     prompted = 0
     for _ in range(batch_size):
-        window, ds, _ = sampler.draw()
-        source = sampler.prompt_source(ds, window.task_id)
-        if source is None:
-            counters["prompt_skipped"] += 1
-            items.append(window)
-            continue
+        window, source = sampler.draw()
         item, was_prompted = apply_prompt(
             window, source, sampler.rng, sampler.seq_len, prompt_probability=prompt_probability
         )
@@ -234,8 +228,6 @@ def _train_loop(
     mode: str,
     metrics: MetricsLog,
     out_dir=None,
-    step_offset: int = 0,
-    constant_lr: float | None = None,
     eval_every: int = 0,
     eval_fn=None,
 ) -> TrainResult:
@@ -245,7 +237,6 @@ def _train_loop(
     params = state.params
     sampler.seq_len = cfg.seq_len
     opt_state = init_optimizer_state(params)
-    counters = {"prompt_skipped": 0, "zero_mask_batches": 0}
     prompted_total = 0
     tokens_processed = 0
     out_dir = Path(out_dir) if out_dir is not None else None
@@ -254,8 +245,8 @@ def _train_loop(
     eval_scores: list[float] = []
 
     for step in range(cfg.steps):
-        lr = constant_lr if constant_lr is not None else lr_schedule(step + step_offset, cfg.schedule)
-        batch, prompted = _draw_batch(sampler, cfg.batch_size, cfg.prompt_probability, counters)
+        lr = lr_schedule(opt_state["step"], cfg.schedule)
+        batch, prompted = _draw_batch(sampler, cfg.batch_size, cfg.prompt_probability)
         prompted_total += prompted
         loss, grads = loss_and_grads(
             params, state.cfg, batch, mode=mode, streams=state.streams, reduction="mean"
@@ -266,8 +257,6 @@ def _train_loop(
                 with atomic_writer(out_dir / "abort_dump.json") as f:
                     f.write(json.dumps(diagnostics, indent=2).encode())
             raise NonFiniteAbort("non-finite loss", diagnostics=diagnostics)
-        if loss.masked_tokens == 0:
-            counters["zero_mask_batches"] += 1
         optimizer_step(params, grads, opt_state, lr, cfg.optim)
         tokens_processed += cfg.batch_size * cfg.seq_len  # nominal, not the packed positions
 
@@ -304,7 +293,6 @@ def _train_loop(
         prompted_fraction=(
             prompted_total / (cfg.steps * cfg.batch_size) if cfg.steps else 0.0
         ),
-        counters=counters,
         eval_scores=eval_scores,
     )
 
@@ -352,13 +340,14 @@ def finetune(
 ) -> TrainResult:
     """Adam without weight decay at a constant learning rate, dropout active.
 
+    The constant rate is a flat schedule, so like pretraining's it follows
+    the optimizer's step.
+
     ``eval_fn(state) -> score`` is called every ``eval_every`` steps; the
     recorded curve feeds :func:`eval_protocol`. Zero steps return the input
     model untouched.
     """
-    tasks = set()
-    for ds in sampler.datasets:
-        tasks |= ds.manifest.task_ids
+    tasks = {task for ds in sampler.datasets for task in ds.by_task}
     if len(tasks) > 1:
         raise ValueError(f"fine-tuning expects a single task, got {sorted(tasks)}")
     metrics = MetricsLog(log_path)
@@ -366,6 +355,7 @@ def finetune(
         steps=cfg.steps,
         batch_size=cfg.batch_size,
         seq_len=cfg.seq_len,
+        schedule=ScheduleConfig(warmup_steps=0, lr_max=cfg.lr, decay_factor=1.0),
         optim=OptimizerConfig(weight_decay=0.0),
         prompt_probability=cfg.prompt_probability,
         checkpoint_every=0,
@@ -377,7 +367,6 @@ def finetune(
         mode="finetune",
         metrics=metrics,
         out_dir=out_dir,
-        constant_lr=cfg.lr,
         eval_every=cfg.eval_every,
         eval_fn=eval_fn,
     )

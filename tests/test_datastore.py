@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,7 +46,8 @@ class TestEpisodeRecords:
 
     def test_roundtrip_via_buffer(self):
         ep = rich_episode(1)
-        assert read_episodes(io.BytesIO(encode_episode(ep))) == [ep]
+        record = encode_episode(ep)
+        assert datastore.decode_episode(record) == (ep, len(record))
 
     def test_empty_episode_roundtrips(self):
         ep = Episode(task_id="empty", timesteps=[], rewards=[])
@@ -120,13 +119,18 @@ def _framed_artefacts(tmp_path):
     ckpt = tmp_path / "golden.ckpt"
     golden_checkpoint(ckpt)
 
+    def load_episodes(data):
+        path = tmp_path / "corrupt.ep"
+        path.write_bytes(bytes(data))
+        return read_episodes(path)
+
     def load_checkpoint(data):
         path = tmp_path / "corrupt.ckpt"
         path.write_bytes(bytes(data))
         return M.load_checkpoint(path)
 
     return [
-        ("SQEP", bytearray(encode_episode(rich_episode())), lambda data: read_episodes(bytes(data))),
+        ("SQEP", bytearray(encode_episode(rich_episode())), load_episodes),
         ("SQCK", bytearray(ckpt.read_bytes()), load_checkpoint),
     ]
 
@@ -249,7 +253,7 @@ class TestMixture:
         ds = _loaded("only", [_reward_episode(1.0, task="a") for _ in range(4)])
         sampler = MixtureSampler([ds], seq_len=8, rng=np.random.default_rng(0))
         for _ in range(20):
-            item = next(sampler)
+            item, _ = sampler.draw()
             assert item.dataset == "only"
             assert len(item) == 3  # the whole 3-element episode, unpadded
 
@@ -258,14 +262,14 @@ class TestMixture:
         b = _loaded("b", [_reward_episode(1.0, task="b")], weight=0.25)
         sampler = MixtureSampler([a, b], seq_len=4, rng=np.random.default_rng(1))
         n = 10_000
-        hits = sum(next(sampler).dataset == "a" for _ in range(n))
+        hits = sum(sampler.draw()[0].dataset == "a" for _ in range(n))
         assert abs(hits / n - 0.75) < 0.02
 
     def test_seeded_reproducibility(self):
         def run():
             ds = _loaded("d", [build_layout_episode(T=4, tensor_shape=(2,), seed=s) for s in range(5)])
             sampler = MixtureSampler([ds], seq_len=10, rng=np.random.default_rng(42))
-            return [next(sampler).tokens.tolist() for _ in range(50)]
+            return [sampler.draw()[0].tokens.tolist() for _ in range(50)]
 
         assert run() == run()
 
@@ -284,6 +288,10 @@ class TestMixture:
         eps = [_reward_episode(1.0, task="x"), _reward_episode(2.0, task="y")]
         ds = _loaded("d", eps)
         sampler = MixtureSampler([ds], seq_len=4, rng=np.random.default_rng(0))
-        src = sampler.prompt_source(ds, "x")
-        assert src is not None and src.task_id == "x"
-        assert sampler.prompt_source(ds, "missing") is None
+        tasks = set()
+        for _ in range(20):
+            window, source = sampler.draw()
+            assert source.task_id == window.task_id
+            assert source is ds.flattened(ds.by_task[window.task_id][0])
+            tasks.add(window.task_id)
+        assert tasks == {"x", "y"}

@@ -126,7 +126,7 @@ class TestCorpora:
         manifest = build_dataset(tmp_path, "grid", episodes, weight=0.5)
         assert read_episodes(manifest.paths[0]) == episodes
         loaded = LoadedDataset(manifest)
-        assert loaded.manifest.task_ids == {"gridreach"}
+        assert list(loaded.by_task) == ["gridreach"]
 
     def test_synthetic_text(self):
         eps = synthetic_text_episodes(4, seed=1)

@@ -113,6 +113,10 @@ class TestPatchPositions:
         lo, hi = M.quantize_patch_interval((0.0, 1.0))
         assert (lo, hi) == (0, 127)
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="'train'"):
+            M.patch_position_index((0.25, 0.5), "train", np.random.default_rng(0))
+
     def test_train_uniform_over_interval(self):
         rng = np.random.default_rng(0)
         draws = np.array(
@@ -275,6 +279,13 @@ class TestForward:
         emb, _ = embed_batch(params, cfg, small_batch(), "eval", None)
         with pytest.raises(ValueError, match="finetune"):
             hidden_fwd(params, cfg, emb, "finetune", None)
+
+    def test_unknown_mode_rejected(self):
+        cfg = micro_cfg()
+        params = M.init_params(cfg, seed=4)
+        batch = assemble_batch([manual_sequence([("tensor", 3), ("sep",), ("action", 1)])])
+        with pytest.raises(ValueError, match="'train'"):
+            M.loss_and_grads(params, cfg, batch, mode="train", streams=M.RngStreams(0))
 
 
 class TestMaskedLoss:
@@ -527,7 +538,7 @@ def test_gelu_float32_propagates_non_finite_like_scipy():
 
 
 def _patch_bearing_batch():
-    batch, _ = _draw_batch(mixed_sampler(seed=9), 8, 0.0, {"prompt_skipped": 0})
+    batch, _ = _draw_batch(mixed_sampler(seed=9), 8, 0.0)
     assert batch.patch_pixels is not None
     return batch
 

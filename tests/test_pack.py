@@ -157,8 +157,7 @@ class TestPackedModel:
 
 
 def test_training_batches_are_packed():
-    counters = {"prompt_skipped": 0}
-    batch, _ = _draw_batch(mixed_sampler(seed=9), 8, 0.0, counters)
+    batch, _ = _draw_batch(mixed_sampler(seed=9), 8, 0.0)
     assert len(batch.provenance) == 8
     assert batch.batch_size < 8
     assert batch.segments.max() == 7

@@ -206,7 +206,7 @@ class TestRollout:
 
     @pytest.mark.parametrize(
         "bad", [{"context_timesteps": 0}, {"prompt_budget": -3}, {"action_mode": "beam"},
-                {"temperature": -1.0}, {"temperature": -0.5}]
+                {"temperature": -1.0}, {"temperature": -0.5}, {"temperature": float("nan")}]
     )
     def test_bad_config_rejected(self, bad):
         with pytest.raises(ConfigError):

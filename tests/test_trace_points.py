@@ -4,8 +4,9 @@
 point, so a rename in the program breaks a traced benchmark run. This test
 reads that table and fails on the rename instead. A name that stays imported
 but is no longer called would silently zero the benchmark's numbers, so a
-traced rollout must also reach every ``policy`` trace point, and flattening
-and action decoding every ``codec`` one.
+traced rollout must also reach every ``policy`` trace point, flattening and
+action decoding every ``codec`` one, and a pretrain and a finetune step every
+``trainer`` one.
 """
 
 import importlib.util
@@ -15,7 +16,8 @@ import numpy as np
 
 from seqpolicy import model as M
 from seqpolicy.codec import TensorSchema
-from seqpolicy.corpora import run_policy_episode
+from seqpolicy.corpora import collect_episodes, run_policy_episode
+from seqpolicy.datastore import DatasetManifest, LoadedDataset, MixtureSampler
 from seqpolicy.envs import GridReach, GridReachExpert
 from seqpolicy.policy import RolloutConfig
 from seqpolicy.sequencer import flatten_episode
@@ -30,6 +32,30 @@ def _bench_trace():
     bench_trace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_trace)
     return bench_trace
+
+
+def _call_recorder(bench_trace):
+    """A tracer that also records the name of each wrapped function it ran.
+
+    Some trace points share a span name, so spans alone cannot tell which of
+    them ran.
+    """
+
+    class CallRecorder(bench_trace.Tracer):
+        def __init__(self):
+            super().__init__()
+            self.called = set()
+
+        def wrap(self, original, name):
+            traced = super().wrap(original, name)
+
+            def recorded(*args, **kwargs):
+                self.called.add(original.__name__)
+                return traced(*args, **kwargs)
+
+            return recorded
+
+    return CallRecorder()
 
 
 def test_every_trace_point_resolves():
@@ -63,28 +89,11 @@ def test_prompted_rollout_reaches_every_policy_trace_point():
 
 
 def test_flatten_and_decode_reach_every_codec_trace_point():
-    """The codec's trace points share two span names, so this records which
-    wrapped functions ran rather than which spans were opened."""
     bench_trace = _bench_trace()
     codec = bench_trace.codec
-
-    class CallRecorder(bench_trace.Tracer):
-        def __init__(self):
-            super().__init__()
-            self.called = set()
-
-        def wrap(self, original, name):
-            traced = super().wrap(original, name)
-
-            def recorded(*args, **kwargs):
-                self.called.add(original.__name__)
-                return traced(*args, **kwargs)
-
-            return recorded
-
     discrete = TensorSchema.discrete("a", (2,), is_action=True)
     continuous = TensorSchema.continuous("b", (2,), (-1.0, 1.0), is_action=True)
-    tracer = CallRecorder()
+    tracer = _call_recorder(bench_trace)
     tracer.install()
     try:
         flatten_episode(rich_episode())
@@ -94,4 +103,31 @@ def test_flatten_and_decode_reach_every_codec_trace_point():
         tracer.uninstall()
     expected = {attr for owner, attr, _ in bench_trace.TRACE_POINTS if owner is codec}
     assert len(expected) == 6
+    assert not expected - tracer.called, f"trace points never reached: {expected - tracer.called}"
+
+
+def test_training_reaches_every_trainer_trace_point():
+    """Flattening runs inside the trace because the datasets flatten lazily."""
+    bench_trace = _bench_trace()
+    trainer = bench_trace.trainer
+    cfg = micro_cfg(vocab=2049, context=64, stochastic_depth=0.1, dropout=0.1)
+    episodes = collect_episodes(GridReach(seed=2), GridReachExpert(), 4)
+
+    def sampler():
+        ds = LoadedDataset(DatasetManifest(name="grid", paths=[], sample_weight=1.0), episodes)
+        return MixtureSampler([ds], seq_len=32, rng=np.random.default_rng(0))
+
+    tracer = _call_recorder(bench_trace)
+    tracer.install()
+    try:
+        state = M.ModelState(cfg, M.init_params(cfg, seed=1), M.RngStreams(0))
+        trainer.pretrain(sampler(), state, trainer.TrainConfig(
+            steps=1, batch_size=4, seq_len=32, prompt_probability=0.5, checkpoint_every=0))
+        trainer.finetune(state, sampler(), trainer.FinetuneConfig(
+            steps=1, batch_size=4, seq_len=32, prompt_probability=0.5, eval_every=0))
+    finally:
+        tracer.uninstall()
+    expected = {attr for owner, attr, _ in bench_trace.TRACE_POINTS if owner is trainer}
+    assert len(expected) == 7
+    expected |= {"draw", "flatten_episode"}
     assert not expected - tracer.called, f"trace points never reached: {expected - tracer.called}"

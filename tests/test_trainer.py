@@ -312,6 +312,14 @@ class TestFinetune:
         for k in before:
             assert np.array_equal(result.state.params[k], before[k])
 
+    def test_constant_lr_follows_optimizer_step_exactly(self):
+        result = finetune(_tiny_state(), _grid_sampler(),
+                          FinetuneConfig(steps=4, batch_size=2, seq_len=16, lr=3e-5, eval_every=0))
+        assert result.metrics.column("lr") == [3e-5] * 4
+        assert result.optimizer_state["step"] == 4
+        flat = ScheduleConfig(warmup_steps=0, lr_max=3e-5, decay_factor=1.0)
+        assert {lr_schedule(t, flat) for t in (0, 1, 999_999, 1_000_000, 5_000_000)} == {3e-5}
+
     def test_single_task_enforced(self):
         a = LoadedDataset(
             DatasetManifest(name="a", paths=[], sample_weight=1.0),
