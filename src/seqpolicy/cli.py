@@ -3,10 +3,9 @@
 Configuration comes from a text key-value file with command-line overrides
 (``--set key=value``); flags beat the config file, which beats defaults.
 The keys of ``pretrain``/``finetune`` are the fields of ``TrainConfig``
-(with its schedule and optimizer fields) or ``FinetuneConfig``,
-``model.<field>`` for ``ModelConfig``, and the command-line keys
-``manifest``, ``out_dir``, ``preset``, ``checkpoint``, ``seed``,
-``model.preset``, plus ``target_domain`` (pretrain) or ``env`` and
+or ``FinetuneConfig``, ``model.<field>`` for ``ModelConfig``, and the
+command-line keys ``manifest``, ``out_dir``, ``preset``, ``checkpoint``,
+``seed``, ``model.preset``, plus ``target_domain`` (pretrain) or ``env`` and
 ``eval_rollouts`` (finetune). Every run prints and stores its fully
 resolved configuration. Unknown keys are errors.
 
@@ -19,7 +18,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import MISSING, fields, is_dataclass
+from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import get_type_hints
 
@@ -94,26 +93,15 @@ _CLI_KEYS = {
 }
 
 
-def _typed_fields(cls) -> list[tuple[str, type, object]]:
-    hints = get_type_hints(cls)
-    return [(f.name, hints[f.name], f.default) for f in fields(cls)]
-
-
 def _config_keys(cls) -> dict[str, tuple[type, object]]:
-    """Key -> (type, default) per field; nested config dataclasses flatten
-    to their own field names."""
-    keys = {}
-    for name, kind, default in _typed_fields(cls):
-        keys.update(_config_keys(kind) if is_dataclass(kind) else {name: (kind, default)})
-    return keys
+    """Key -> (type, default) per field of a config dataclass."""
+    hints = get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default) for f in fields(cls)}
 
 
 def _build(cls, resolved: dict):
-    """``cls`` from the resolved keys, nested config dataclasses included."""
-    return cls(**{
-        name: _build(kind, resolved) if is_dataclass(kind) else resolved[name]
-        for name, kind, _ in _typed_fields(cls)
-    })
+    """``cls`` from the resolved keys."""
+    return cls(**{f.name: resolved[f.name] for f in fields(cls)})
 
 
 _SCHEMA = {

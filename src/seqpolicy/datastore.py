@@ -225,10 +225,6 @@ class FilterReport:
     kept: int
     dropped: int
 
-    @property
-    def total(self) -> int:
-        return self.kept + self.dropped
-
 
 def expert_window(n_episodes: int) -> int:
     """Window size: 10% of the data, at least 1, at most 1000 episodes."""

@@ -191,10 +191,6 @@ class LineReacher:
         reward = (1.0 - min(1.0, abs(self._x - self._target))) if done else 0.0
         return self._observe(), reward, done
 
-    @property
-    def distance(self) -> float:
-        return abs(self._x - self._target)
-
 
 class LineReacherExpert:
     """Proportional controller on the observed gap; never quite deadbeat."""

@@ -53,8 +53,7 @@ def load_checkpoint(path) -> dict:
     """Returns {cfg, params, optimizer_state, rng_states, extra}."""
     body, _ = unframe(Path(path).read_bytes(), 0, MAGIC, CHECKPOINT_VERSION)
     r = Reader(body)
-    cfg_raw = json.loads(r.string())
-    cfg = ModelConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in cfg_raw.items()})
+    cfg = ModelConfig(**json.loads(r.string()))
     params = dict(r.tensor() for _ in range(r.u32()))
     optimizer_state = None
     if r.u8():

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import dataclasses
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -94,9 +95,7 @@ class ModelConfig:
         return self.width // 4
 
     def replace(self, **kwargs) -> "ModelConfig":
-        current = {f.name: getattr(self, f.name) for f in fields(self)}
-        current.update(kwargs)
-        return ModelConfig(**current)
+        return dataclasses.replace(self, **kwargs)
 
 
 @lru_cache(maxsize=None)

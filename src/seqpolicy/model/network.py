@@ -417,16 +417,15 @@ def forward_logits(
     cfg: ModelConfig,
     batch: MaskedBatch,
     positions: np.ndarray | None = None,
-    mode: str = "eval",
-    streams: RngStreams | None = None,
 ) -> np.ndarray:
-    """Logits over the ``embed/vocab`` rows at all positions, or at ``positions``.
+    """Eval-mode logits over the ``embed/vocab`` rows at all positions, or at
+    ``positions``.
 
     ``positions`` holds one position per row; for a one-row batch it may be
     any index array, giving one logits row per entry.
     """
-    emb, _ = embed_batch(params, cfg, batch, mode, streams)
-    hidden, _ = hidden_fwd(params, cfg, emb, mode, streams, batch.segments)
+    emb, _ = embed_batch(params, cfg, batch, "eval", None)
+    hidden, _ = hidden_fwd(params, cfg, emb, "eval", None, batch.segments)
     if positions is None:
         flat = hidden.reshape(-1, cfg.width) @ params["embed/vocab"].T
         return flat.reshape(batch.batch_size, batch.seq_len, cfg.vocab)

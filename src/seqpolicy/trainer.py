@@ -26,42 +26,30 @@ from .sequencer import apply_prompt, assemble_batch
 # learning-rate schedule
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScheduleConfig:
+# Fixed as in the paper: AdamW's betas and epsilon, and the rate the linear
+# warmup starts from.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.95
+ADAM_EPS = 1e-8
+LR_START = 1e-7
+
+
+def lr_schedule(step: int, cfg: TrainConfig) -> float:
     """Linear warmup to lr_max, then cosine decay by decay_factor, then flat."""
-
-    warmup_steps: int = 15_000
-    lr_start: float = 1e-7
-    lr_max: float = 1e-4
-    decay_steps: int = 1_000_000
-    decay_factor: float = 10.0
-
-
-def lr_schedule(step: int, s: ScheduleConfig) -> float:
     if step < 0:
         raise ValueError("step must be >= 0")
-    if s.warmup_steps > 0 and step < s.warmup_steps:
-        frac = step / s.warmup_steps
-        return s.lr_start + (s.lr_max - s.lr_start) * frac
-    lr_min = s.lr_max / s.decay_factor
-    t = min(step - s.warmup_steps, s.decay_steps)
-    cos = 0.5 * (1.0 + math.cos(math.pi * t / s.decay_steps))
-    return lr_min + (s.lr_max - lr_min) * cos
+    if cfg.warmup_steps > 0 and step < cfg.warmup_steps:
+        frac = step / cfg.warmup_steps
+        return LR_START + (cfg.lr_max - LR_START) * frac
+    lr_min = cfg.lr_max / cfg.decay_factor
+    t = min(step - cfg.warmup_steps, cfg.decay_steps)
+    cos = 0.5 * (1.0 + math.cos(math.pi * t / cfg.decay_steps))
+    return lr_min + (cfg.lr_max - lr_min) * cos
 
 
 # ---------------------------------------------------------------------------
 # optimizer
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Adam moments; weight decay is decoupled (applied directly to weights)."""
-
-    beta1: float = 0.9
-    beta2: float = 0.95
-    eps: float = 1e-8
-    weight_decay: float = 0.1
-
 
 def init_optimizer_state(params: dict[str, np.ndarray]) -> dict:
     return {
@@ -81,7 +69,7 @@ def optimizer_step(
     grads: dict[str, np.ndarray],
     state: dict,
     lr: float,
-    cfg: OptimizerConfig,
+    weight_decay: float,
 ) -> None:
     """One decoupled-weight-decay adaptive-moment update, in place.
 
@@ -98,7 +86,7 @@ def optimizer_step(
         )
     state["step"] += 1
     t = state["step"]
-    b1, b2 = cfg.beta1, cfg.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bias1 = 1.0 - b1**t
     bias2 = 1.0 - b2**t
     buffers: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
@@ -121,11 +109,11 @@ def optimizer_step(
             m += s1
             np.divide(v, bias2, out=s2)
             np.sqrt(s2, out=s2)
-            s2 += cfg.eps
+            s2 += ADAM_EPS
             np.divide(m, bias1, out=s1)
             s1 /= s2
-            if cfg.weight_decay:
-                np.multiply(w, cfg.weight_decay, out=s2)
+            if weight_decay:
+                np.multiply(w, weight_decay, out=s2)
                 s1 += s2
             s1 *= lr
             w -= s1
@@ -192,10 +180,13 @@ class TrainConfig:
     steps: int = 100
     batch_size: int = 16
     seq_len: int = 256
-    schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
-    optim: OptimizerConfig = field(default_factory=OptimizerConfig)
     prompt_probability: float = 0.25
     checkpoint_every: int = 500
+    warmup_steps: int = 15_000
+    lr_max: float = 1e-4
+    decay_steps: int = 1_000_000
+    decay_factor: float = 10.0
+    weight_decay: float = 0.1
 
 
 @dataclass
@@ -245,7 +236,7 @@ def _train_loop(
     eval_scores: list[float] = []
 
     for step in range(cfg.steps):
-        lr = lr_schedule(opt_state["step"], cfg.schedule)
+        lr = lr_schedule(opt_state["step"], cfg)
         batch, prompted = _draw_batch(sampler, cfg.batch_size, cfg.prompt_probability)
         prompted_total += prompted
         loss, grads = loss_and_grads(
@@ -257,7 +248,7 @@ def _train_loop(
                 with atomic_writer(out_dir / "abort_dump.json") as f:
                     f.write(json.dumps(diagnostics, indent=2).encode())
             raise NonFiniteAbort("non-finite loss", diagnostics=diagnostics)
-        optimizer_step(params, grads, opt_state, lr, cfg.optim)
+        optimizer_step(params, grads, opt_state, lr, cfg.weight_decay)
         tokens_processed += cfg.batch_size * cfg.seq_len  # nominal, not the packed positions
 
         per_dataset: dict[str, float] = {}
@@ -355,10 +346,12 @@ def finetune(
         steps=cfg.steps,
         batch_size=cfg.batch_size,
         seq_len=cfg.seq_len,
-        schedule=ScheduleConfig(warmup_steps=0, lr_max=cfg.lr, decay_factor=1.0),
-        optim=OptimizerConfig(weight_decay=0.0),
         prompt_probability=cfg.prompt_probability,
         checkpoint_every=0,
+        warmup_steps=0,
+        lr_max=cfg.lr,
+        decay_factor=1.0,
+        weight_decay=0.0,
     )
     return _train_loop(
         state,

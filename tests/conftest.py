@@ -1,3 +1,10 @@
+import os
+
+# One BLAS thread per test process, set before numpy loads: two processes
+# that each run a multi-threaded BLAS on a small machine slow each other far
+# more than twofold.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 

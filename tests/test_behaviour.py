@@ -3,20 +3,23 @@
 Every other gate compares a change with its parent. These check that the
 system does what the paper says: a small model imitates a scripted expert,
 and a same-task prompt tells it which of two otherwise identical tasks it is
-playing. The thresholds sit below the worst of seeds 0-3; a change that moves
-a result below them is investigated, not re-tuned.
+playing. The imitation claim is also run end to end through the command line.
+The thresholds sit below the worst of seeds 0-3; a change that moves a result
+below them is investigated, not re-tuned.
 """
 
+import json
 from functools import partial
 
 import numpy as np
 
+from seqpolicy.cli import EXIT_OK, main
 from seqpolicy.corpora import collect_episodes, run_policy_episode
 from seqpolicy.datastore import DatasetManifest, LoadedDataset, MixtureSampler
 from seqpolicy.envs import GridReach, GridReachExpert, TwoTaskBandit, TwoTaskBanditExpert
 from seqpolicy.model import ModelState, tiny
 from seqpolicy.policy import RolloutConfig, evaluate_policy
-from seqpolicy.trainer import ScheduleConfig, TrainConfig, pretrain
+from seqpolicy.trainer import TrainConfig, pretrain
 
 SEED = 0
 
@@ -33,9 +36,11 @@ def _pretrained(datasets: dict, seq_len: int, prompt_probability: float) -> Mode
         steps=300,
         batch_size=16,
         seq_len=seq_len,
-        schedule=ScheduleConfig(warmup_steps=30, lr_max=1e-3, decay_steps=270),
         prompt_probability=prompt_probability,
         checkpoint_every=0,
+        warmup_steps=30,
+        lr_max=1e-3,
+        decay_steps=270,
     )
     return pretrain(sampler, ModelState.initialize(cfg, seed=SEED), train_cfg).state
 
@@ -46,6 +51,28 @@ def test_imitation_solves_gridreach():
     result = evaluate_policy(state, lambda s: GridReach(seed=s), RolloutConfig(), 50, seed=1000)
     # reward 1.0 marks reaching the goal, so the mean return is the success rate
     assert np.mean(result.returns) >= 0.8
+
+
+def test_cli_walkthrough_solves_gridreach(tmp_path, monkeypatch):
+    """Expert rollouts, filter, pretrain and rollout, as the README runs them."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["rollout", "--env", "gridreach", "--expert", "-n", "300", "--seed", str(SEED),
+                 "--out", "corpus/grid"]) == EXIT_OK
+    (tmp_path / "corpus" / "manifest.cfg").write_text(
+        "[grid_expert]\npaths = grid/transcripts.ep\nweight = 1.0\n"
+    )
+    assert main(["filter", "--manifest", "corpus/manifest.cfg",
+                 "--out", "corpus/filtered"]) == EXIT_OK
+    scale = ("steps=300 batch_size=16 seq_len=32 warmup_steps=30 lr_max=1e-3 decay_steps=270 "
+             "checkpoint_every=0 model.blocks=2 model.width=64 model.ff_hidden=256 "
+             "model.kv_size=16 model.context=32")
+    sets = [arg for item in scale.split() for arg in ("--set", item)]
+    assert main(["pretrain", "--set", "manifest=corpus/filtered/manifest.cfg", *sets,
+                 "--set", "out_dir=runs/grid", "--seed", str(SEED)]) == EXIT_OK
+    assert main(["rollout", "--checkpoint", "runs/grid/final.ckpt", "--env", "gridreach",
+                 "-n", "50", "--seed", "1000", "--out", "runs/rollout"]) == EXIT_OK
+    summary = json.loads((tmp_path / "runs" / "rollout" / "rollout_summary.json").read_text())
+    assert summary["mean_return"] >= 0.8
 
 
 def test_prompt_selects_the_bandit_task():

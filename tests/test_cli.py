@@ -1,7 +1,6 @@
 import json
-from dataclasses import fields, is_dataclass
+from dataclasses import fields
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -33,7 +32,7 @@ from seqpolicy.framing import frame, unframe
 from seqpolicy.policy import RolloutConfig, evaluate_policy
 from seqpolicy.sequencer import ElementSource, Episode, Timestep, flatten_episode
 from seqpolicy.codec import TensorSchema
-from seqpolicy.trainer import FinetuneConfig, OptimizerConfig, ScheduleConfig, TrainConfig
+from seqpolicy.trainer import FinetuneConfig, TrainConfig
 
 from conftest import manual_sequence, micro_cfg, one_stream_record, rich_episode
 
@@ -100,34 +99,26 @@ class TestConfigResolution:
                                      "model.preset=micro", f"out_dir={tmp_path / 'run'}",
                                      "weight_decay=0.05", "warmup_steps=7")])
         [cfg] = exc.value.args
-        assert cfg.optim == OptimizerConfig(weight_decay=0.05)
-        assert cfg.schedule == ScheduleConfig(warmup_steps=7)
+        assert (cfg.weight_decay, cfg.warmup_steps) == (0.05, 7)
         assert (cfg.steps, cfg.batch_size, cfg.seq_len) == (100, 16, 32)
 
-    @pytest.mark.parametrize("command, classes", [
-        ("pretrain", (TrainConfig, ScheduleConfig, OptimizerConfig)),
-        ("finetune", (FinetuneConfig,)),
+    @pytest.mark.parametrize("command, cls", [
+        ("pretrain", TrainConfig),
+        ("finetune", FinetuneConfig),
     ])
-    def test_every_config_field_is_a_key(self, command, classes):
-        keys = [f"model.{f.name}" for f in fields(M.ModelConfig)]
-        for cls in classes:
-            hints = get_type_hints(cls)
-            keys += [f.name for f in fields(cls) if not is_dataclass(hints[f.name])]
+    def test_every_config_field_is_a_key(self, command, cls):
+        keys = [f"model.{f.name}" for f in fields(M.ModelConfig)] + [f.name for f in fields(cls)]
         for key in keys:
             assert resolve_config(command, None, [f"{key}=1"], None)[key] == 1, key
 
 
 _PRETRAIN_DEFAULTS = [
     "pretrain.batch_size = 16",
-    "pretrain.beta1 = 0.9",
-    "pretrain.beta2 = 0.95",
     "pretrain.checkpoint = ",
     "pretrain.checkpoint_every = 500",
     "pretrain.decay_factor = 10.0",
     "pretrain.decay_steps = 1000000",
-    "pretrain.eps = 1e-08",
     "pretrain.lr_max = 0.0001",
-    "pretrain.lr_start = 1e-07",
     "pretrain.model.preset = tiny",
     "pretrain.out_dir = runs/pretrain",
     "pretrain.preset = all",
@@ -158,15 +149,11 @@ _FINETUNE_DEFAULTS = [
 
 _README_PRETRAIN = [
     "pretrain.batch_size = 16",
-    "pretrain.beta1 = 0.9",
-    "pretrain.beta2 = 0.95",
     "pretrain.checkpoint = ",
     "pretrain.checkpoint_every = 500",
     "pretrain.decay_factor = 10.0",
     "pretrain.decay_steps = 630",
-    "pretrain.eps = 1e-08",
     "pretrain.lr_max = 0.001",
-    "pretrain.lr_start = 1e-07",
     "pretrain.manifest = corpus/filtered/manifest.cfg",
     "pretrain.model.preset = tiny",
     "pretrain.out_dir = runs/grid",
@@ -182,15 +169,11 @@ _README_PRETRAIN = [
 
 _MICRO_PRETRAIN = [
     "pretrain.batch_size = 2",
-    "pretrain.beta1 = 0.9",
-    "pretrain.beta2 = 0.95",
     "pretrain.checkpoint = ",
     "pretrain.checkpoint_every = 0",
     "pretrain.decay_factor = 10.0",
     "pretrain.decay_steps = 1000000",
-    "pretrain.eps = 1e-08",
     "pretrain.lr_max = 0.0001",
-    "pretrain.lr_start = 1e-07",
     "pretrain.manifest = absent.cfg",
     "pretrain.model.dropout = 0.25",
     "pretrain.model.local_pos_table = 16",
@@ -271,6 +254,7 @@ class TestResolvedConfigGolden:
 
     @pytest.mark.parametrize("command, item, message", [
         ("pretrain", "nonsense=1", "unknown config keys for pretrain: ['nonsense']"),
+        ("pretrain", "beta1=0.95", "unknown config keys for pretrain: ['beta1']"),
         ("pretrain", "steps=many", "steps: expected int, got 'many'"),
         ("pretrain", "lr_max=fast", "lr_max: expected float, got 'fast'"),
         ("pretrain", "model.zero_action_inputs=maybe",

@@ -11,8 +11,6 @@ from seqpolicy.errors import CapacityError, NonFiniteAbort
 from seqpolicy.model import ModelConfig, ModelState, parameter_count
 from seqpolicy.trainer import (
     FinetuneConfig,
-    OptimizerConfig,
-    ScheduleConfig,
     TrainConfig,
     ablation_manifests,
     eval_protocol,
@@ -27,43 +25,42 @@ from seqpolicy.trainer import (
 
 class TestSchedule:
     def test_endpoints(self):
-        s = ScheduleConfig(lr_max=1e-4)
+        s = TrainConfig(lr_max=1e-4)
         assert lr_schedule(0, s) == pytest.approx(1e-7)
         assert lr_schedule(15_000, s) == pytest.approx(1e-4)
         assert lr_schedule(15_000 + 1_000_000, s) == pytest.approx(1e-5)
         assert lr_schedule(15_000 + 2_000_000, s) == pytest.approx(1e-5)
 
     def test_continuity_at_warmup(self):
-        s = ScheduleConfig(lr_max=2e-4)
+        s = TrainConfig(lr_max=2e-4)
         before = lr_schedule(s.warmup_steps - 1, s)
         at = lr_schedule(s.warmup_steps, s)
-        assert abs(at - before) < (s.lr_max - s.lr_start) / s.warmup_steps * 1.01
+        assert abs(at - before) < (s.lr_max - trainer.LR_START) / s.warmup_steps * 1.01
 
     def test_non_increasing_after_warmup(self):
-        s = ScheduleConfig(warmup_steps=10, lr_max=1e-3, decay_steps=500)
+        s = TrainConfig(warmup_steps=10, lr_max=1e-3, decay_steps=500)
         values = [lr_schedule(t, s) for t in range(10, 600)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_negative_step_rejected(self):
         with pytest.raises(ValueError):
-            lr_schedule(-1, ScheduleConfig())
+            lr_schedule(-1, TrainConfig())
 
 
 class TestOptimizer:
     def test_zero_grad_zero_decay_unchanged(self):
         params = {"w": np.array([1.0, -2.0])}
         state = init_optimizer_state(params)
-        optimizer_step(params, {"w": np.zeros(2)}, state, 1e-3, OptimizerConfig(weight_decay=0.0))
+        optimizer_step(params, {"w": np.zeros(2)}, state, 1e-3, weight_decay=0.0)
         assert np.array_equal(params["w"], np.array([1.0, -2.0]))
 
     def test_single_step_matches_hand_computation(self):
         # quadratic f(w) = w^2 at w=3: grad 6
-        cfg = OptimizerConfig(beta1=0.9, beta2=0.95, eps=1e-8, weight_decay=0.1)
         lr = 1e-2
         w0, g = 3.0, 6.0
         params = {"w": np.array([w0])}
         state = init_optimizer_state(params)
-        optimizer_step(params, {"w": np.array([g])}, state, lr, cfg)
+        optimizer_step(params, {"w": np.array([g])}, state, lr, weight_decay=0.1)
         m = 0.1 * g
         v = 0.05 * g * g
         mhat = m / (1 - 0.9)
@@ -72,18 +69,17 @@ class TestOptimizer:
         assert params["w"][0] == pytest.approx(expected, abs=1e-12)
 
     def test_decay_only_shrinks(self):
-        cfg = OptimizerConfig(weight_decay=0.1)
         lr = 1e-2
         params = {"w": np.array([2.0])}
         state = init_optimizer_state(params)
-        optimizer_step(params, {"w": np.zeros(1)}, state, lr, cfg)
+        optimizer_step(params, {"w": np.zeros(1)}, state, lr, weight_decay=0.1)
         assert params["w"][0] == pytest.approx(2.0 * (1 - lr * 0.1))
 
     def test_non_finite_grad_aborts(self):
         params = {"w": np.array([1.0])}
         state = init_optimizer_state(params)
         with pytest.raises(NonFiniteAbort) as exc:
-            optimizer_step(params, {"w": np.array([np.nan])}, state, 1e-3, OptimizerConfig())
+            optimizer_step(params, {"w": np.array([np.nan])}, state, 1e-3, weight_decay=0.1)
         assert "w" in exc.value.diagnostics["parameters"]
 
     def test_deterministic_given_state(self):
@@ -91,17 +87,17 @@ class TestOptimizer:
             params = {"w": np.linspace(-1, 1, 5)}
             state = init_optimizer_state(params)
             for g in ([0.1] * 5, [0.3] * 5, [-0.2] * 5):
-                optimizer_step(params, {"w": np.array(g)}, state, 1e-2, OptimizerConfig())
+                optimizer_step(params, {"w": np.array(g)}, state, 1e-2, weight_decay=0.1)
             return params["w"].copy()
 
         assert np.array_equal(run(), run())
 
 
-def _reference_optimizer_step(params, grads, state, lr, cfg):
+def _reference_optimizer_step(params, grads, state, lr, weight_decay):
     """The per-tensor AdamW loop with full-size scratch buffers, kept verbatim."""
     state["step"] += 1
     t = state["step"]
-    b1, b2 = cfg.beta1, cfg.beta2
+    b1, b2 = trainer.ADAM_BETA1, trainer.ADAM_BETA2
     bias1 = 1.0 - b1**t
     bias2 = 1.0 - b2**t
     scratch = state.setdefault("scratch", {})
@@ -121,11 +117,11 @@ def _reference_optimizer_step(params, grads, state, lr, cfg):
         m += s1
         np.divide(v, bias2, out=s2)
         np.sqrt(s2, out=s2)
-        s2 += cfg.eps
+        s2 += trainer.ADAM_EPS
         np.divide(m, bias1, out=s1)
         s1 /= s2
-        if cfg.weight_decay:
-            np.multiply(p, cfg.weight_decay, out=s2)
+        if weight_decay:
+            np.multiply(p, weight_decay, out=s2)
             s1 += s2
         s1 *= lr
         p -= s1
@@ -141,13 +137,12 @@ class TestBlockedOptimizer:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("weight_decay", [0.0, 0.1])
     def test_bit_identical_to_per_tensor_loop(self, dtype, weight_decay):
-        cfg = OptimizerConfig(weight_decay=weight_decay)
         params, ref_params = _optimizer_tensors(dtype), _optimizer_tensors(dtype)
         state, ref_state = init_optimizer_state(params), init_optimizer_state(ref_params)
         for step in range(3):
             grads = _optimizer_tensors(dtype, seed=step + 1)
-            optimizer_step(params, grads, state, 1e-2, cfg)
-            _reference_optimizer_step(ref_params, grads, ref_state, 1e-2, cfg)
+            optimizer_step(params, grads, state, 1e-2, weight_decay)
+            _reference_optimizer_step(ref_params, grads, ref_state, 1e-2, weight_decay)
         assert state["step"] == ref_state["step"] == 3
         assert "scratch" not in state
         for k in params:
@@ -160,7 +155,7 @@ class TestBlockedOptimizer:
         params = _optimizer_tensors(np.float32)
         state = init_optimizer_state(params)
         optimizer_step(params, _optimizer_tensors(np.float32, seed=1), state, 1e-2,
-                       OptimizerConfig())
+                       weight_decay=0.1)
         grads = _optimizer_tensors(np.float32, seed=2)
         grads = {"bias": grads["bias"], "matrix": grads["matrix"], "big": grads["big"]}
         grads["big"][trainer.ADAM_BLOCK + 3] = np.nan
@@ -168,7 +163,7 @@ class TestBlockedOptimizer:
         before = {k: (params[k].copy(), state["m"][k].copy(), state["v"][k].copy())
                   for k in params}
         with pytest.raises(NonFiniteAbort) as exc:
-            optimizer_step(params, grads, state, 1e-2, OptimizerConfig())
+            optimizer_step(params, grads, state, 1e-2, weight_decay=0.1)
         assert exc.value.diagnostics["parameters"] == ["big"]
         assert state["step"] == 1
         for k, (p, m, v) in before.items():
@@ -228,7 +223,9 @@ class TestPretrain:
             steps=120,
             batch_size=4,
             seq_len=16,
-            schedule=ScheduleConfig(warmup_steps=10, lr_max=3e-3, decay_steps=500),
+            warmup_steps=10,
+            lr_max=3e-3,
+            decay_steps=500,
             checkpoint_every=0,
         )
         result = pretrain(sampler, state, cfg)
@@ -317,7 +314,7 @@ class TestFinetune:
                           FinetuneConfig(steps=4, batch_size=2, seq_len=16, lr=3e-5, eval_every=0))
         assert result.metrics.column("lr") == [3e-5] * 4
         assert result.optimizer_state["step"] == 4
-        flat = ScheduleConfig(warmup_steps=0, lr_max=3e-5, decay_factor=1.0)
+        flat = TrainConfig(warmup_steps=0, lr_max=3e-5, decay_factor=1.0)
         assert {lr_schedule(t, flat) for t in (0, 1, 999_999, 1_000_000, 5_000_000)} == {3e-5}
 
     def test_single_task_enforced(self):
