@@ -181,13 +181,8 @@ def _log_resolved(command: str, resolved: dict, out_dir: Path | None) -> None:
 
 def build_model_config(resolved: dict) -> ModelConfig:
     preset = resolved["model.preset"]
-    if preset == "tiny":
-        cfg = tiny()
-    elif preset == "micro":
-        cfg = micro()
-    elif preset in FULL_SCALE:
-        cfg = FULL_SCALE[preset]
-    else:
+    cfg = {"tiny": tiny(), "micro": micro(), **FULL_SCALE}.get(preset)
+    if cfg is None:
         raise ConfigError(f"unknown model.preset {preset!r}")
     overrides = {
         key.split(".", 1)[1]: value
@@ -355,8 +350,6 @@ def cmd_rollout(args) -> int:
             prompt_budget=args.prompt_budget,
             context=args.context,
             temperature=args.temperature,
-            action_mode="parallel" if args.parallel else "autoregressive",
-            context_timesteps=args.context_timesteps,
         )
         result = evaluate_policy(
             state, lambda s: make_env(args.env, seed=s), cfg, args.episodes, seed=args.seed
@@ -454,9 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prompt", default="")
     p.add_argument("--prompt-budget", type=int, default=1024)
     p.add_argument("--context", type=int, default=1024)
-    p.add_argument("--context-timesteps", type=int, default=None)
     p.add_argument("--temperature", type=float, default=0.0)
-    p.add_argument("--parallel", action="store_true")
     p.add_argument("--expert", action="store_true")
     p.add_argument("--out", default="")
     p.add_argument("--seed", type=int, default=0)

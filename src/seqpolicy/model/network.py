@@ -419,10 +419,7 @@ def forward_logits(
     positions: np.ndarray | None = None,
 ) -> np.ndarray:
     """Eval-mode logits over the ``embed/vocab`` rows at all positions, or at
-    ``positions``.
-
-    ``positions`` holds one position per row; for a one-row batch it may be
-    any index array, giving one logits row per entry.
+    ``positions``, which holds one position per batch row.
     """
     emb, _ = embed_batch(params, cfg, batch, "eval", None)
     hidden, _ = hidden_fwd(params, cfg, emb, "eval", None, batch.segments)

@@ -1,11 +1,12 @@
 """Deploy a trained model as a control policy.
 
 The loop tokenizes each observation exactly as training did (same flattening
-code path), appends a separator, samples the action tokens, decodes them by
-inverting the codec, and steps the environment. The context is one element
-sequence: the prompt on timestep ids below zero, then each observation and
-its action tokens. Truncation drops its oldest whole timesteps, so the local
-structure the model saw during training survives.
+code path), appends a separator, samples the action tokens one at a time,
+each conditioned on the context so far, decodes them by inverting the codec,
+and steps the environment. The context is one element sequence: the prompt
+on timestep ids below zero, then each observation and its action tokens.
+Truncation drops its oldest whole timesteps, so the local structure the
+model saw during training survives.
 
 Sampled action tokens are range-masked to the legal token range of the
 action schema (continuous bins or the discrete range), so illegal ids are
@@ -44,20 +45,12 @@ class RolloutConfig:
     prompt_budget: int = 1024
     context: int = 1024
     temperature: float = 0.0  # 0 samples greedily
-    action_mode: str = "autoregressive"  # or "parallel"
-    context_timesteps: int | None = None  # low-latency mode: 1
 
     def __post_init__(self):
-        if self.action_mode not in ("autoregressive", "parallel"):
-            raise ConfigError(f"unknown action_mode {self.action_mode!r}")
         if not (self.temperature >= 0):
             raise ConfigError(f"temperature must be >= 0, got {self.temperature}")
         if self.prompt_budget < 0:
             raise ConfigError(f"prompt_budget must be >= 0, got {self.prompt_budget}")
-        if self.context_timesteps is not None and self.context_timesteps < 1:
-            raise ConfigError(
-                f"context_timesteps must be >= 1 or None, got {self.context_timesteps}"
-            )
 
 
 @dataclass
@@ -95,17 +88,15 @@ def sample_token(
     return lo + int(rng.choice(hi - lo, p=p))
 
 
-def _sample_ids(
+def _sample_id(
     state: ModelState, logits: np.ndarray, schema: TensorSchema, cfg: RolloutConfig,
     rng: np.random.Generator,
-) -> list[int]:
-    """One legal token id per logits row: sampled over the rows holding the
-    schema's legal ids, then mapped back to ids."""
+) -> int:
+    """One legal token id: sampled over the logits of the rows holding the
+    schema's legal ids, then mapped back to an id."""
     ids = vocab_table(state.cfg.vocab)[0]
     lo, hi = (int(r) for r in np.searchsorted(ids, legal_token_range(schema)))
-    return [
-        int(ids[sample_token(row, lo, hi, cfg.temperature, rng)]) for row in logits
-    ]
+    return int(ids[sample_token(logits, lo, hi, cfg.temperature, rng)])
 
 
 def _observation_fragment(task_id: str, observations, timestep_id: int) -> ElementSequence:
@@ -139,12 +130,10 @@ def _prompt_sequence(prompt: Episode, budget: int, task_id: str) -> ElementSeque
 
 
 def _drop_oldest_timesteps(
-    seq: ElementSequence, limit: int, reserve: int, keep_timesteps: int | None,
-    stats: RolloutStats,
+    seq: ElementSequence, limit: int, reserve: int, stats: RolloutStats
 ) -> ElementSequence:
-    """Drop whole timesteps from the front of ``seq``: first down to
-    ``keep_timesteps`` of them, then until ``reserve`` more elements fit in
-    ``limit``."""
+    """Drop whole timesteps from the front of ``seq`` until ``reserve`` more
+    elements fit in ``limit``."""
     starts = np.r_[0, np.flatnonzero(np.diff(seq.timestep)) + 1]
     fits = np.flatnonzero(len(seq) - starts + reserve <= limit)
     if fits.size == 0:
@@ -153,21 +142,11 @@ def _drop_oldest_timesteps(
             f"tokens) exceeds the context window of {limit}"
         )
     drop = int(fits[0])
-    if keep_timesteps is not None:
-        drop = max(drop, len(starts) - keep_timesteps)
     stats.truncations += drop
     return seq.slice(int(starts[drop]), len(seq)) if drop else seq
 
 
-def _logits_at(
-    state: ModelState, seq: ElementSequence, positions: np.ndarray, stats: RolloutStats
-) -> np.ndarray:
-    """(len(positions), cfg.vocab) logits from one forward pass over ``seq``."""
-    stats.forward_passes += 1
-    return forward_logits(state.params, state.cfg, assemble_batch([seq]), positions=positions)
-
-
-def sample_action_autoregressive(
+def sample_action(
     state: ModelState,
     seq: ElementSequence,
     schema: TensorSchema,
@@ -175,34 +154,16 @@ def sample_action_autoregressive(
     rng: np.random.Generator,
     stats: RolloutStats,
 ) -> tuple[ElementSequence, list[int]]:
-    """One token at a time, each conditioned on everything sampled so far."""
+    """One token at a time, each from one forward pass over everything so far."""
     tokens = []
     for _ in range(schema.num_elements):
-        logits = _logits_at(state, seq, np.array([len(seq) - 1]), stats)
-        [token] = _sample_ids(state, logits, schema, cfg, rng)
+        stats.forward_passes += 1
+        logits = forward_logits(
+            state.params, state.cfg, assemble_batch([seq]), positions=np.array([len(seq) - 1])
+        )
+        token = _sample_id(state, logits[0], schema, cfg, rng)
         tokens.append(token)
         seq = _with_actions(seq, [token])
-    return seq, tokens
-
-
-def sample_action_parallel(
-    state: ModelState,
-    seq: ElementSequence,
-    schema: TensorSchema,
-    cfg: RolloutConfig,
-    rng: np.random.Generator,
-    stats: RolloutStats,
-) -> tuple[ElementSequence, list[int]]:
-    """All action tokens from a single forward pass over zeroed placeholders.
-
-    :func:`rollout` has already refused a model without ``zero_action_inputs``.
-    """
-    count = schema.num_elements
-    seq = _with_actions(seq, [0] * count)
-    # the separator and all but the last placeholder feed the action slots
-    logits = _logits_at(state, seq, np.arange(len(seq) - 1 - count, len(seq) - 1), stats)
-    tokens = _sample_ids(state, logits, schema, cfg, rng)
-    seq.tokens[-count:] = tokens
     return seq, tokens
 
 
@@ -223,10 +184,6 @@ def rollout(
     """Run the model as a policy for one episode; returns the realized
     episode, its total return, and per-rollout statistics."""
     rng = rng if rng is not None else np.random.default_rng(0)
-    if cfg.action_mode == "parallel" and not state.cfg.zero_action_inputs:
-        raise ConfigError(
-            "parallel action sampling needs a model trained with zero_action_inputs"
-        )
     schema = env.spec.action_schema
     limit = min(cfg.context, state.cfg.context)
     stats = RolloutStats()
@@ -235,21 +192,14 @@ def rollout(
         seq = _prompt_sequence(cfg.prompt, cfg.prompt_budget, env.task_id)
         stats.prompted = True
 
-    sampler = (
-        sample_action_autoregressive
-        if cfg.action_mode == "autoregressive"
-        else sample_action_parallel
-    )
     observations = env.reset()
     timesteps: list[Timestep] = []
     rewards: list[float] = []
     for t in range(env.spec.episode_length):
         step = _observation_fragment(env.task_id, observations, t)
         seq = step if seq is None else concat_sequences([seq, step])
-        seq = _drop_oldest_timesteps(
-            seq, limit, schema.num_elements, cfg.context_timesteps, stats
-        )
-        seq, tokens = sampler(state, seq, schema, cfg, rng, stats)
+        seq = _drop_oldest_timesteps(seq, limit, schema.num_elements, stats)
+        seq, tokens = sample_action(state, seq, schema, cfg, rng, stats)
         action = decode_action(tokens, schema)
         next_observations, reward, done = env.step(action)
         timesteps.append(Timestep(observations=observations, action=(schema, action)))

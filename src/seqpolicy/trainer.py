@@ -382,12 +382,12 @@ def eval_protocol(scores: list[float], window: int = 5) -> float:
 ABLATION_ARMS = ("all", "same_domain", "no_control", "scratch")
 
 
-def ablation_manifests(arm: str, manifests, target_domain: str, text_marker: str = "text"):
+def ablation_manifests(arm: str, manifests, target_domain: str):
     """Pretraining dataset selection for one ablation arm.
 
     Returns (manifest subset, use_pretrained). ``scratch`` pretrains on
-    nothing; ``no_control`` keeps only datasets whose name carries the
-    text marker; ``same_domain`` keeps datasets naming the target domain.
+    nothing; ``no_control`` keeps only datasets whose name contains
+    ``"text"``; ``same_domain`` keeps datasets naming the target domain.
     """
     if arm not in ABLATION_ARMS:
         raise ValueError(f"unknown ablation arm {arm!r}; choose from {ABLATION_ARMS}")
@@ -398,7 +398,7 @@ def ablation_manifests(arm: str, manifests, target_domain: str, text_marker: str
     if arm == "same_domain":
         chosen = [m for m in manifests if target_domain in m.name]
     else:
-        chosen = [m for m in manifests if text_marker in m.name]
+        chosen = [m for m in manifests if "text" in m.name]
     if not chosen:
         raise ValueError(f"ablation arm {arm!r} selected no datasets")
     return chosen, True

@@ -473,8 +473,7 @@ class TestRolloutCommand:
         expected = evaluate_policy(state, lambda s: make_env("gridreach", s), rollout_cfg, 3, seed=4)
         assert printed == expected.returns
 
-    @pytest.mark.parametrize("flag", [("--context-timesteps", "0"), ("--prompt-budget", "-3"),
-                                      ("--temperature", "-1")])
+    @pytest.mark.parametrize("flag", [("--prompt-budget", "-3"), ("--temperature", "-1")])
     def test_bad_context_flags_exit_2(self, tmp_path, capsys, flag):
         path = tmp_path / "model.ckpt"
         cfg = micro_cfg(context=64)
@@ -483,6 +482,12 @@ class TestRolloutCommand:
                      *flag])
         assert code == EXIT_CONFIG
         assert flag[0][2:].replace("-", "_") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [("--parallel",), ("--context-timesteps", "1")])
+    def test_removed_rollout_flags_exit_2(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["rollout", "--expert", "--env", "gridreach", "-n", "1", *flag])
+        assert exc.value.code == 2
 
 
 class TestInspectCommand:

@@ -118,30 +118,11 @@ class TestRollout:
         # A=1: exactly one forward pass per environment step
         assert stats.forward_passes == stats.env_steps == len(episode)
 
-    def test_parallel_single_pass_vs_autoregressive(self):
-        env = _FixedVectorEnv()
-        ar_state = tiny_state()
-        _, _, ar_stats = rollout(ar_state, env, RolloutConfig(action_mode="autoregressive"))
-        par_state = tiny_state(zero_action_inputs=True)
-        _, _, par_stats = rollout(
-            par_state, _FixedVectorEnv(), RolloutConfig(action_mode="parallel")
-        )
-        assert ar_stats.forward_passes == 3 * ar_stats.env_steps
-        assert par_stats.forward_passes == par_stats.env_steps
-
-    def test_parallel_output_shape_matches_autoregressive(self):
-        env = _FixedVectorEnv()
-        ar_ep, _, _ = rollout(tiny_state(), env, RolloutConfig())
-        par_ep, _, _ = rollout(
-            tiny_state(zero_action_inputs=True),
-            _FixedVectorEnv(),
-            RolloutConfig(action_mode="parallel"),
-        )
-        assert ar_ep.timesteps[0].action[1].shape == par_ep.timesteps[0].action[1].shape == (3,)
-
-    def test_parallel_requires_flag(self):
-        with pytest.raises(ConfigError):
-            rollout(tiny_state(), _FixedVectorEnv(), RolloutConfig(action_mode="parallel"))
+    def test_one_forward_pass_per_action_token(self):
+        episode, _, stats = rollout(tiny_state(), _FixedVectorEnv(), RolloutConfig())
+        # A=3: one forward pass per action token
+        assert stats.forward_passes == 3 * stats.env_steps
+        assert episode.timesteps[0].action[1].shape == (3,)
 
     def test_greedy_rollout_deterministic(self):
         state = tiny_state()
@@ -184,14 +165,6 @@ class TestRollout:
         with pytest.raises(ConfigError):
             rollout(state, GridReach(seed=0), RolloutConfig(context=3))
 
-    def test_context_timesteps_one(self):
-        state = tiny_state(zero_action_inputs=True)
-        env = _FixedVectorEnv()
-        _, _, stats = rollout(
-            state, env, RolloutConfig(action_mode="parallel", context_timesteps=1)
-        )
-        assert stats.env_steps == 2
-
     def test_prompt_prepended_and_budgeted(self, monkeypatch):
         state = tiny_state()
         demo = run_policy_episode(GridReach(seed=9), GridReachExpert())
@@ -205,8 +178,8 @@ class TestRollout:
         assert (first.timestep[6:] == 0).all()
 
     @pytest.mark.parametrize(
-        "bad", [{"context_timesteps": 0}, {"prompt_budget": -3}, {"action_mode": "beam"},
-                {"temperature": -1.0}, {"temperature": -0.5}, {"temperature": float("nan")}]
+        "bad", [{"prompt_budget": -3}, {"temperature": -1.0}, {"temperature": -0.5},
+                {"temperature": float("nan")}]
     )
     def test_bad_config_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -228,11 +201,12 @@ class TestRollout:
         assert len(result.episodes) == 4
 
 
-# SHA-256 over 192 rollouts: actions, return and stats of each, plus the
+# SHA-256 over 64 rollouts: actions, return and stats of each, plus the
 # integer arrays and positions of every batch the model is asked for logits
-# on. Logits stay out, so the BLAS build cannot move it. Pinned while the
-# rollout context was still a list of per-timestep fragments.
-ROLLOUT_DIGEST = "59c79cc8e72808d9978d95266dbdfed0fa7bbc2c2b58c9bafb6b5c7993b1179c"
+# on. Logits stay out, so the BLAS build cannot move it. Pinned when
+# autoregressive sampling became the only rollout path; the code before
+# gave the same value for these 64 cases.
+ROLLOUT_DIGEST = "5e8b58e073773124d61961c39f0c9f3483d1d6d6e843fb59e5ba3ee49a574f28"
 
 
 def test_rollout_golden_digest(monkeypatch):
@@ -249,28 +223,27 @@ def test_rollout_golden_digest(monkeypatch):
 
     monkeypatch.setattr(policy, "forward_logits", recording_forward)
     states = {}
-    for action_mode in ("autoregressive", "parallel"):
+    for zero_action_inputs in (False, True):
         cfg = micro_cfg(vocab=2049, width=32, kv_size=16, context=128, local_pos_table=32,
-                        zero_action_inputs=action_mode == "parallel")
-        states[action_mode] = ModelState(
+                        zero_action_inputs=zero_action_inputs)
+        states[zero_action_inputs] = ModelState(
             cfg, init_params(cfg, seed=5, dtype=np.float64), RngStreams(0)
         )
     prompts = {
         name: run_policy_episode(make_env(name, seed=99), make_expert(name)) for name in ENV_NAMES
     }
     grid = list(itertools.product(
-        states, ENV_NAMES, (False, True), (1024, 12), (None, 1, 2), (0.0, 0.7)
+        states, ENV_NAMES, (False, True), (1024, 12), (0.0, 0.7)
     ))
-    for action_mode, env_name, prompted, context, context_timesteps, temperature in grid:
+    for zero_action_inputs, env_name, prompted, context, temperature in grid:
         rcfg = RolloutConfig(
             prompt=prompts[env_name] if prompted else None, context=context,
-            temperature=temperature, action_mode=action_mode,
-            context_timesteps=context_timesteps,
+            temperature=temperature,
         )
         episode, ret, stats = rollout(
-            states[action_mode], make_env(env_name, seed=3), rcfg, np.random.default_rng(8)
+            states[zero_action_inputs], make_env(env_name, seed=3), rcfg, np.random.default_rng(8)
         )
         actions = [np.asarray(ts.action[1]).tolist() for ts in episode.timesteps]
         h.update(repr((actions, ret, stats)).encode())
-    assert len(grid) == 192
+    assert len(grid) == 64
     assert h.hexdigest() == ROLLOUT_DIGEST

@@ -210,12 +210,12 @@ def _prompt(env_name):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_rollouts_of_compact_copy_equal_full(dtype):
     """Actions, returns, forward passes and truncations, across every env,
-    prompted or not, wide and narrow context, both action modes, greedy and
-    at temperature 0.7."""
+    prompted or not, wide and narrow context, with and without zeroed action
+    inputs, greedy and at temperature 0.7."""
     compared = 0
-    for action_mode in ("autoregressive", "parallel"):
+    for zero_action_inputs in (False, True):
         cfg = micro_cfg(vocab=FULL, width=32, kv_size=16, context=128, local_pos_table=32,
-                        zero_action_inputs=action_mode == "parallel")
+                        zero_action_inputs=zero_action_inputs)
         full = M.ModelState(cfg, M.init_params(cfg, seed=5, dtype=dtype), M.RngStreams(0))
         compact_cfg, compact_params = _compact_copy(cfg, full.params)
         compact = M.ModelState(compact_cfg, compact_params, M.RngStreams(0))
@@ -226,7 +226,7 @@ def test_rollouts_of_compact_copy_equal_full(dtype):
                     for temperature in (0.0, 0.7):
                         rcfg = RolloutConfig(
                             prompt=prompt if prompted else None, context=context,
-                            temperature=temperature, action_mode=action_mode,
+                            temperature=temperature,
                         )
                         runs = [
                             rollout(state, make_env(env_name, seed=3), rcfg,
