@@ -18,7 +18,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -104,6 +104,7 @@ def _build(cls, resolved: dict):
     return cls(**{f.name: resolved[f.name] for f in fields(cls)})
 
 
+_CONFIG_CLASS = {"pretrain": TrainConfig, "finetune": FinetuneConfig}
 _SCHEMA = {
     command: {
         **_config_keys(cls),
@@ -111,18 +112,12 @@ _SCHEMA = {
         **{f"model.{k}": (kind, MISSING) for k, (kind, _) in _config_keys(ModelConfig).items()},
         **_CLI_KEYS[command],
     }
-    for command, cls in (("pretrain", TrainConfig), ("finetune", FinetuneConfig))
+    for command, cls in _CONFIG_CLASS.items()
 }
 
 
 def _coerce(key: str, raw: str, kind):
-    if kind is bool:
-        low = str(raw).strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
+    """``raw`` as ``kind``: every key is an int, a float or a str."""
     try:
         return kind(raw)
     except (TypeError, ValueError) as exc:
@@ -162,6 +157,11 @@ def resolve_config(command: str, config_path, overrides: list[str], seed_flag) -
         resolved[key] = _coerce(key, value, schema[key][0])
     if (arm := resolved["preset"]) not in ABLATION_ARMS:
         raise ConfigError(f"unknown ablation arm {arm!r}; choose from {ABLATION_ARMS}")
+    # every arm but scratch trains the checkpoint's model, whatever the model keys say
+    model_keys = sorted(k for k in raw if k.startswith("model."))
+    if model_keys and resolved["checkpoint"] and arm != "scratch":
+        raise ConfigError(f"{model_keys} cannot change the checkpoint's model")
+    _build(_CONFIG_CLASS[command], resolved)  # raises on values the run cannot use
     if seed_flag is not None:
         resolved["seed"] = int(seed_flag)
     elif os.environ.get(SEED_ENV_VAR) and "seed" not in raw:
@@ -189,7 +189,7 @@ def build_model_config(resolved: dict) -> ModelConfig:
         for key, value in resolved.items()
         if key.startswith("model.") and key != "model.preset"
     }
-    return cfg.replace(**overrides) if overrides else cfg
+    return replace(cfg, **overrides)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ The unified vocabulary packs four modalities into integer ids:
   ``[-1, 1]``, quantized into 1024 uniform bins and shifted to ``[32000, 33024)``,
 * ``33024`` is the observation/action separator.
 
-Images never become token ids; they are cut into non-overlapping 16x16
-patches in raster order and embedded downstream. :func:`encode` and
+Images are RGB and never become token ids; they are cut into non-overlapping
+16x16 patches in raster order and embedded downstream. :func:`encode` and
 :func:`decode` pick the codec from a stream's schema.
 
 Every operation here is a deterministic pure function.
@@ -36,6 +36,7 @@ VOCAB_SIZE = SEPARATOR_TOKEN + 1
 COMPACT_VOCAB = DISCRETE_VOCAB + CONTINUOUS_BINS + 1  # the ids bytes and the codecs emit
 
 PATCH_SIZE = 16
+PATCH_CHANNELS = 3  # every image is RGB
 PATCH_SCALE = math.sqrt(PATCH_SIZE)  # pixel values divided by sqrt(16) = 4
 
 # mu-law companding constants; they compress ``[-256, 256]`` onto ``[-1, 1]``
@@ -87,8 +88,8 @@ class TensorSchema:
             if self.compand:
                 raise SchemaError(f"{self.key}: compand is continuous-only")
         if self.modality is Modality.IMAGE:
-            if len(self.shape) != 3:
-                raise SchemaError(f"{self.key}: image shape must be (H, W, C)")
+            if len(self.shape) != 3 or self.shape[2] != PATCH_CHANNELS:
+                raise SchemaError(f"{self.key}: image shape must be (H, W, 3), got {self.shape}")
             h, w, _ = self.shape
             if h % PATCH_SIZE or w % PATCH_SIZE:
                 raise SchemaError(
@@ -298,13 +299,12 @@ def normalize_patch(raw: np.ndarray) -> np.ndarray:
 
 
 def image_to_patches(image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cut an HxWxC image into normalized 16x16 patches in raster order.
+    """Cut an HxWxC uint8 image into normalized 16x16 patches in raster order.
 
     Returns ``(pixels, intervals)``: pixels (P, 16, 16, C) float64 in
     ``[-0.25, 0.25]``, and intervals (P, 4) float64 rows of (row_lo, row_hi,
     col_lo, col_hi), a patch's pixel extents divided by image height resp.
-    width. uint8 input is normalized here; float input must already be
-    normalized. Dimensions not divisible by 16 are rejected, never padded.
+    width. Dimensions not divisible by 16 are rejected, never padded.
     """
     arr = np.asarray(image)
     if arr.ndim != 3:
@@ -312,12 +312,7 @@ def image_to_patches(image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h, w, c = arr.shape
     if h % PATCH_SIZE or w % PATCH_SIZE:
         raise SchemaError(f"image dims {h}x{w} not divisible by {PATCH_SIZE}")
-    if arr.dtype == np.uint8:
-        arr = normalize_patch(arr)
-    else:
-        arr = arr.astype(np.float64)
-        if np.any(np.abs(arr) > 0.25 + 1e-12):
-            raise SchemaError("float image must be pre-normalized into [-0.25, 0.25]")
+    arr = normalize_patch(arr)
     rows, cols = h // PATCH_SIZE, w // PATCH_SIZE
     pixels = arr.reshape(rows, PATCH_SIZE, cols, PATCH_SIZE, c).transpose(0, 2, 1, 3, 4)
     r0 = np.repeat(np.arange(rows), cols) * PATCH_SIZE

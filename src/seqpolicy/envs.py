@@ -30,11 +30,6 @@ class EnvSpec:
         if self.action_schema.modality not in (Modality.DISCRETE, Modality.CONTINUOUS):
             raise SchemaError("actions must be discrete or continuous")
 
-    @property
-    def action_elements(self) -> int:
-        """Tokens per action, fixed by the action specification."""
-        return self.action_schema.num_elements
-
 
 class GridReach:
     """5x5 grid: move the agent onto the goal cell within 20 steps.

@@ -9,11 +9,16 @@ from pathlib import Path
 
 import numpy as np
 
+from ..errors import RecordFormatError
 from ..framing import Reader, Writer, atomic_writer, frame, unframe
 from .config import ModelConfig
 
 MAGIC = b"SQCK"
 CHECKPOINT_VERSION = 1
+
+# Former config fields that v1 files hold, at the only values the model has:
+# RGB patches, and action tokens embedded like any other token.
+_FIXED_FIELDS = {"patch_channels": 3, "zero_action_inputs": False}
 
 
 def save_checkpoint(
@@ -53,7 +58,14 @@ def load_checkpoint(path) -> dict:
     """Returns {cfg, params, optimizer_state, rng_states, extra}."""
     body, _ = unframe(Path(path).read_bytes(), 0, MAGIC, CHECKPOINT_VERSION)
     r = Reader(body)
-    cfg = ModelConfig(**json.loads(r.string()))
+    try:
+        raw = json.loads(r.string())
+        for key, value in _FIXED_FIELDS.items():
+            if (found := raw.pop(key, value)) != value:
+                raise ValueError(f"sets {key}={found!r}, not {value!r}")
+        cfg = ModelConfig(**raw)
+    except (TypeError, ValueError) as exc:  # not JSON, a key ModelConfig lacks, a bad value
+        raise RecordFormatError(f"checkpoint config: {exc}") from None
     params = dict(r.tensor() for _ in range(r.u32()))
     optimizer_state = None
     if r.u8():

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -58,10 +57,8 @@ class ModelConfig:
     vocab: int = VOCAB_SIZE
     local_pos_table: int = 512
     patch_pos_vocab: int = 128
-    patch_channels: int = 3
     stochastic_depth: float = 0.1
     dropout: float = 0.1
-    zero_action_inputs: bool = False
 
     def __post_init__(self):
         for name in ("blocks", "heads", "width", "ff_hidden", "kv_size", "context", "vocab"):
@@ -93,9 +90,6 @@ class ModelConfig:
     @property
     def patch_hidden(self) -> int:
         return self.width // 4
-
-    def replace(self, **kwargs) -> "ModelConfig":
-        return dataclasses.replace(self, **kwargs)
 
 
 @lru_cache(maxsize=None)
@@ -129,11 +123,11 @@ def tiny(**overrides) -> ModelConfig:
         context=256,
         vocab=COMPACT_VOCAB,
     )
-    return cfg.replace(**overrides) if overrides else cfg
+    return replace(cfg, **overrides)
 
 
 def micro(**overrides) -> ModelConfig:
-    """Smallest sane shape; used for exhaustive gradient checks."""
+    """Smallest sane shape; like ``tiny`` its rows hold the ids the codecs emit."""
     cfg = ModelConfig(
         blocks=2,
         heads=2,
@@ -141,13 +135,13 @@ def micro(**overrides) -> ModelConfig:
         ff_hidden=32,
         kv_size=8,
         context=32,
-        vocab=128,
+        vocab=COMPACT_VOCAB,
         local_pos_table=16,
         patch_pos_vocab=16,
         stochastic_depth=0.0,
         dropout=0.0,
     )
-    return cfg.replace(**overrides) if overrides else cfg
+    return replace(cfg, **overrides)
 
 
 # Published full-scale shapes; expressible but far beyond desk budgets.

@@ -147,8 +147,6 @@ def embed_batch(
         batch.sources,
         (ElementSource.TEXT, ElementSource.TENSOR, ElementSource.SEPARATOR, ElementSource.ACTION),
     )
-    if cfg.zero_action_inputs:
-        token_mask &= batch.sources != ElementSource.ACTION
     token_rows = vocab_rows(cfg, batch.tokens[token_mask].astype(np.int64))
     emb[token_mask] = params["embed/vocab"][token_rows]
 

@@ -25,7 +25,7 @@ from .ops import (
     linear_fwd,
     truncated_normal,
 )
-from ..codec import PATCH_SIZE
+from ..codec import PATCH_CHANNELS, PATCH_SIZE
 
 
 def _groups_for(channels: int) -> int:
@@ -36,7 +36,7 @@ def _groups_for(channels: int) -> int:
 
 
 def init_patch_params(cfg: ModelConfig, rng: np.random.Generator, dtype) -> dict[str, np.ndarray]:
-    c, d, width = cfg.patch_channels, cfg.patch_hidden, cfg.width
+    c, d, width = PATCH_CHANNELS, cfg.patch_hidden, cfg.width
     _groups_for(c), _groups_for(d)
     flat = PATCH_SIZE * PATCH_SIZE * d
     std = 0.02
@@ -57,9 +57,9 @@ def init_patch_params(cfg: ModelConfig, rng: np.random.Generator, dtype) -> dict
 
 
 def patch_embed_fwd(params: dict, cfg: ModelConfig, pixels: np.ndarray):
-    """pixels: (P, 16, 16, C) normalized floats -> (P, width)."""
+    """pixels: (P, 16, 16, 3) normalized floats -> (P, width)."""
     x = pixels.astype(params["patch/proj/w"].dtype, copy=False)
-    g1 = _groups_for(cfg.patch_channels)
+    g1 = _groups_for(PATCH_CHANNELS)
     g2 = _groups_for(cfg.patch_hidden)
     h1, c_gn1 = groupnorm_fwd(x, params["patch/gn1/g"], params["patch/gn1/b"], g1)
     a1, c_ge1 = gelu_fwd(h1)

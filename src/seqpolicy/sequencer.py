@@ -153,7 +153,7 @@ class ElementSequence:
     observation elements and -1 for separator/action elements; the model maps
     the -1 slots to its dedicated table indices. ``timestep`` groups elements
     into timesteps (prompt regions use negative ids so they never merge with
-    the live ones). Row k of ``patch_pixels`` (P, 16, 16, C) and
+    the live ones). Row k of ``patch_pixels`` (P, 16, 16, 3) and
     ``patch_intervals`` (P, 4) belongs to the k-th ``PATCH`` element; both are
     None when there is none. The loss mask and targets are not stored: they
     are :func:`mask_of` and :func:`targets_of` of the sources and tokens.
@@ -208,9 +208,6 @@ def _join_patches(pixels: list, intervals: list) -> tuple[np.ndarray | None, np.
     pixels = [p for p in pixels if p is not None]
     if not pixels:
         return None, None
-    channels = {p.shape[3] for p in pixels}
-    if len(channels) != 1:
-        raise SchemaError(f"mixed patch channel counts: {sorted(channels)}")
     return np.concatenate(pixels), np.concatenate([i for i in intervals if i is not None])
 
 
@@ -406,10 +403,11 @@ def prompt_timesteps(timestep: np.ndarray) -> np.ndarray:
 
 @dataclass
 class MaskedBatch:
-    """Windows packed into rows, plus targets and loss-mask bits.
+    """Windows packed into rows.
 
     The per-element arrays stay aligned to the input elements. Training uses
-    the shifted views: ``shifted_targets()[.., l]`` is the token the model
+    the shifted targets and loss mask, derived by :func:`targets_of` and
+    :func:`mask_of`: ``shifted_targets()[.., l]`` is the token the model
     must predict from everything up to and including position ``l``.
     ``segments`` names the window (an index into ``provenance``) at each
     position; a row can hold several windows (see :func:`assemble_batch`).
@@ -418,10 +416,8 @@ class MaskedBatch:
     tokens: np.ndarray          # (B, L) int32, -1 where no token
     sources: np.ndarray         # (B, L) uint8 ElementSource values
     local_pos: np.ndarray       # (B, L) int32 observation ordinals, -1 otherwise
-    mask: np.ndarray            # (B, L) uint8, element-aligned modality mask
-    targets: np.ndarray         # (B, L) int32, -1 where never predicted
     segments: np.ndarray        # (B, L) int32 window index into provenance
-    patch_pixels: np.ndarray | None   # (P, 16, 16, C) float64
+    patch_pixels: np.ndarray | None   # (P, 16, 16, 3) float64
     patch_slots: np.ndarray | None    # (P, 2) int32 rows of (batch, position)
     patch_intervals: np.ndarray | None  # (P, 4) float64 row_lo, row_hi, col_lo, col_hi
     provenance: list[tuple[str, str | None]]
@@ -441,14 +437,14 @@ class MaskedBatch:
         return ends
 
     def shifted_targets(self) -> np.ndarray:
-        out = np.full_like(self.targets, TARGET_NONE)
-        out[:, :-1] = self.targets[:, 1:]
+        out = np.full(self.tokens.shape, TARGET_NONE, np.int32)
+        out[:, :-1] = targets_of(self.sources[:, 1:], self.tokens[:, 1:])
         out[self._window_ends()] = TARGET_NONE
         return out
 
     def shifted_mask(self) -> np.ndarray:
-        out = np.zeros_like(self.mask)
-        out[:, :-1] = self.mask[:, 1:]
+        out = np.zeros(self.sources.shape, np.uint8)
+        out[:, :-1] = mask_of(self.sources[:, 1:])
         out[self._window_ends()] = 0
         return out
 
@@ -461,8 +457,7 @@ def assemble_batch(items: list[ElementSequence]) -> MaskedBatch:
     order. ``segments`` keeps windows apart: the model never attends across
     them and a window's last position predicts nothing. A row's trailing
     padding belongs to its last window. Patch arrays follow window order;
-    ``patch_slots`` gives each patch's (row, position). The loss mask and
-    targets are derived once from the laid-out sources and tokens.
+    ``patch_slots`` gives each patch's (row, position).
     """
     if not items:
         raise ValueError("cannot assemble an empty batch")
@@ -512,8 +507,6 @@ def assemble_batch(items: list[ElementSequence]) -> MaskedBatch:
         tokens=tokens,
         sources=sources,
         local_pos=lay("local_pos", LOCAL_NONE),
-        mask=mask_of(sources),
-        targets=targets_of(sources, tokens),
         segments=segments,
         patch_pixels=patch_pixels,
         patch_slots=patch_slots,

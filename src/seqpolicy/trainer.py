@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .datastore import MixtureSampler
-from .errors import CapacityError, NonFiniteAbort
+from .errors import CapacityError, ConfigError, NonFiniteAbort
 from .framing import atomic_writer
 from .model import ModelState, loss_and_grads, save_checkpoint
 from .sequencer import apply_prompt, assemble_batch
@@ -187,6 +187,13 @@ class TrainConfig:
     decay_steps: int = 1_000_000
     decay_factor: float = 10.0
     weight_decay: float = 0.1
+
+    def __post_init__(self):
+        # lr_schedule divides by both
+        if self.decay_steps < 1:
+            raise ConfigError("decay_steps must be >= 1")
+        if not self.decay_factor > 0:
+            raise ConfigError("decay_factor must be > 0")
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import json
 import os
 
 # One BLAS thread per test process, set before numpy loads: two processes
@@ -132,6 +133,18 @@ def golden_checkpoint(path) -> None:
     }
     M.save_checkpoint(path, cfg, params, optimizer_state=opt,
                       rng_states=M.RngStreams(3).state_dict(), extra={"step": 17})
+
+
+def rewrite_checkpoint_config(data: bytes, edit) -> bytes:
+    """Checkpoint bytes whose config JSON is ``edit(config dict)``; the rest is kept."""
+    from seqpolicy.framing import Reader, Writer, frame, unframe
+    from seqpolicy.model.checkpoint import CHECKPOINT_VERSION, MAGIC
+
+    r = Reader(unframe(data, 0, MAGIC, CHECKPOINT_VERSION)[0])
+    w = Writer()
+    w.string(json.dumps(edit(json.loads(r.string()))))
+    w.raw(r.data[r.pos:])
+    return frame(MAGIC, CHECKPOINT_VERSION, w.buf)
 
 
 def build_layout_episode(

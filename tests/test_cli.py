@@ -20,6 +20,7 @@ from seqpolicy.corpora import build_dataset, collect_episodes
 from seqpolicy.datastore import (
     FORMAT_VERSION,
     MAGIC,
+    encode_episode,
     load_manifest,
     read_episodes,
     write_episodes,
@@ -34,7 +35,14 @@ from seqpolicy.sequencer import ElementSource, Episode, Timestep, flatten_episod
 from seqpolicy.codec import TensorSchema
 from seqpolicy.trainer import FinetuneConfig, TrainConfig
 
-from conftest import manual_sequence, micro_cfg, one_stream_record, rich_episode
+from conftest import (
+    golden_checkpoint,
+    manual_sequence,
+    micro_cfg,
+    one_stream_record,
+    rewrite_checkpoint_config,
+    rich_episode,
+)
 
 
 def _reward_episode(r, task="t"):
@@ -80,12 +88,6 @@ class TestConfigResolution:
         resolved = resolve_config("pretrain", None, [], 5)
         assert resolved["seed"] == 5  # flag wins over the environment
 
-    def test_bool_coercion(self):
-        resolved = resolve_config("pretrain", None, ["model.zero_action_inputs=true"], None)
-        assert resolved["model.zero_action_inputs"] is True
-        with pytest.raises(ConfigError):
-            resolve_config("pretrain", None, ["model.zero_action_inputs=maybe"], None)
-
     def test_nested_keys_reach_train_config(self, tmp_path, monkeypatch):
         class Captured(Exception):
             pass
@@ -110,6 +112,29 @@ class TestConfigResolution:
         keys = [f"model.{f.name}" for f in fields(M.ModelConfig)] + [f.name for f in fields(cls)]
         for key in keys:
             assert resolve_config(command, None, [f"{key}=1"], None)[key] == 1, key
+
+    @pytest.mark.parametrize("command, count", [("pretrain", 28), ("finetune", 25)])
+    def test_every_key_is_int_float_or_str(self, command, count):
+        # keys are coerced by calling their type, and bool("false") is True
+        kinds = {key: kind for key, (kind, _) in cli._SCHEMA[command].items()}
+        assert len(kinds) == count
+        assert set(kinds.values()) <= {int, float, str}, kinds
+
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    def test_model_keys_with_checkpoint_exit_2(self, tmp_path, capsys, command):
+        ckpt = tmp_path / "micro.ckpt"
+        M.save_checkpoint(ckpt, M.micro(), M.init_params(M.micro(), seed=0))
+        sets = [f"checkpoint={ckpt}", "model.width=64", "model.dropout=0.5"]
+        out = tmp_path / "run"
+        code = main([command, *_sets(f"manifest={_grid_manifest(tmp_path)}", *sets,
+                                     f"out_dir={out}")])
+        assert code == EXIT_CONFIG
+        message = "['model.dropout', 'model.width'] cannot change the checkpoint's model"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        # preset=scratch trains the model the keys describe
+        resolved = resolve_config(command, None, [*sets, "preset=scratch"], None)
+        assert resolved["model.width"] == 64
 
 
 _PRETRAIN_DEFAULTS = [
@@ -179,7 +204,6 @@ _MICRO_PRETRAIN = [
     "pretrain.model.local_pos_table = 16",
     "pretrain.model.preset = micro",
     "pretrain.model.vocab = 33025",
-    "pretrain.model.zero_action_inputs = True",
     "pretrain.out_dir = runs/micro",
     "pretrain.preset = all",
     "pretrain.prompt_probability = 0.25",
@@ -227,8 +251,8 @@ GOLDEN_RESOLVED = {
     "micro-model-overrides": (
         ["pretrain", *_sets("manifest=absent.cfg", "steps=5", "batch_size=2", "seq_len=32",
                             "checkpoint_every=0", "model.preset=micro", "model.vocab=33025",
-                            "model.local_pos_table=16", "model.zero_action_inputs=yes",
-                            "model.dropout=0.25", "out_dir=runs/micro"), "--seed", "3"],
+                            "model.local_pos_table=16", "model.dropout=0.25",
+                            "out_dir=runs/micro"), "--seed", "3"],
         "runs/micro", EXIT_DATA, _MICRO_PRETRAIN,
     ),
     "finetune-overrides": (
@@ -257,8 +281,8 @@ class TestResolvedConfigGolden:
         ("pretrain", "beta1=0.95", "unknown config keys for pretrain: ['beta1']"),
         ("pretrain", "steps=many", "steps: expected int, got 'many'"),
         ("pretrain", "lr_max=fast", "lr_max: expected float, got 'fast'"),
-        ("pretrain", "model.zero_action_inputs=maybe",
-         "model.zero_action_inputs: expected a boolean, got 'maybe'"),
+        ("pretrain", "decay_steps=0", "decay_steps must be >= 1"),
+        ("pretrain", "decay_factor=0", "decay_factor must be > 0"),
         ("finetune", "warmup_steps=3", "unknown config keys for finetune: ['warmup_steps']"),
         ("finetune", "checkpoint_every=0",
          "unknown config keys for finetune: ['checkpoint_every']"),
@@ -328,6 +352,14 @@ class TestPretrainCommand:
         assert (out_a / "metrics.log").read_bytes() == (out_b / "metrics.log").read_bytes()
         assert (out_a / "final.ckpt").exists()
         assert (out_a / "resolved_config.txt").exists()
+
+    def test_micro_preset_trains_without_overrides(self, tmp_path):
+        out = tmp_path / "run"
+        code = main(["pretrain", *_sets(f"manifest={_grid_manifest(tmp_path)}", "steps=2",
+                                        "batch_size=2", "seq_len=32", "checkpoint_every=0",
+                                        "model.preset=micro", f"out_dir={out}")])
+        assert code == EXIT_OK
+        assert M.load_checkpoint(out / "final.ckpt")["cfg"] == M.micro()
 
     def test_unknown_key_exit_2(self, tmp_path):
         assert main(["pretrain", "--set", "nonsense=1"]) == EXIT_CONFIG
@@ -455,6 +487,21 @@ class TestRolloutCommand:
         summary = json.loads((out / "rollout_summary.json").read_text())
         assert summary["warnings"] == [warning]
 
+    @pytest.mark.parametrize("change, message", [
+        ({"zero_action_inputs": True}, "sets zero_action_inputs=True, not False"),
+        ({"patch_channels": 1}, "sets patch_channels=1, not 3"),
+        ({"heads_per_block": 2}, "unexpected keyword argument 'heads_per_block'"),
+        ({"width": 0}, "width must be >= 1"),
+    ])
+    def test_checkpoint_config_the_model_lacks_exit_3(self, tmp_path, capsys, change, message):
+        path = tmp_path / "model.ckpt"
+        golden_checkpoint(path)
+        path.write_bytes(rewrite_checkpoint_config(path.read_bytes(), lambda c: {**c, **change}))
+        code = main(["rollout", "--checkpoint", str(path), "--env", "gridreach", "-n", "1"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: checkpoint config") and message in err
+
     def test_needs_checkpoint_or_expert(self, capsys):
         assert main(["rollout", "--env", "gridreach", "-n", "1"]) == EXIT_CONFIG
 
@@ -516,6 +563,17 @@ class TestInspectCommand:
             path.write_bytes(one_stream_record(**bad))
             assert main(["inspect", str(path)]) == EXIT_DATA
             assert "data error" in capsys.readouterr().err
+
+    def test_non_rgb_image_schema_exit_3(self, tmp_path, capsys):
+        body = unframe(encode_episode(rich_episode()), 0, MAGIC, FORMAT_VERSION)[0]
+        # the "cam" schema: image code, not an action, not companded, shape (16, 32, 3)
+        rgb = b"cam" + bytes([1, 0, 0, 3]) + np.array([16, 32, 3], "<u4").tobytes()
+        assert body.count(rgb) == 1
+        gray = body.replace(rgb, rgb[:-4] + np.array([1], "<u4").tobytes())
+        path = tmp_path / "gray.ep"
+        path.write_bytes(frame(MAGIC, FORMAT_VERSION, gray))
+        assert main(["inspect", str(path)]) == EXIT_DATA
+        assert "cam: image shape must be (H, W, 3), got (16, 32, 1)" in capsys.readouterr().err
 
     def test_invalid_utf8_task_id_exit_3(self, tmp_path, capsys):
         # a CRC-valid record whose task id byte is 0xFF

@@ -276,6 +276,10 @@ class TestPatches:
         with pytest.raises(SchemaError):
             codec.image_to_patches(np.zeros((17, 16, 1), dtype=np.uint8))
 
+    def test_float_image_rejected(self):
+        with pytest.raises(SchemaError, match="uint8"):
+            codec.image_to_patches(np.zeros((16, 16, 3)))
+
 
 class TestSchema:
     def test_compand_trigger(self):

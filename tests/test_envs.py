@@ -98,9 +98,6 @@ class TestLineReacher:
         assert schema.compand
         assert not env.spec.action_schema.compand
 
-    def test_action_elements(self):
-        assert LineReacher().spec.action_elements == 1
-
     def test_reward_only_on_final_step(self):
         ep = run_policy_episode(LineReacher(seed=2), LineReacherExpert())
         assert all(r == 0.0 for r in ep.rewards[:-1])

@@ -17,12 +17,38 @@ from seqpolicy.datastore import (
 from seqpolicy.errors import NonFiniteAbort
 from seqpolicy.trainer import TrainConfig, pretrain
 
-from conftest import MIXED_LEN, golden_checkpoint, micro_cfg, mixed_sampler, rich_episode
+from conftest import (
+    MIXED_LEN,
+    golden_checkpoint,
+    micro_cfg,
+    mixed_sampler,
+    rewrite_checkpoint_config,
+    rich_episode,
+)
 
 # SHA-256 of the golden inputs as written by format v1 of each artefact.
 # Any change to these bytes breaks every corpus and checkpoint on disk.
 EPISODE_SHA256 = "929a6da7ce54513e2775ba2d1166f89e4115cab40d0894164c49a2b76be23b75"
-CHECKPOINT_SHA256 = "c1ea4cdbdd84d7cf28628beb46c5b86ac1fa283a472628e54fa6cafc0c02709d"
+CHECKPOINT_SHA256 = "cbaeba9a1a7b24707b1c2d90b694fcfb289a585e877f5dfe8779e0cdbaca5a18"
+# The golden checkpoint as written while its config still held
+# ``patch_channels`` and ``zero_action_inputs``; such files still load.
+FORMER_CHECKPOINT_SHA256 = "c1ea4cdbdd84d7cf28628beb46c5b86ac1fa283a472628e54fa6cafc0c02709d"
+
+
+def _with_former_fields(cfg: dict) -> dict:
+    """A config dict with the two former fields, in their old JSON key order."""
+    out = {}
+    for key, value in cfg.items():
+        out[key] = value
+        if key == "patch_pos_vocab":
+            out["patch_channels"] = 3
+    return {**out, "zero_action_inputs": False}
+
+
+def _assert_same_tensors(a: dict, b: dict) -> None:
+    assert a.keys() == b.keys()
+    for name in a:
+        assert a[name].shape == b[name].shape and a[name].tobytes() == b[name].tobytes(), name
 
 
 class TestGoldenBytes:
@@ -35,8 +61,23 @@ class TestGoldenBytes:
         path = tmp_path / "golden.ckpt"
         golden_checkpoint(path)
         data = path.read_bytes()
-        assert len(data) == 293329
+        assert len(data) == 293279
         assert hashlib.sha256(data).hexdigest() == CHECKPOINT_SHA256
+
+    def test_checkpoint_with_former_fields_loads(self, tmp_path):
+        path, former = tmp_path / "golden.ckpt", tmp_path / "former.ckpt"
+        golden_checkpoint(path)
+        former.write_bytes(rewrite_checkpoint_config(path.read_bytes(), _with_former_fields))
+        data = former.read_bytes()
+        assert len(data) == 293329
+        assert hashlib.sha256(data).hexdigest() == FORMER_CHECKPOINT_SHA256
+        new, old = M.load_checkpoint(path), M.load_checkpoint(former)
+        assert old["cfg"] == new["cfg"]
+        assert (old["rng_states"], old["extra"]) == (new["rng_states"], new["extra"])
+        assert old["optimizer_state"]["step"] == new["optimizer_state"]["step"] == 17
+        for group in ("m", "v"):
+            _assert_same_tensors(old["optimizer_state"][group], new["optimizer_state"][group])
+        _assert_same_tensors(old["params"], new["params"])
 
 
 def _failing_replace(src, dst):

@@ -192,16 +192,6 @@ class TestEmbedding:
         with pytest.raises(ValueError):
             embed_batch(params, cfg, batch, "eval", None)
 
-    def test_zero_action_inputs(self):
-        cfg = micro_cfg(zero_action_inputs=True)
-        params = M.init_params(cfg, seed=0)
-        batch = assemble_batch(
-            [manual_sequence([("tensor", 5), ("sep",), ("action", 1), ("action", 2)])]
-        )
-        emb, _ = embed_batch(params, cfg, batch, "eval", None)
-        assert not emb[0, 2].any() and not emb[0, 3].any()
-        assert emb[0, 0].any() and emb[0, 1].any()
-
 
 class TestForward:
     def test_causality(self):
@@ -325,9 +315,9 @@ class TestMaskedLoss:
         res1, grads1 = M.loss_and_grads(params, cfg, batch, mode="eval")
         # clobber targets wherever the shifted mask is zero
         batch2 = small_batch(with_sep=False)
-        shifted = batch2.shifted_mask()
-        batch2.targets[:, 1:][shifted[:, :-1] == 0] = 11
-        batch2.targets[batch2.mask == 0] = 11
+        clobbered = batch2.shifted_targets()
+        clobbered[batch2.shifted_mask() == 0] = 11
+        batch2.shifted_targets = lambda: clobbered
         res2, grads2 = M.loss_and_grads(params, cfg, batch2, mode="eval")
         assert res1.total == res2.total
         for k in grads1:
@@ -353,7 +343,7 @@ class TestMaskedLoss:
         cfg = micro_cfg(vocab=64)
         params = M.init_params(cfg, seed=7, dtype=np.float64)
         batch = small_batch(with_sep=False)
-        batch.mask[:] = 0
+        batch.shifted_mask = lambda: np.zeros(batch.sources.shape, np.uint8)
         res, grads = M.loss_and_grads(params, cfg, batch, mode="eval")
         assert res.masked_tokens == 0
         used = set(batch.tokens[batch.tokens >= 0].tolist())

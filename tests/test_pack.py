@@ -60,7 +60,8 @@ class TestPackedLayout:
         packed = assemble_batch(_layout_items())
         tgt, msk = packed.shifted_targets(), packed.shifted_mask()
         # window 0 ends before window 3's text token at column 3
-        assert packed.mask[0, 3] == 1 and packed.targets[0, 3] == 31
+        assert mask_of(packed.sources)[0, 3] == 1
+        assert targets_of(packed.sources, packed.tokens)[0, 3] == 31
         assert tgt[0, 2] == TARGET_NONE and msk[0, 2] == 0
         ends = np.ones(packed.segments.shape, dtype=bool)
         ends[:, :-1] = packed.segments[:, 1:] != packed.segments[:, :-1]
@@ -93,10 +94,6 @@ class TestPackedLayout:
             np.testing.assert_array_equal(
                 getattr(packed, name), np.stack([getattr(w, name) for w in items])
             )
-        np.testing.assert_array_equal(packed.mask, [mask_of(w.sources) for w in items])
-        np.testing.assert_array_equal(
-            packed.targets, [targets_of(w.sources, w.tokens) for w in items]
-        )
         np.testing.assert_array_equal(packed.segments, [[0] * 4, [1] * 4])
 
     def test_unpackable_batch_is_trimmed(self):

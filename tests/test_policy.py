@@ -18,7 +18,7 @@ from seqpolicy.envs import (
 from seqpolicy.errors import ConfigError
 from seqpolicy.model import ModelConfig, ModelState, RngStreams, init_params
 from seqpolicy.policy import RolloutConfig, evaluate_policy, rollout, sample_token
-from seqpolicy.sequencer import flatten_episode
+from seqpolicy.sequencer import flatten_episode, mask_of, targets_of
 
 from conftest import micro_cfg
 
@@ -201,12 +201,12 @@ class TestRollout:
         assert len(result.episodes) == 4
 
 
-# SHA-256 over 64 rollouts: actions, return and stats of each, plus the
+# SHA-256 over 32 rollouts: actions, return and stats of each, plus the
 # integer arrays and positions of every batch the model is asked for logits
-# on. Logits stay out, so the BLAS build cannot move it. Pinned when
-# autoregressive sampling became the only rollout path; the code before
-# gave the same value for these 64 cases.
-ROLLOUT_DIGEST = "5e8b58e073773124d61961c39f0c9f3483d1d6d6e843fb59e5ba3ee49a574f28"
+# on. Logits stay out, so the BLAS build cannot move it. Pinned when action
+# tokens became always embedded; the code before gave the same value for
+# these 32 cases.
+ROLLOUT_DIGEST = "7e76cee8dfa98c983af0066f1acc45f9d6033d5258c81e730ac821cb6f91223d"
 
 
 def test_rollout_golden_digest(monkeypatch):
@@ -214,36 +214,31 @@ def test_rollout_golden_digest(monkeypatch):
     real_forward = policy.forward_logits
 
     def recording_forward(params, cfg, batch, positions=None, **kwargs):
+        derived = {"mask": mask_of(batch.sources),
+                   "targets": targets_of(batch.sources, batch.tokens)}
         for name in ("tokens", "sources", "local_pos", "mask", "targets", "segments"):
-            arr = getattr(batch, name)
+            arr = derived[name] if name in derived else getattr(batch, name)
             h.update(name.encode() + arr.dtype.str.encode() + repr(arr.shape).encode())
             h.update(arr.tobytes())
         h.update(np.asarray(positions, np.int64).tobytes())
         return real_forward(params, cfg, batch, positions=positions, **kwargs)
 
     monkeypatch.setattr(policy, "forward_logits", recording_forward)
-    states = {}
-    for zero_action_inputs in (False, True):
-        cfg = micro_cfg(vocab=2049, width=32, kv_size=16, context=128, local_pos_table=32,
-                        zero_action_inputs=zero_action_inputs)
-        states[zero_action_inputs] = ModelState(
-            cfg, init_params(cfg, seed=5, dtype=np.float64), RngStreams(0)
-        )
+    cfg = micro_cfg(vocab=2049, width=32, kv_size=16, context=128, local_pos_table=32)
+    state = ModelState(cfg, init_params(cfg, seed=5, dtype=np.float64), RngStreams(0))
     prompts = {
         name: run_policy_episode(make_env(name, seed=99), make_expert(name)) for name in ENV_NAMES
     }
-    grid = list(itertools.product(
-        states, ENV_NAMES, (False, True), (1024, 12), (0.0, 0.7)
-    ))
-    for zero_action_inputs, env_name, prompted, context, temperature in grid:
+    grid = list(itertools.product(ENV_NAMES, (False, True), (1024, 12), (0.0, 0.7)))
+    for env_name, prompted, context, temperature in grid:
         rcfg = RolloutConfig(
             prompt=prompts[env_name] if prompted else None, context=context,
             temperature=temperature,
         )
         episode, ret, stats = rollout(
-            states[zero_action_inputs], make_env(env_name, seed=3), rcfg, np.random.default_rng(8)
+            state, make_env(env_name, seed=3), rcfg, np.random.default_rng(8)
         )
         actions = [np.asarray(ts.action[1]).tolist() for ts in episode.timesteps]
         h.update(repr((actions, ret, stats)).encode())
-    assert len(grid) == 64
+    assert len(grid) == 32
     assert h.hexdigest() == ROLLOUT_DIGEST

@@ -48,8 +48,8 @@ class TestOrderObservation:
                 np.zeros(2),
             ),
             "img": (
-                TensorSchema.image("img", 16, 16, 1),
-                np.zeros((16, 16, 1), dtype=np.uint8),
+                TensorSchema.image("img", 16, 16, 3),
+                np.zeros((16, 16, 3), dtype=np.uint8),
             ),
             "txt": (TensorSchema.text("txt"), "A"),
         }
@@ -226,9 +226,11 @@ def test_drawn_batches_golden_digest():
     for _ in range(20):
         batch, prompted = _draw_batch(sampler, 8, 0.5)
         h.update(np.int64(prompted).tobytes())
+        derived = {"mask": mask_of(batch.sources),
+                   "targets": targets_of(batch.sources, batch.tokens)}
         for name in ("tokens", "sources", "local_pos", "mask", "targets", "segments",
                      "patch_pixels", "patch_slots", "patch_intervals"):
-            arr = getattr(batch, name)
+            arr = derived[name] if name in derived else getattr(batch, name)
             h.update(name.encode())
             if arr is not None:
                 h.update(arr.dtype.str.encode() + repr(arr.shape).encode() + arr.tobytes())
@@ -353,7 +355,8 @@ class TestAssembleBatch:
     def test_mask_sum_additive(self):
         items = self._items(3)
         batch = assemble_batch(items)
-        assert int(batch.mask.sum()) == sum(int(mask_of(it.sources).sum()) for it in items)
+        expected = sum(int(mask_of(it.sources).sum()) for it in items)
+        assert int(mask_of(batch.sources).sum()) == expected
 
     def test_unbatch_roundtrip(self):
         # every window's elements and patches can be read back from its segment
@@ -367,8 +370,6 @@ class TestAssembleBatch:
             rows, cols = rows[: len(item)], cols[: len(item)]
             for name in ("sources", "tokens", "local_pos"):
                 assert np.array_equal(getattr(batch, name)[rows, cols], getattr(item, name))
-            assert np.array_equal(batch.mask[rows, cols], mask_of(item.sources))
-            assert np.array_equal(batch.targets[rows, cols], targets_of(item.sources, item.tokens))
             mine = [k for k, (r, c) in enumerate(batch.patch_slots) if batch.segments[r, c] == w]
             positions = np.flatnonzero(item.sources == ElementSource.PATCH)
             assert (batch.patch_slots[mine, 1] - cols[0]).tolist() == positions.tolist()
@@ -378,19 +379,18 @@ class TestAssembleBatch:
 
     def test_shifted_views(self):
         batch = assemble_batch(self._items(1))
-        assert np.array_equal(batch.shifted_targets()[0, :-1], batch.targets[0, 1:])
+        [item] = self._items(1)
+        targets = targets_of(item.sources, item.tokens)
+        assert np.array_equal(batch.shifted_targets()[0, :-1], targets[1:])
         assert batch.shifted_targets()[0, -1] == sequencer.TARGET_NONE
-        assert np.array_equal(batch.shifted_mask()[0, :-1], batch.mask[0, 1:])
+        assert np.array_equal(batch.shifted_mask()[0, :-1], mask_of(item.sources)[1:])
         assert batch.shifted_mask()[0, -1] == 0
 
     def test_mixed_patch_channels_rejected(self):
-        def image_window(channels):
-            schema = TensorSchema.image("img", 16, 16, channels)
-            obs = {"img": (schema, np.zeros((16, 16, channels), np.uint8))}
-            return flatten_episode(Episode("t", [Timestep(observations=obs)], [0.0]))
-
-        with pytest.raises(SchemaError):
-            assemble_batch([image_window(1), image_window(3)])
+        # mixed channel counts never reach a batch: every image schema is RGB
+        for channels in (1, 4):
+            with pytest.raises(SchemaError, match=r"\(H, W, 3\)"):
+                TensorSchema.image("img", 16, 16, channels)
 
 
 class TestPatchRows:

@@ -7,6 +7,8 @@ equal the full model's with every other logit at -inf, and its rollouts take
 the same actions.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -51,7 +53,7 @@ class TestTable:
     def test_tiny_is_compact(self):
         assert M.tiny().vocab == COMPACT
         assert M.ModelConfig(1, 1, 4, 4, 4, 4).vocab == FULL
-        assert M.micro().vocab == 128
+        assert M.micro().vocab == COMPACT
 
 
 class TestOutOfLayoutIds:
@@ -76,8 +78,10 @@ class TestOutOfLayoutIds:
     def test_as_masked_target(self):
         cfg, params = self._model()
         batch = assemble_batch([manual_sequence([("text", 7), ("text", 8), ("text", 9)])])
-        assert batch.mask[0, 2]
-        batch.targets[0, 2] = 5000
+        assert batch.shifted_mask()[0, 1]
+        targets = batch.shifted_targets()
+        targets[0, 1] = 5000
+        batch.shifted_targets = lambda: targets
         with pytest.raises(ValueError, match=f"token id 5000 .*vocab {COMPACT}"):
             M.loss_and_grads(params, cfg, batch, mode="eval")
 
@@ -91,7 +95,7 @@ class TestOutOfLayoutIds:
 
 def _compact_copy(cfg, params):
     """A compact model holding the full model's rows for the ids it keeps."""
-    compact_cfg = cfg.replace(vocab=COMPACT)
+    compact_cfg = replace(cfg, vocab=COMPACT)
     compact = dict(params)
     compact["embed/vocab"] = params["embed/vocab"][M.vocab_table(COMPACT)[0]].copy()
     return compact_cfg, compact
@@ -210,32 +214,29 @@ def _prompt(env_name):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_rollouts_of_compact_copy_equal_full(dtype):
     """Actions, returns, forward passes and truncations, across every env,
-    prompted or not, wide and narrow context, with and without zeroed action
-    inputs, greedy and at temperature 0.7."""
+    prompted or not, wide and narrow context, greedy and at temperature 0.7."""
     compared = 0
-    for zero_action_inputs in (False, True):
-        cfg = micro_cfg(vocab=FULL, width=32, kv_size=16, context=128, local_pos_table=32,
-                        zero_action_inputs=zero_action_inputs)
-        full = M.ModelState(cfg, M.init_params(cfg, seed=5, dtype=dtype), M.RngStreams(0))
-        compact_cfg, compact_params = _compact_copy(cfg, full.params)
-        compact = M.ModelState(compact_cfg, compact_params, M.RngStreams(0))
-        for env_name in ENV_NAMES:
-            prompt = _prompt(env_name)
-            for prompted in (False, True):
-                for context in (1024, 12):
-                    for temperature in (0.0, 0.7):
-                        rcfg = RolloutConfig(
-                            prompt=prompt if prompted else None, context=context,
-                            temperature=temperature,
-                        )
-                        runs = [
-                            rollout(state, make_env(env_name, seed=3), rcfg,
-                                    np.random.default_rng(8))
-                            for state in (full, compact)
-                        ]
-                        (ep_f, ret_f, st_f), (ep_c, ret_c, st_c) = runs
-                        assert ep_c == ep_f and ret_c == ret_f
-                        assert st_c.forward_passes == st_f.forward_passes
-                        assert st_c.truncations == st_f.truncations
-                        compared += 1
-    assert compared == 2 * len(ENV_NAMES) * 2 * 2 * 2 == 64
+    cfg = micro_cfg(vocab=FULL, width=32, kv_size=16, context=128, local_pos_table=32)
+    full = M.ModelState(cfg, M.init_params(cfg, seed=5, dtype=dtype), M.RngStreams(0))
+    compact_cfg, compact_params = _compact_copy(cfg, full.params)
+    compact = M.ModelState(compact_cfg, compact_params, M.RngStreams(0))
+    for env_name in ENV_NAMES:
+        prompt = _prompt(env_name)
+        for prompted in (False, True):
+            for context in (1024, 12):
+                for temperature in (0.0, 0.7):
+                    rcfg = RolloutConfig(
+                        prompt=prompt if prompted else None, context=context,
+                        temperature=temperature,
+                    )
+                    runs = [
+                        rollout(state, make_env(env_name, seed=3), rcfg,
+                                np.random.default_rng(8))
+                        for state in (full, compact)
+                    ]
+                    (ep_f, ret_f, st_f), (ep_c, ret_c, st_c) = runs
+                    assert ep_c == ep_f and ret_c == ret_f
+                    assert st_c.forward_passes == st_f.forward_passes
+                    assert st_c.truncations == st_f.truncations
+                    compared += 1
+    assert compared == len(ENV_NAMES) * 2 * 2 * 2 == 32
