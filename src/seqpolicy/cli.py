@@ -157,11 +157,18 @@ def resolve_config(command: str, config_path, overrides: list[str], seed_flag) -
         resolved[key] = _coerce(key, value, schema[key][0])
     if (arm := resolved["preset"]) not in ABLATION_ARMS:
         raise ConfigError(f"unknown ablation arm {arm!r}; choose from {ABLATION_ARMS}")
+    if command == "pretrain" and arm == "same_domain" and not resolved["target_domain"]:
+        raise ConfigError("preset=same_domain needs a target_domain")
+    if resolved.get("env") and resolved["env"] not in ENV_NAMES:
+        raise ConfigError(f"unknown env {resolved['env']!r}; choose from {ENV_NAMES}")
     # every arm but scratch trains the checkpoint's model, whatever the model keys say
+    fresh_model = not resolved["checkpoint"] or arm == "scratch"
     model_keys = sorted(k for k in raw if k.startswith("model."))
-    if model_keys and resolved["checkpoint"] and arm != "scratch":
+    if model_keys and not fresh_model:
         raise ConfigError(f"{model_keys} cannot change the checkpoint's model")
     _build(_CONFIG_CLASS[command], resolved)  # raises on values the run cannot use
+    if fresh_model:
+        build_model_config(resolved)  # and so does a model the run cannot build
     if seed_flag is not None:
         resolved["seed"] = int(seed_flag)
     elif os.environ.get(SEED_ENV_VAR) and "seed" not in raw:
@@ -189,7 +196,11 @@ def build_model_config(resolved: dict) -> ModelConfig:
         for key, value in resolved.items()
         if key.startswith("model.") and key != "model.preset"
     }
-    return replace(cfg, **overrides)
+    cfg = replace(cfg, **overrides)
+    if cfg.vocab < codec.COMPACT_VOCAB:
+        raise ConfigError(f"model.vocab must be >= {codec.COMPACT_VOCAB} "
+                          f"to hold the ids the codecs emit, got {cfg.vocab}")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -247,14 +258,12 @@ def cmd_pretrain(args) -> int:
     if not resolved.get("manifest"):
         raise ConfigError("pretrain needs a manifest")
     manifests = load_manifest(resolved["manifest"])
-    chosen, use_checkpoint = ablation_manifests(
-        resolved["preset"], manifests, resolved["target_domain"]
-    )
+    chosen = ablation_manifests(resolved["preset"], manifests, resolved["target_domain"])
     seed = resolved["seed"]
-    if resolved["preset"] == "scratch" or not chosen:
+    if not chosen:
         print("preset=scratch selects no pretraining data; nothing to do")
         return EXIT_OK
-    if resolved["checkpoint"] and use_checkpoint:
+    if resolved["checkpoint"]:
         state, _ = _state_from_checkpoint(resolved["checkpoint"])
     else:
         state = ModelState.initialize(build_model_config(resolved), seed=seed)

@@ -3,7 +3,8 @@
 Every *_fwd returns (output, cache); the matching *_bwd consumes the cache
 and the output gradient. All functions preserve the input dtype so the same
 code path runs in float32 for training and float64 for gradient checks; only
-GELU picks its erf by dtype (see ``gelu_fwd``).
+GELU picks its erf by dtype (see ``gelu_fwd``), from NumPy or the standard
+library.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf
 
 LN_EPS = 1e-5
 GN_EPS = 1e-5
@@ -60,11 +60,12 @@ def gelu_fwd(x: np.ndarray):
 
     float32 takes Phi from the rational erf of Abramowitz & Stegun 7.1.26
     (|error| <= 1.5e-7), computed in float32 in blocks of ``GELU_BLOCK``
-    elements; any other dtype, float64 for the gradient checks, uses
-    ``scipy.special.erf``.
+    elements; any other dtype, float64 for the gradient checks, maps the
+    standard library's ``math.erf`` over the values.
     """
     if x.dtype != np.float32:
-        e = erf(x * _INV_SQRT2)
+        z = (x * _INV_SQRT2).ravel().tolist()
+        e = np.fromiter(map(math.erf, z), x.dtype, len(z)).reshape(x.shape)
         y = 0.5 * x * (1.0 + e)
         return y, 0.5 * (1.0 + e) + x * (np.exp(-0.5 * x * x) * _INV_SQRT2PI)
     y = np.empty(x.shape, np.float32)

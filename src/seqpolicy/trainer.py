@@ -392,20 +392,20 @@ ABLATION_ARMS = ("all", "same_domain", "no_control", "scratch")
 def ablation_manifests(arm: str, manifests, target_domain: str):
     """Pretraining dataset selection for one ablation arm.
 
-    Returns (manifest subset, use_pretrained). ``scratch`` pretrains on
-    nothing; ``no_control`` keeps only datasets whose name contains
+    Returns the manifest subset, empty only for ``scratch``, which pretrains
+    on nothing. ``no_control`` keeps only datasets whose name contains
     ``"text"``; ``same_domain`` keeps datasets naming the target domain.
     """
     if arm not in ABLATION_ARMS:
         raise ValueError(f"unknown ablation arm {arm!r}; choose from {ABLATION_ARMS}")
     if arm == "scratch":
-        return [], False
+        return []
     if arm == "all":
-        return list(manifests), True
+        return list(manifests)
     if arm == "same_domain":
         chosen = [m for m in manifests if target_domain in m.name]
     else:
         chosen = [m for m in manifests if "text" in m.name]
     if not chosen:
         raise ValueError(f"ablation arm {arm!r} selected no datasets")
-    return chosen, True
+    return chosen

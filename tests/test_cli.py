@@ -109,9 +109,11 @@ class TestConfigResolution:
         ("finetune", FinetuneConfig),
     ])
     def test_every_config_field_is_a_key(self, command, cls):
-        keys = [f"model.{f.name}" for f in fields(M.ModelConfig)] + [f.name for f in fields(cls)]
-        for key in keys:
-            assert resolve_config(command, None, [f"{key}=1"], None)[key] == 1, key
+        # a run checks the model its keys build, so model keys take tiny's values
+        values = {f"model.{f.name}": getattr(M.tiny(), f.name) for f in fields(M.ModelConfig)}
+        values.update({f.name: 1 for f in fields(cls)})
+        for key, value in values.items():
+            assert resolve_config(command, None, [f"{key}={value}"], None)[key] == value, key
 
     @pytest.mark.parametrize("command, count", [("pretrain", 28), ("finetune", 25)])
     def test_every_key_is_int_float_or_str(self, command, count):
@@ -283,6 +285,12 @@ class TestResolvedConfigGolden:
         ("pretrain", "lr_max=fast", "lr_max: expected float, got 'fast'"),
         ("pretrain", "decay_steps=0", "decay_steps must be >= 1"),
         ("pretrain", "decay_factor=0", "decay_factor must be > 0"),
+        ("pretrain", "preset=same_domain", "preset=same_domain needs a target_domain"),
+        ("pretrain", "model.vocab=128",
+         "model.vocab must be >= 2049 to hold the ids the codecs emit, got 128"),
+        ("finetune", "env=linereacherr",
+         "unknown env 'linereacherr'; choose from "
+         "('gridreach', 'bandit_a', 'bandit_b', 'linereacher')"),
         ("finetune", "warmup_steps=3", "unknown config keys for finetune: ['warmup_steps']"),
         ("finetune", "checkpoint_every=0",
          "unknown config keys for finetune: ['checkpoint_every']"),

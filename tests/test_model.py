@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import erf, erfc
 
+import seqpolicy
 from seqpolicy import codec
 from seqpolicy import model as M
 from seqpolicy.errors import CapacityError, ChecksumError, ConfigError
@@ -455,11 +460,13 @@ class TestCheckpoint:
             M.load_checkpoint(path)
 
 
-@pytest.mark.parametrize("dtype", [np.float64])
-def test_gelu_bit_identical_to_reference(dtype):
+def test_gelu_float64_within_roundoff_of_reference():
+    """``math.erf`` and scipy's erf differ by a few ulp, so the float64 GELU is
+    held to absolute bounds: ``1 + erf`` cancels for very negative x, where a
+    few ulp of erf are many ulp of y."""
     rng = np.random.default_rng(0)
-    x = (rng.standard_normal((64, 33)) * 3).astype(dtype)
-    dy = rng.standard_normal((64, 33)).astype(dtype)
+    x = rng.standard_normal((64, 33)) * 3
+    dy = rng.standard_normal((64, 33))
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     inv_sqrt2pi = 1.0 / math.sqrt(2.0 * math.pi)
     y_ref = 0.5 * x * (1.0 + erf(x * inv_sqrt2))
@@ -467,9 +474,23 @@ def test_gelu_bit_identical_to_reference(dtype):
     dx_ref = dy * (cdf + x * (np.exp(-0.5 * x * x) * inv_sqrt2pi))
     y, cache = gelu_fwd(x)
     dx = gelu_bwd(dy, cache)
-    assert y.dtype == dx.dtype == dtype
-    assert np.array_equal(y, y_ref)
-    assert np.array_equal(dx, dx_ref)
+    eps = float(np.finfo(np.float64).eps)
+    assert y.dtype == dx.dtype == np.float64
+    assert np.all(np.abs(y - y_ref) <= 4 * eps * np.abs(x))
+    assert np.all(np.abs(dx - dx_ref) <= 4 * eps * np.abs(dy))
+
+
+def test_runtime_imports_no_scipy():
+    """The runtime needs NumPy alone. A fresh interpreter checks it, since
+    this test session imports scipy itself."""
+    code = (
+        "import sys, seqpolicy.cli, seqpolicy.trainer, seqpolicy.policy; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(seqpolicy.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout == "[]\n"
 
 
 def _scipy_gelu_fwd(x):

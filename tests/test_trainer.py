@@ -375,13 +375,13 @@ class TestHarnesses:
             DatasetManifest(name="line_expert", paths=[], sample_weight=1.0),
             DatasetManifest(name="text_docs", paths=[], sample_weight=1.0),
         ]
-        all_arm, use = ablation_manifests("all", manifests, "grid")
-        assert len(all_arm) == 3 and use
-        same, use = ablation_manifests("same_domain", manifests, "grid")
-        assert [m.name for m in same] == ["grid_expert"] and use
-        noctl, use = ablation_manifests("no_control", manifests, "grid")
-        assert [m.name for m in noctl] == ["text_docs"] and use
-        scratch, use = ablation_manifests("scratch", manifests, "grid")
-        assert scratch == [] and not use
+        all_arm = ablation_manifests("all", manifests, "grid")
+        assert len(all_arm) == 3
+        same = ablation_manifests("same_domain", manifests, "grid")
+        assert [m.name for m in same] == ["grid_expert"]
+        noctl = ablation_manifests("no_control", manifests, "grid")
+        assert [m.name for m in noctl] == ["text_docs"]
+        scratch = ablation_manifests("scratch", manifests, "grid")
+        assert scratch == []
         with pytest.raises(ValueError):
             ablation_manifests("bogus", manifests, "grid")
