@@ -4,10 +4,12 @@ Configuration comes from a text key-value file with command-line overrides
 (``--set key=value``); flags beat the config file, which beats defaults.
 The keys of ``pretrain``/``finetune`` are the fields of ``TrainConfig``
 or ``FinetuneConfig``, ``model.<field>`` for ``ModelConfig``, and the
-command-line keys ``manifest``, ``out_dir``, ``preset``, ``checkpoint``,
-``seed``, ``model.preset``, plus ``target_domain`` (pretrain) or ``env`` and
-``eval_rollouts`` (finetune). Every run prints and stores its fully
-resolved configuration. Unknown keys are errors.
+command-line keys ``manifest``, ``out_dir``, ``checkpoint``, ``seed``,
+``model.preset``, plus ``preset`` (the pretraining data of one ablation arm)
+and ``target_domain`` (pretrain) or ``env`` and ``eval_rollouts`` (finetune).
+A run trains its checkpoint's model, or with no checkpoint a fresh one, so
+the paper's from-scratch arm is ``finetune`` with no checkpoint. Every run
+prints and stores its fully resolved configuration. Unknown keys are errors.
 
 Exit codes: 0 success, 2 usage/config error, 3 data error, 4 numeric abort.
 """
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
@@ -65,8 +66,6 @@ from .trainer import (
     pretrain,
 )
 
-SEED_ENV_VAR = "SEQPOLICY_SEED"
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -81,13 +80,13 @@ EXIT_NUMERIC = 4
 # field. (type, default); a MISSING default leaves the key out unless set.
 _SHARED_CLI_KEYS = {
     "manifest": (str, MISSING),
-    "preset": (str, "all"),
     "checkpoint": (str, ""),
     "seed": (int, 0),
     "model.preset": (str, "tiny"),
 }
 _CLI_KEYS = {
-    "pretrain": {**_SHARED_CLI_KEYS, "out_dir": (str, "runs/pretrain"), "target_domain": (str, "")},
+    "pretrain": {**_SHARED_CLI_KEYS, "out_dir": (str, "runs/pretrain"), "preset": (str, "all"),
+                 "target_domain": (str, "")},
     "finetune": {**_SHARED_CLI_KEYS, "out_dir": (str, "runs/finetune"), "env": (str, ""),
                  "eval_rollouts": (int, 10)},
 }
@@ -155,35 +154,37 @@ def resolve_config(command: str, config_path, overrides: list[str], seed_flag) -
         raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
     for key, value in raw.items():
         resolved[key] = _coerce(key, value, schema[key][0])
-    if (arm := resolved["preset"]) not in ABLATION_ARMS:
-        raise ConfigError(f"unknown ablation arm {arm!r}; choose from {ABLATION_ARMS}")
-    if command == "pretrain" and arm == "same_domain" and not resolved["target_domain"]:
-        raise ConfigError("preset=same_domain needs a target_domain")
-    if resolved.get("env") and resolved["env"] not in ENV_NAMES:
-        raise ConfigError(f"unknown env {resolved['env']!r}; choose from {ENV_NAMES}")
-    # every arm but scratch trains the checkpoint's model, whatever the model keys say
-    fresh_model = not resolved["checkpoint"] or arm == "scratch"
+    if command == "pretrain":
+        arm, domain = resolved["preset"], resolved["target_domain"]
+        if arm not in ABLATION_ARMS:
+            raise ConfigError(f"unknown ablation arm {arm!r}; choose from {ABLATION_ARMS}")
+        if arm == "same_domain" and not domain:
+            raise ConfigError("preset=same_domain needs a target_domain")
+        if domain and arm != "same_domain":
+            raise ConfigError(f"target_domain is read only by preset=same_domain, not preset={arm}")
+    else:
+        if resolved["env"] and resolved["env"] not in ENV_NAMES:
+            raise ConfigError(f"unknown env {resolved['env']!r}; choose from {ENV_NAMES}")
+        if resolved["eval_rollouts"] < 1:
+            raise ConfigError("eval_rollouts must be >= 1")
     model_keys = sorted(k for k in raw if k.startswith("model."))
-    if model_keys and not fresh_model:
+    if model_keys and resolved["checkpoint"]:
         raise ConfigError(f"{model_keys} cannot change the checkpoint's model")
     _build(_CONFIG_CLASS[command], resolved)  # raises on values the run cannot use
-    if fresh_model:
-        build_model_config(resolved)  # and so does a model the run cannot build
+    if not resolved["checkpoint"]:
+        build_model_config(resolved)  # and so does a fresh model the run cannot build
     if seed_flag is not None:
         resolved["seed"] = int(seed_flag)
-    elif os.environ.get(SEED_ENV_VAR) and "seed" not in raw:
-        resolved["seed"] = int(os.environ[SEED_ENV_VAR])
     return resolved
 
 
-def _log_resolved(command: str, resolved: dict, out_dir: Path | None) -> None:
+def _log_resolved(command: str, resolved: dict, out_dir: Path) -> None:
     lines = [f"{command}.{k} = {resolved[k]}" for k in sorted(resolved)]
     for line in lines:
         print(line)
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with atomic_writer(out_dir / "resolved_config.txt") as f:
-            f.write(("\n".join(lines) + "\n").encode())
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with atomic_writer(out_dir / "resolved_config.txt") as f:
+        f.write(("\n".join(lines) + "\n").encode())
 
 
 def build_model_config(resolved: dict) -> ModelConfig:
@@ -242,38 +243,43 @@ def cmd_filter(args) -> int:
     return EXIT_OK
 
 
-def _state_from_checkpoint(path) -> tuple[ModelState, dict | None]:
+def _state_from_checkpoint(path) -> ModelState:
     loaded = load_checkpoint(path)
     streams = RngStreams(0)
     if loaded["rng_states"]:
         streams.load_state(loaded["rng_states"])
-    state = ModelState(cfg=loaded["cfg"], params=loaded["params"], streams=streams)
-    return state, loaded["extra"]
+    return ModelState(cfg=loaded["cfg"], params=loaded["params"], streams=streams)
+
+
+def _prepare_training(command: str, args) -> tuple[dict, Path, list, ModelState]:
+    """The resolved config, run directory, manifests and checkpoint's or fresh model."""
+    resolved = resolve_config(command, args.config, args.set, args.seed)
+    out_dir = Path(resolved["out_dir"])
+    _log_resolved(command, resolved, out_dir)
+    if not resolved.get("manifest"):
+        raise ConfigError(f"{command} needs a manifest")
+    manifests = load_manifest(resolved["manifest"])
+    if resolved["checkpoint"]:
+        state = _state_from_checkpoint(resolved["checkpoint"])
+    else:
+        state = ModelState.initialize(build_model_config(resolved), seed=resolved["seed"])
+    return resolved, out_dir, manifests, state
+
+
+def _sampler(manifests, resolved: dict) -> MixtureSampler:
+    return MixtureSampler(
+        [LoadedDataset(m) for m in manifests],
+        seq_len=resolved["seq_len"],
+        rng=np.random.default_rng(resolved["seed"]),
+    )
 
 
 def cmd_pretrain(args) -> int:
-    resolved = resolve_config("pretrain", args.config, args.set, args.seed)
-    out_dir = Path(resolved["out_dir"])
-    _log_resolved("pretrain", resolved, out_dir)
-    if not resolved.get("manifest"):
-        raise ConfigError("pretrain needs a manifest")
-    manifests = load_manifest(resolved["manifest"])
+    resolved, out_dir, manifests, state = _prepare_training("pretrain", args)
     chosen = ablation_manifests(resolved["preset"], manifests, resolved["target_domain"])
-    seed = resolved["seed"]
-    if not chosen:
-        print("preset=scratch selects no pretraining data; nothing to do")
-        return EXIT_OK
-    if resolved["checkpoint"]:
-        state, _ = _state_from_checkpoint(resolved["checkpoint"])
-    else:
-        state = ModelState.initialize(build_model_config(resolved), seed=seed)
-    sampler = MixtureSampler(
-        [LoadedDataset(m) for m in chosen],
-        seq_len=resolved["seq_len"],
-        rng=np.random.default_rng(seed),
-    )
     cfg = _build(TrainConfig, resolved)
-    result = pretrain(sampler, state, cfg, out_dir=out_dir, log_path=out_dir / "metrics.log")
+    result = pretrain(_sampler(chosen, resolved), state, cfg,
+                      out_dir=out_dir, log_path=out_dir / "metrics.log")
     final_loss = result.metrics.column("loss_mean")[-1] if result.metrics.lines else float("nan")
     print(f"final loss_mean={final_loss!r} prompted_fraction={result.prompted_fraction!r}")
     print(f"checkpoint: {out_dir / 'final.ckpt'}")
@@ -281,24 +287,7 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    resolved = resolve_config("finetune", args.config, args.set, args.seed)
-    out_dir = Path(resolved["out_dir"])
-    _log_resolved("finetune", resolved, out_dir)
-    if not resolved.get("manifest"):
-        raise ConfigError("finetune needs a manifest of demonstrations")
-    manifests = load_manifest(resolved["manifest"])
-    seed = resolved["seed"]
-    if resolved["preset"] == "scratch" or not resolved["checkpoint"]:
-        if resolved["checkpoint"] and resolved["preset"] == "scratch":
-            print("preset=scratch: ignoring the provided checkpoint")
-        state = ModelState.initialize(build_model_config(resolved), seed=seed)
-    else:
-        state, _ = _state_from_checkpoint(resolved["checkpoint"])
-    sampler = MixtureSampler(
-        [LoadedDataset(m) for m in manifests],
-        seq_len=resolved["seq_len"],
-        rng=np.random.default_rng(seed),
-    )
+    resolved, out_dir, manifests, state = _prepare_training("finetune", args)
     eval_fn = None
     if resolved["env"]:
         env_name = resolved["env"]
@@ -311,7 +300,7 @@ def cmd_finetune(args) -> int:
             return result.mean_return
 
     cfg = _build(FinetuneConfig, resolved)
-    result = finetune(state, sampler, cfg, eval_fn=eval_fn,
+    result = finetune(state, _sampler(manifests, resolved), cfg, eval_fn=eval_fn,
                       out_dir=out_dir, log_path=out_dir / "metrics.log")
     if result.eval_scores:
         print(f"eval curve: {result.eval_scores}")
@@ -353,7 +342,7 @@ def cmd_rollout(args) -> int:
     else:
         if not args.checkpoint:
             raise ConfigError("rollout needs --checkpoint or --expert")
-        state, _ = _state_from_checkpoint(args.checkpoint)
+        state = _state_from_checkpoint(args.checkpoint)
         cfg = RolloutConfig(
             prompt=prompt,
             prompt_budget=args.prompt_budget,

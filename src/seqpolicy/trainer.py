@@ -175,6 +175,13 @@ def moving_average(values, window: int) -> list[float]:
 # training loops
 # ---------------------------------------------------------------------------
 
+def _check_sizes(cfg) -> None:
+    """Refuse run sizes no training loop can use; zero steps trains nothing."""
+    for name, least in (("steps", 0), ("batch_size", 1), ("seq_len", 1)):
+        if getattr(cfg, name) < least:
+            raise ConfigError(f"{name} must be >= {least}")
+
+
 @dataclass
 class TrainConfig:
     steps: int = 100
@@ -189,6 +196,7 @@ class TrainConfig:
     weight_decay: float = 0.1
 
     def __post_init__(self):
+        _check_sizes(self)
         # lr_schedule divides by both
         if self.decay_steps < 1:
             raise ConfigError("decay_steps must be >= 1")
@@ -327,6 +335,9 @@ class FinetuneConfig:
     prompt_probability: float = 0.25
     eval_every: int = 100
 
+    def __post_init__(self):
+        _check_sizes(self)
+
 
 def finetune(
     state: ModelState,
@@ -386,20 +397,19 @@ def eval_protocol(scores: list[float], window: int = 5) -> float:
 # ablation harness
 # ---------------------------------------------------------------------------
 
-ABLATION_ARMS = ("all", "same_domain", "no_control", "scratch")
+ABLATION_ARMS = ("all", "same_domain", "no_control")
 
 
 def ablation_manifests(arm: str, manifests, target_domain: str):
     """Pretraining dataset selection for one ablation arm.
 
-    Returns the manifest subset, empty only for ``scratch``, which pretrains
-    on nothing. ``no_control`` keeps only datasets whose name contains
-    ``"text"``; ``same_domain`` keeps datasets naming the target domain.
+    ``no_control`` keeps only datasets whose name contains ``"text"`` and
+    ``same_domain`` keeps datasets naming the target domain; either raises
+    if it keeps none. The paper's from-scratch arm pretrains on nothing: it
+    is fine-tuning a fresh model, with no checkpoint.
     """
     if arm not in ABLATION_ARMS:
         raise ValueError(f"unknown ablation arm {arm!r}; choose from {ABLATION_ARMS}")
-    if arm == "scratch":
-        return []
     if arm == "all":
         return list(manifests)
     if arm == "same_domain":

@@ -82,11 +82,10 @@ class TestConfigResolution:
             resolve_config("pretrain", cfg, [], None)
 
     def test_seed_precedence(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SEQPOLICY_SEED", "77")
-        resolved = resolve_config("pretrain", None, [], None)
-        assert resolved["seed"] == 77
-        resolved = resolve_config("pretrain", None, [], 5)
-        assert resolved["seed"] == 5  # flag wins over the environment
+        monkeypatch.setenv("SEQPOLICY_SEED", "77")  # ignored
+        assert resolve_config("pretrain", None, [], None)["seed"] == 0
+        assert resolve_config("pretrain", None, ["seed=9"], None)["seed"] == 9
+        assert resolve_config("pretrain", None, ["seed=9"], 5)["seed"] == 5  # flag wins
 
     def test_nested_keys_reach_train_config(self, tmp_path, monkeypatch):
         class Captured(Exception):
@@ -115,7 +114,7 @@ class TestConfigResolution:
         for key, value in values.items():
             assert resolve_config(command, None, [f"{key}={value}"], None)[key] == value, key
 
-    @pytest.mark.parametrize("command, count", [("pretrain", 28), ("finetune", 25)])
+    @pytest.mark.parametrize("command, count", [("pretrain", 28), ("finetune", 24)])
     def test_every_key_is_int_float_or_str(self, command, count):
         # keys are coerced by calling their type, and bool("false") is True
         kinds = {key: kind for key, (kind, _) in cli._SCHEMA[command].items()}
@@ -134,9 +133,9 @@ class TestConfigResolution:
         message = "['model.dropout', 'model.width'] cannot change the checkpoint's model"
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
-        # preset=scratch trains the model the keys describe
-        resolved = resolve_config(command, None, [*sets, "preset=scratch"], None)
-        assert resolved["model.width"] == 64
+        # without a checkpoint the keys build the model
+        resolved = resolve_config(command, None, sets[1:], None)
+        assert cli.build_model_config(resolved) == M.tiny(width=64, dropout=0.5)
 
 
 _PRETRAIN_DEFAULTS = [
@@ -167,7 +166,6 @@ _FINETUNE_DEFAULTS = [
     "finetune.lr = 1e-05",
     "finetune.model.preset = tiny",
     "finetune.out_dir = runs/finetune",
-    "finetune.preset = all",
     "finetune.prompt_probability = 0.25",
     "finetune.seed = 0",
     "finetune.seq_len = 256",
@@ -227,7 +225,6 @@ _FINETUNE_OVERRIDES = [
     "finetune.manifest = absent.cfg",
     "finetune.model.preset = tiny",
     "finetune.out_dir = runs/ft",
-    "finetune.preset = all",
     "finetune.prompt_probability = 0.25",
     "finetune.seed = 0",
     "finetune.seq_len = 256",
@@ -294,16 +291,27 @@ class TestResolvedConfigGolden:
         ("finetune", "warmup_steps=3", "unknown config keys for finetune: ['warmup_steps']"),
         ("finetune", "checkpoint_every=0",
          "unknown config keys for finetune: ['checkpoint_every']"),
-        ("finetune", "preset=scrach",
-         "unknown ablation arm 'scrach'; choose from "
-         "('all', 'same_domain', 'no_control', 'scratch')"),
+        ("pretrain", "preset=scrach",
+         "unknown ablation arm 'scrach'; choose from ('all', 'same_domain', 'no_control')"),
+        ("pretrain", "preset=scratch",
+         "unknown ablation arm 'scratch'; choose from ('all', 'same_domain', 'no_control')"),
+        ("pretrain", "target_domain=line",
+         "target_domain is read only by preset=same_domain, not preset=all"),
+        ("pretrain", "steps=-1", "steps must be >= 0"),
+        ("pretrain", "batch_size=0", "batch_size must be >= 1"),
+        ("finetune", "steps=-1", "steps must be >= 0"),
+        ("finetune", "seq_len=0", "seq_len must be >= 1"),
+        ("finetune", "preset=all", "unknown config keys for finetune: ['preset']"),
+        ("finetune", "eval_rollouts=0", "eval_rollouts must be >= 1"),
     ])
-    def test_config_error_messages(self, capsys, command, item, message):
+    def test_config_error_messages(self, tmp_path, monkeypatch, capsys, command, item, message):
         with pytest.raises(ConfigError) as exc:
             resolve_config(command, None, [item], None)
         assert str(exc.value) == message
+        monkeypatch.chdir(tmp_path)
         assert main([command, "--set", item]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(tmp_path.iterdir())  # refused before the run directory is made
 
 
 class TestFilterCommand:
@@ -422,7 +430,7 @@ class TestVocabLayouts:
         cfg = M.tiny(vocab=33025)
         path = tmp_path / "old.ckpt"
         M.save_checkpoint(path, cfg, M.init_params(cfg, seed=2))
-        state, _ = _state_from_checkpoint(path)
+        state = _state_from_checkpoint(path)
         assert state.cfg == cfg and state.params["embed/vocab"].shape == (33025, 128)
         out = tmp_path / "ft"
         code = main([
@@ -431,7 +439,7 @@ class TestVocabLayouts:
             "--set", "seq_len=32", "--set", "eval_every=0", "--set", f"out_dir={out}",
         ])
         assert code == EXIT_OK
-        tuned, _ = _state_from_checkpoint(out / "final.ckpt")
+        tuned = _state_from_checkpoint(out / "final.ckpt")
         assert tuned.cfg == cfg and tuned.params["embed/vocab"].shape == (33025, 128)
         assert not np.array_equal(tuned.params["embed/vocab"], state.params["embed/vocab"])
         capsys.readouterr()

@@ -381,7 +381,5 @@ class TestHarnesses:
         assert [m.name for m in same] == ["grid_expert"]
         noctl = ablation_manifests("no_control", manifests, "grid")
         assert [m.name for m in noctl] == ["text_docs"]
-        scratch = ablation_manifests("scratch", manifests, "grid")
-        assert scratch == []
         with pytest.raises(ValueError):
             ablation_manifests("bogus", manifests, "grid")
