@@ -57,8 +57,15 @@ def init_patch_params(cfg: ModelConfig, rng: np.random.Generator, dtype) -> dict
 
 
 def patch_embed_fwd(params: dict, cfg: ModelConfig, pixels: np.ndarray):
-    """pixels: (P, 16, 16, 3) normalized floats -> (P, width)."""
-    x = pixels.astype(params["patch/proj/w"].dtype, copy=False)
+    """pixels: (P, 16, 16, 3) normalized floats -> (P, width).
+
+    Rendered frames repeat regions across timesteps and episodes, so each
+    distinct patch (by its bytes) is embedded once and copied to its repeats.
+    """
+    rows = np.ascontiguousarray(pixels).reshape(len(pixels), -1)
+    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    x = pixels[first].astype(params["patch/proj/w"].dtype, copy=False)
     g1 = _groups_for(PATCH_CHANNELS)
     g2 = _groups_for(cfg.patch_hidden)
     h1, c_gn1 = groupnorm_fwd(x, params["patch/gn1/g"], params["patch/gn1/b"], g1)
@@ -71,15 +78,17 @@ def patch_embed_fwd(params: dict, cfg: ModelConfig, pixels: np.ndarray):
     res = h4 + skip
     flat = res.reshape(res.shape[0], -1)
     out, c_proj = linear_fwd(flat, params["patch/proj/w"], params["patch/proj/b"])
-    cache = (c_gn1, c_ge1, c_cv1, c_gn2, c_ge2, c_cv2, c_skip, c_proj, res.shape)
-    return out, cache
+    cache = (c_gn1, c_ge1, c_cv1, c_gn2, c_ge2, c_cv2, c_skip, c_proj, res.shape, inverse)
+    return out[inverse], cache
 
 
 def patch_embed_bwd(dout: np.ndarray, cache, params: dict) -> dict[str, np.ndarray]:
-    c_gn1, c_ge1, c_cv1, c_gn2, c_ge2, c_cv2, c_skip, c_proj, res_shape = cache
+    c_gn1, c_ge1, c_cv1, c_gn2, c_ge2, c_cv2, c_skip, c_proj, res_shape, inverse = cache
     grads: dict[str, np.ndarray] = {}
+    dsum = np.zeros((res_shape[0], dout.shape[1]), dout.dtype)
+    np.add.at(dsum, inverse, dout)  # each distinct patch takes its copies' gradients
     dflat, grads["patch/proj/w"], grads["patch/proj/b"] = linear_bwd(
-        dout, c_proj, params["patch/proj/w"]
+        dsum, c_proj, params["patch/proj/w"]
     )
     dres = dflat.reshape(res_shape)
     grads["patch/skip/w"], grads["patch/skip/b"] = conv2d_param_grads(dres, c_skip)

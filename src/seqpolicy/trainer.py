@@ -175,11 +175,21 @@ def moving_average(values, window: int) -> list[float]:
 # training loops
 # ---------------------------------------------------------------------------
 
-def _check_sizes(cfg) -> None:
-    """Refuse run sizes no training loop can use; zero steps trains nothing."""
-    for name, least in (("steps", 0), ("batch_size", 1), ("seq_len", 1)):
-        if getattr(cfg, name) < least:
+# Least legal value of each training key (zero steps trains nothing, and
+# lr_schedule divides by decay_steps); ``not >=`` refuses NaN too.
+_LEAST = {
+    "steps": 0, "batch_size": 1, "seq_len": 1, "checkpoint_every": 0, "eval_every": 0,
+    "warmup_steps": 0, "decay_steps": 1, "lr_max": 0, "lr": 0, "weight_decay": 0,
+}
+
+
+def _check_ranges(cfg) -> None:
+    """Refuse values no training loop can use, before any data is read."""
+    for name, least in _LEAST.items():
+        if hasattr(cfg, name) and not getattr(cfg, name) >= least:
             raise ConfigError(f"{name} must be >= {least}")
+    if not 0 <= cfg.prompt_probability <= 1:
+        raise ConfigError("prompt_probability must be in [0, 1]")
 
 
 @dataclass
@@ -196,11 +206,8 @@ class TrainConfig:
     weight_decay: float = 0.1
 
     def __post_init__(self):
-        _check_sizes(self)
-        # lr_schedule divides by both
-        if self.decay_steps < 1:
-            raise ConfigError("decay_steps must be >= 1")
-        if not self.decay_factor > 0:
+        _check_ranges(self)
+        if not self.decay_factor > 0:  # lr_schedule divides by it
             raise ConfigError("decay_factor must be > 0")
 
 
@@ -336,7 +343,7 @@ class FinetuneConfig:
     eval_every: int = 100
 
     def __post_init__(self):
-        _check_sizes(self)
+        _check_ranges(self)
 
 
 def finetune(

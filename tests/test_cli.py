@@ -303,6 +303,16 @@ class TestResolvedConfigGolden:
         ("finetune", "seq_len=0", "seq_len must be >= 1"),
         ("finetune", "preset=all", "unknown config keys for finetune: ['preset']"),
         ("finetune", "eval_rollouts=0", "eval_rollouts must be >= 1"),
+        ("pretrain", "checkpoint_every=-3", "checkpoint_every must be >= 0"),
+        ("finetune", "eval_every=-1", "eval_every must be >= 0"),
+        ("pretrain", "prompt_probability=2", "prompt_probability must be in [0, 1]"),
+        ("finetune", "prompt_probability=-0.5", "prompt_probability must be in [0, 1]"),
+        ("pretrain", "prompt_probability=nan", "prompt_probability must be in [0, 1]"),
+        ("pretrain", "lr_max=-1", "lr_max must be >= 0"),
+        ("pretrain", "lr_max=nan", "lr_max must be >= 0"),
+        ("finetune", "lr=-1e-5", "lr must be >= 0"),
+        ("pretrain", "weight_decay=-0.1", "weight_decay must be >= 0"),
+        ("pretrain", "warmup_steps=-1", "warmup_steps must be >= 0"),
     ])
     def test_config_error_messages(self, tmp_path, monkeypatch, capsys, command, item, message):
         with pytest.raises(ConfigError) as exc:

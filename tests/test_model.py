@@ -198,6 +198,63 @@ class TestEmbedding:
             embed_batch(params, cfg, batch, "eval", None)
 
 
+# Rows 0 and 1 repeat, 2 and 3 stand alone; the second batch is one row four times.
+REPEATED_PATCH_ROWS = ([0, 1, 0, 2, 1, 0, 3], [2, 2, 2, 2])
+
+
+def _repeated_pixels(order):
+    return np.random.default_rng(0).uniform(-0.25, 0.25, size=(4, 16, 16, 3))[order]
+
+
+class TestDistinctPatches:
+    """The embedder runs once per distinct patch and copies the result."""
+
+    @pytest.mark.parametrize("order", REPEATED_PATCH_ROWS)
+    def test_equals_one_call_per_patch(self, order):
+        cfg = micro_cfg()
+        params = {k: v.astype(np.float64) for k, v in M.init_params(cfg, seed=3).items()}
+        pixels = _repeated_pixels(order)
+        dout = np.random.default_rng(1).normal(size=(len(pixels), cfg.width))
+        out, cache = patch_embed.patch_embed_fwd(params, cfg, pixels)
+        grads = patch_embed.patch_embed_bwd(dout, cache, params)
+        ref_out, ref_grads = [], {}
+        for i in range(len(pixels)):
+            one, one_cache = patch_embed.patch_embed_fwd(params, cfg, pixels[i : i + 1])
+            ref_out.append(one)
+            for name, g in patch_embed.patch_embed_bwd(dout[i : i + 1], one_cache, params).items():
+                ref_grads[name] = ref_grads.get(name, 0.0) + g
+        assert np.allclose(out, np.concatenate(ref_out), rtol=1e-13, atol=1e-15)
+        assert grads.keys() == ref_grads.keys()
+        # patch/conv1/b is zero in exact arithmetic (GroupNorm follows it), so
+        # each error is bounded against the norm of the whole gradient.
+        scale = np.sqrt(sum(np.linalg.norm(g) ** 2 for g in ref_grads.values()))
+        for name, ref in ref_grads.items():
+            assert np.linalg.norm(grads[name] - ref) <= 64 * np.finfo(np.float64).eps * scale, name
+
+    def test_convolutions_see_only_distinct_patches(self, monkeypatch):
+        order = REPEATED_PATCH_ROWS[0]
+        spec = [("patch", (0.0, 0.5), (0.0, 0.5))] * len(order) + [("sep",), ("action", 1)]
+        batch = assemble_batch([manual_sequence(spec)])
+        batch.patch_pixels = _repeated_pixels(order)
+        conv_rows, embed_rows = [], []
+
+        def recording_conv2d_fwd(x, w, b):
+            conv_rows.append(x.shape[0])
+            return ops.conv2d_fwd(x, w, b)
+
+        def recording_patch_embed_fwd(params, cfg, pixels):
+            out, cache = patch_embed.patch_embed_fwd(params, cfg, pixels)
+            embed_rows.append(out.shape[0])
+            return out, cache
+
+        monkeypatch.setattr(patch_embed, "conv2d_fwd", recording_conv2d_fwd)
+        monkeypatch.setattr(network, "patch_embed_fwd", recording_patch_embed_fwd)
+        cfg = micro_cfg()
+        M.loss_and_grads(M.init_params(cfg, seed=0), cfg, batch, "eval")
+        assert conv_rows == [len(set(order))] * 3  # conv1, conv2 and the skip
+        assert embed_rows == [len(order)]
+
+
 class TestForward:
     def test_causality(self):
         cfg = micro_cfg()
