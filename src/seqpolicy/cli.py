@@ -198,9 +198,9 @@ def build_model_config(resolved: dict) -> ModelConfig:
         if key.startswith("model.") and key != "model.preset"
     }
     cfg = replace(cfg, **overrides)
-    if cfg.vocab < codec.COMPACT_VOCAB:
-        raise ConfigError(f"model.vocab must be >= {codec.COMPACT_VOCAB} "
-                          f"to hold the ids the codecs emit, got {cfg.vocab}")
+    if cfg.vocab != codec.VOCAB_SIZE:
+        raise ConfigError(f"model.vocab must be {codec.VOCAB_SIZE}, one row per token id, "
+                          f"got {cfg.vocab}")
     return cfg
 
 
@@ -209,6 +209,8 @@ def build_model_config(resolved: dict) -> ModelConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_filter(args) -> int:
+    if not 0.0 <= args.fraction <= 1.0:
+        raise ConfigError(f"--fraction must be in [0, 1], got {args.fraction}")
     manifests = load_manifest(args.manifest)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -312,6 +314,8 @@ def cmd_finetune(args) -> int:
 def cmd_rollout(args) -> int:
     if args.env not in ENV_NAMES:
         raise ConfigError(f"unknown env {args.env!r}; choose from {ENV_NAMES}")
+    if args.episodes < 1:
+        raise ConfigError(f"--episodes must be >= 1, got {args.episodes}")
     warnings: list[str] = []
     prompt = None
     if args.prompt:
@@ -354,7 +358,7 @@ def cmd_rollout(args) -> int:
         )
         episodes, returns = result.episodes, result.returns
 
-    mean = float(np.mean(returns)) if returns else 0.0
+    mean = float(np.mean(returns))
     for i, ret in enumerate(returns):
         print(f"episode={i} return={ret!r}")
     print(f"mean_return={mean!r} episodes={len(returns)}")
@@ -370,9 +374,7 @@ def cmd_rollout(args) -> int:
 def _token_range_violations(seq) -> list[str]:
     """Token-range breaches per element source, in position order."""
     src, tok = seq.sources, seq.tokens
-    tensor_ok = ((0 <= tok) & (tok < codec.DISCRETE_VOCAB)) | (
-        (codec.CONTINUOUS_BASE <= tok) & (tok < codec.CONTINUOUS_END)
-    )
+    tensor_ok = (0 <= tok) & (tok < codec.CONTINUOUS_END)
     checks = (
         ((src == ElementSource.TEXT) & ((tok < 0) | (tok >= codec.TEXT_VOCAB)),
          "text token {tok} at {i}"),

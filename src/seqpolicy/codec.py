@@ -1,13 +1,14 @@
 """Bit-exact encoders and decoders between raw modality values and tokens.
 
-The unified vocabulary packs four modalities into integer ids:
+The unified vocabulary packs four modalities into integer ids, in the paper's
+layout but not its numbering; token id ``i`` is row ``i`` of the embedding:
 
 * text is its UTF-8 bytes, so its ids stay in ``[0, 256)`` of the text
-  range ``[0, 32000)``,
+  range ``[0, 1024)``,
 * discrete values map identically into ``[0, 1024)``,
 * continuous values are mu-law companded (mu = 100, M = 256), clipped to
-  ``[-1, 1]``, quantized into 1024 uniform bins and shifted to ``[32000, 33024)``,
-* ``33024`` is the observation/action separator.
+  ``[-1, 1]``, quantized into 1024 uniform bins and shifted to ``[1024, 2048)``,
+* ``2048`` is the observation/action separator.
 
 Images are RGB and never become token ids; they are cut into non-overlapping
 16x16 patches in raster order and embedded downstream. :func:`encode` and
@@ -26,14 +27,13 @@ import numpy as np
 
 from .errors import SchemaError
 
-TEXT_VOCAB = 32000
+TEXT_VOCAB = 1024
 DISCRETE_VOCAB = 1024
 CONTINUOUS_BINS = 1024
 CONTINUOUS_BASE = TEXT_VOCAB
 CONTINUOUS_END = CONTINUOUS_BASE + CONTINUOUS_BINS
 SEPARATOR_TOKEN = CONTINUOUS_END
 VOCAB_SIZE = SEPARATOR_TOKEN + 1
-COMPACT_VOCAB = DISCRETE_VOCAB + CONTINUOUS_BINS + 1  # the ids bytes and the codecs emit
 
 PATCH_SIZE = 16
 PATCH_CHANNELS = 3  # every image is RGB

@@ -1,7 +1,7 @@
 """Embedding function, decoder-only transformer, masked loss, checkpoints."""
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import FULL_SCALE, MODES, ModelConfig, micro, tiny, vocab_table
+from .config import FULL_SCALE, MODES, ModelConfig, micro, tiny
 from .network import (
     LossResult,
     ModelState,
@@ -42,6 +42,5 @@ __all__ = [
     "save_checkpoint",
     "tiny",
     "validate_gradients",
-    "vocab_table",
     "zero_grads",
 ]

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..codec import TEXT_VOCAB, VOCAB_SIZE
 from ..errors import RecordFormatError
 from ..framing import Reader, Writer, atomic_writer, frame, unframe
 from .config import ModelConfig
@@ -74,6 +75,14 @@ def load_checkpoint(path) -> dict:
         optimizer_state = {"step": step, "m": m, "v": v}
     rng_states = json.loads(r.string()) if r.u8() else None
     extra = json.loads(r.string()) if r.u8() else None
+    # A file with more vocabulary rows is in the former id layout: text rows
+    # first, then the bins and the separator as its last rows.
+    if cfg.vocab > VOCAB_SIZE:
+        kept = np.r_[:TEXT_VOCAB, cfg.vocab - VOCAB_SIZE + TEXT_VOCAB:cfg.vocab]
+        cfg = dataclasses.replace(cfg, vocab=VOCAB_SIZE)
+        moments = (optimizer_state["m"], optimizer_state["v"]) if optimizer_state else ()
+        for group in (params, *moments):
+            group["embed/vocab"] = group["embed/vocab"][kept]
     return {
         "cfg": cfg,
         "params": params,

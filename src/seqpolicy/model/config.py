@@ -3,11 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
-import numpy as np
-
-from ..codec import COMPACT_VOCAB, CONTINUOUS_BASE, VOCAB_SIZE
+from ..codec import VOCAB_SIZE
 from ..errors import ConfigError
 
 
@@ -41,11 +38,7 @@ class ModelConfig:
     ``kv_size`` is explicit rather than derived from ``width // heads``; the
     attention output concatenation is ``heads * kv_size`` wide and projected
     back to ``width``. The discrete vocabulary shares its embedding matrix
-    with the output projection.
-
-    ``vocab`` counts the ``embed/vocab`` rows, at most ``VOCAB_SIZE``. From
-    ``COMPACT_VOCAB`` (2049) up they hold text ids ``[0, vocab - 1025)``, then
-    bins and separator ``[32000, 33025)``; fewer rows hold ids ``[0, vocab)``.
+    with the output projection; row ``i`` of ``embed/vocab`` is token id ``i``.
     """
 
     blocks: int
@@ -64,8 +57,6 @@ class ModelConfig:
         for name in ("blocks", "heads", "width", "ff_hidden", "kv_size", "context", "vocab"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.vocab > VOCAB_SIZE:
-            raise ConfigError(f"vocab {self.vocab} exceeds the {VOCAB_SIZE} token ids")
         if self.width % 4:
             raise ConfigError("width must be divisible by 4 (patch embedder channels)")
         if self.local_pos_table < 3:
@@ -92,28 +83,8 @@ class ModelConfig:
         return self.width // 4
 
 
-@lru_cache(maxsize=None)
-def vocab_table(vocab: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(ids, rows)`` of a model with ``vocab`` rows, built once per size.
-
-    ``ids[r]`` is the token id row ``r`` holds, ascending. ``rows[i]`` is the
-    row holding id ``i`` in ``[0, VOCAB_SIZE)``, or -1 where no row does.
-    Both arrays are read-only.
-    """
-    if vocab < COMPACT_VOCAB:
-        ids = np.arange(vocab)
-    else:
-        text = vocab - (VOCAB_SIZE - CONTINUOUS_BASE)
-        ids = np.concatenate([np.arange(text), np.arange(CONTINUOUS_BASE, VOCAB_SIZE)])
-    rows = np.full(VOCAB_SIZE, -1, dtype=np.int64)
-    rows[ids] = np.arange(vocab)
-    ids.flags.writeable = rows.flags.writeable = False
-    return ids, rows
-
-
 def tiny(**overrides) -> ModelConfig:
-    """Desk-scale default sized for CI runtimes; its rows hold the ids the
-    codecs emit (``vocab=VOCAB_SIZE`` gives the full text range)."""
+    """Desk-scale default sized for CI runtimes."""
     cfg = ModelConfig(
         blocks=4,
         heads=4,
@@ -121,13 +92,12 @@ def tiny(**overrides) -> ModelConfig:
         ff_hidden=512,
         kv_size=32,
         context=256,
-        vocab=COMPACT_VOCAB,
     )
     return replace(cfg, **overrides)
 
 
 def micro(**overrides) -> ModelConfig:
-    """Smallest sane shape; like ``tiny`` its rows hold the ids the codecs emit."""
+    """Smallest sane shape."""
     cfg = ModelConfig(
         blocks=2,
         heads=2,
@@ -135,7 +105,6 @@ def micro(**overrides) -> ModelConfig:
         ff_hidden=32,
         kv_size=8,
         context=32,
-        vocab=COMPACT_VOCAB,
         local_pos_table=16,
         patch_pos_vocab=16,
         stochastic_depth=0.0,

@@ -4,8 +4,7 @@ Parameters live in a flat ``{name: ndarray}`` dict. Forward passes stash the
 caches needed for the hand-written reverse pass; ``loss_and_grads`` returns
 exact gradients for every parameter, with the shared vocabulary matrix
 accumulating both its input-lookup and output-projection contributions.
-Token ids reach ``embed/vocab`` rows through ``vocab_table(cfg.vocab)``;
-logits have one entry per row.
+Token id ``i`` is ``embed/vocab`` row ``i``, and logits have one entry per row.
 
 Modes: ``"pretrain"`` applies stochastic depth (sub-layers skipped with the
 configured probability), ``"finetune"`` applies dropout on attention weights
@@ -21,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..codec import VOCAB_SIZE
 from ..errors import CapacityError, MissingGradientError
 from ..sequencer import ElementSource, MaskedBatch
-from .config import ModelConfig, mode_rules, vocab_table
+from .config import ModelConfig, mode_rules
 from .ops import (
     gelu_bwd,
     gelu_fwd,
@@ -116,13 +114,11 @@ def validate_gradients(params: dict, grads: dict) -> None:
 
 
 def vocab_rows(cfg: ModelConfig, ids: np.ndarray) -> np.ndarray:
-    """The ``embed/vocab`` rows holding token ``ids``; ValueError on an id no row holds."""
-    inside = (ids >= 0) & (ids < VOCAB_SIZE)
-    rows = vocab_table(cfg.vocab)[1][np.where(inside, ids, 0)]
-    bad = ~inside | (rows < 0)
+    """The ``embed/vocab`` rows of ``ids``: the ids, once checked to be in ``[0, vocab)``."""
+    bad = (ids < 0) | (ids >= cfg.vocab)
     if bad.any():
         raise ValueError(f"token id {ids[bad][0]} has no row in a model with vocab {cfg.vocab}")
-    return rows
+    return ids
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,7 @@ model saw during training survives.
 
 Sampled action tokens are range-masked to the legal token range of the
 action schema (continuous bins or the discrete range), so illegal ids are
-never emitted. A legal id range is contiguous in the model's rows too
-(``vocab_table``), so sampling runs on that row range and maps back to ids.
+never emitted. Token id ``i`` is logit ``i``, so that range slices the logits.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 from . import codec
 from .codec import Modality, TensorSchema
 from .errors import ConfigError
-from .model import ModelState, forward_logits, vocab_table
+from .model import ModelState, forward_logits
 from .sequencer import (
     ElementSequence,
     ElementSource,
@@ -88,17 +87,6 @@ def sample_token(
     return lo + int(rng.choice(hi - lo, p=p))
 
 
-def _sample_id(
-    state: ModelState, logits: np.ndarray, schema: TensorSchema, cfg: RolloutConfig,
-    rng: np.random.Generator,
-) -> int:
-    """One legal token id: sampled over the logits of the rows holding the
-    schema's legal ids, then mapped back to an id."""
-    ids = vocab_table(state.cfg.vocab)[0]
-    lo, hi = (int(r) for r in np.searchsorted(ids, legal_token_range(schema)))
-    return int(ids[sample_token(logits, lo, hi, cfg.temperature, rng)])
-
-
 def _observation_fragment(task_id: str, observations, timestep_id: int) -> ElementSequence:
     """Flatten one observation set plus separator, exactly as training does."""
     ep = Episode(task_id=task_id, timesteps=[Timestep(observations=observations)], rewards=[0.0])
@@ -161,14 +149,10 @@ def sample_action(
         logits = forward_logits(
             state.params, state.cfg, assemble_batch([seq]), positions=np.array([len(seq) - 1])
         )
-        token = _sample_id(state, logits[0], schema, cfg, rng)
+        token = sample_token(logits[0], *legal_token_range(schema), cfg.temperature, rng)
         tokens.append(token)
         seq = _with_actions(seq, [token])
     return seq, tokens
-
-
-def decode_action(tokens: list[int], schema: TensorSchema):
-    return codec.decode(tokens, schema)
 
 
 def encode_action(value, schema: TensorSchema) -> list[int]:
@@ -200,7 +184,7 @@ def rollout(
         seq = step if seq is None else concat_sequences([seq, step])
         seq = _drop_oldest_timesteps(seq, limit, schema.num_elements, stats)
         seq, tokens = sample_action(state, seq, schema, cfg, rng, stats)
-        action = decode_action(tokens, schema)
+        action = codec.decode(tokens, schema)
         next_observations, reward, done = env.step(action)
         timesteps.append(Timestep(observations=observations, action=(schema, action)))
         rewards.append(float(reward))

@@ -203,7 +203,7 @@ _MICRO_PRETRAIN = [
     "pretrain.model.dropout = 0.25",
     "pretrain.model.local_pos_table = 16",
     "pretrain.model.preset = micro",
-    "pretrain.model.vocab = 33025",
+    "pretrain.model.vocab = 2049",
     "pretrain.out_dir = runs/micro",
     "pretrain.preset = all",
     "pretrain.prompt_probability = 0.25",
@@ -249,7 +249,7 @@ GOLDEN_RESOLVED = {
     ),
     "micro-model-overrides": (
         ["pretrain", *_sets("manifest=absent.cfg", "steps=5", "batch_size=2", "seq_len=32",
-                            "checkpoint_every=0", "model.preset=micro", "model.vocab=33025",
+                            "checkpoint_every=0", "model.preset=micro", "model.vocab=2049",
                             "model.local_pos_table=16", "model.dropout=0.25",
                             "out_dir=runs/micro"), "--seed", "3"],
         "runs/micro", EXIT_DATA, _MICRO_PRETRAIN,
@@ -283,8 +283,9 @@ class TestResolvedConfigGolden:
         ("pretrain", "decay_steps=0", "decay_steps must be >= 1"),
         ("pretrain", "decay_factor=0", "decay_factor must be > 0"),
         ("pretrain", "preset=same_domain", "preset=same_domain needs a target_domain"),
-        ("pretrain", "model.vocab=128",
-         "model.vocab must be >= 2049 to hold the ids the codecs emit, got 128"),
+        ("pretrain", "model.vocab=128", "model.vocab must be 2049, one row per token id, got 128"),
+        ("pretrain", "model.vocab=33025",
+         "model.vocab must be 2049, one row per token id, got 33025"),
         ("finetune", "env=linereacherr",
          "unknown env 'linereacherr'; choose from "
          "('gridreach', 'bandit_a', 'bandit_b', 'linereacher')"),
@@ -344,6 +345,16 @@ class TestFilterCommand:
         assert code == EXIT_OK
         assert len(read_episodes(out / "fixture.ep")) == 20
 
+    @pytest.mark.parametrize("fraction", ["nan", "2"])
+    def test_fraction_outside_unit_interval_exit_2(self, tmp_path, capsys, fraction):
+        out = tmp_path / "o"
+        code = main(["filter", "--manifest", str(tmp_path / "nope.cfg"), "--out", str(out),
+                     "--fraction", fraction])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: --fraction must be in [0, 1], got {float(fraction)}\n")
+        assert not out.exists()  # refused before the manifest is read or --out is made
+
     def test_missing_manifest_exit_2(self, tmp_path, capsys):
         code = main(["filter", "--manifest", str(tmp_path / "nope.cfg"), "--out",
                      str(tmp_path / "o")])
@@ -365,7 +376,6 @@ class TestPretrainCommand:
             "--set", "seq_len=32",
             "--set", "checkpoint_every=0",
             "--set", "model.preset=micro",
-            "--set", "model.vocab=33025",
             "--set", "model.local_pos_table=16",
             "--seed", "3",
         ]
@@ -409,7 +419,7 @@ class TestPretrainCommand:
             "--set", "manifest=corpus/filtered/manifest.cfg",
             "--set", "steps=2", "--set", "batch_size=2", "--set", "seq_len=32",
             "--set", "checkpoint_every=0", "--set", "model.preset=micro",
-            "--set", "model.vocab=33025", "--set", "model.local_pos_table=16",
+            "--set", "model.local_pos_table=16",
             "--set", "out_dir=runs/grid", "--seed", "0",
         ])
         assert code == EXIT_OK
@@ -436,12 +446,16 @@ def _grid_manifest(tmp_path):
 
 class TestVocabLayouts:
     def test_full_layout_checkpoint_finetunes_and_rolls_out(self, tmp_path, capsys):
-        # every tiny() checkpoint written before tiny() held 2049 rows has 33025
+        # every tiny() checkpoint written before tiny() held 2049 rows has 33025,
+        # with the bins and the separator in its last 1025 rows
         cfg = M.tiny(vocab=33025)
         path = tmp_path / "old.ckpt"
-        M.save_checkpoint(path, cfg, M.init_params(cfg, seed=2))
+        params = M.init_params(cfg, seed=2)
+        M.save_checkpoint(path, cfg, params)
         state = _state_from_checkpoint(path)
-        assert state.cfg == cfg and state.params["embed/vocab"].shape == (33025, 128)
+        assert state.cfg == M.tiny()
+        np.testing.assert_array_equal(
+            state.params["embed/vocab"], params["embed/vocab"][np.r_[0:1024, 32000:33025]])
         out = tmp_path / "ft"
         code = main([
             "finetune", "--set", f"manifest={_grid_manifest(tmp_path)}",
@@ -450,7 +464,7 @@ class TestVocabLayouts:
         ])
         assert code == EXIT_OK
         tuned = _state_from_checkpoint(out / "final.ckpt")
-        assert tuned.cfg == cfg and tuned.params["embed/vocab"].shape == (33025, 128)
+        assert tuned.cfg == M.tiny() and tuned.params["embed/vocab"].shape == (2049, 128)
         assert not np.array_equal(tuned.params["embed/vocab"], state.params["embed/vocab"])
         capsys.readouterr()
         code = main(["rollout", "--checkpoint", str(out / "final.ckpt"), "--env", "gridreach",
@@ -463,7 +477,7 @@ class TestVocabLayouts:
                                    seed=4)
         assert printed == expected.returns
 
-    @pytest.mark.parametrize("override, rows", [([], 2049), (["model.vocab=33025"], 33025)])
+    @pytest.mark.parametrize("override, rows", [([], 2049), (["model.vocab=2049"], 2049)])
     def test_pretrain_vocab_rows(self, tmp_path, override, rows):
         out = tmp_path / "run"
         args = ["pretrain", "--set", f"manifest={_grid_manifest(tmp_path)}",
@@ -533,7 +547,7 @@ class TestRolloutCommand:
 
     def test_model_rollout_is_evaluate_policy(self, tmp_path, capsys):
         path = tmp_path / "model.ckpt"
-        cfg = micro_cfg(vocab=33025, context=64)
+        cfg = micro_cfg(context=64)
         M.save_checkpoint(path, cfg, M.init_params(cfg, seed=2))
         code = main(["rollout", "--checkpoint", str(path), "--env", "gridreach",
                      "--temperature", "1", "-n", "3", "--seed", "4"])
@@ -555,6 +569,15 @@ class TestRolloutCommand:
                      *flag])
         assert code == EXIT_CONFIG
         assert flag[0][2:].replace("-", "_") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("episodes", ["0", "-3"])
+    def test_episodes_below_one_exit_2_before_reading(self, tmp_path, capsys, episodes):
+        out = tmp_path / "out"
+        code = main(["rollout", "--checkpoint", str(tmp_path / "absent.ckpt"), "--env",
+                     "gridreach", "-n", episodes, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: --episodes must be >= 1, got {episodes}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", [("--parallel",), ("--context-timesteps", "1")])
     def test_removed_rollout_flags_exit_2(self, flag):
@@ -612,26 +635,26 @@ class TestInspectCommand:
         assert "data error" in err and "invalid UTF-8 at frame body byte 4" in err
 
     def test_violations_in_position_order(self):
-        seq = manual_sequence([("text", 40_000), ("sep",), ("tensor", 2_000), ("action", 5),
+        seq = manual_sequence([("text", 1_500), ("sep",), ("tensor", 3_000), ("action", 5),
                                ("tensor", 7)])
         seq.tokens[1] = 3
         assert _token_range_violations(seq) == [
-            "text token 40000 at 0",
+            "text token 1500 at 0",
             "separator token 3 at 1",
-            "tensor token 2000 at 2",
+            "tensor token 3000 at 2",
         ]
-        seq.tokens[3] = 33024
-        assert _token_range_violations(seq)[-1] == "action token 33024 at 3"
+        seq.tokens[3] = 2048
+        assert _token_range_violations(seq)[-1] == "action token 2048 at 3"
 
     def test_violations_match_per_element_loop(self):
         def reference(seq):
             problems = []
-            legal = lambda tok: 0 <= tok < 1024 or 32000 <= tok < 33024
+            legal = lambda tok: 0 <= tok < 1024 or 1024 <= tok < 2048
             for i, src in enumerate(seq.sources):
                 src, tok = ElementSource(int(src)), int(seq.tokens[i])
-                if src == ElementSource.TEXT and not 0 <= tok < 32000:
+                if src == ElementSource.TEXT and not 0 <= tok < 1024:
                     problems.append(f"text token {tok} at {i}")
-                if src == ElementSource.SEPARATOR and tok != 33024:
+                if src == ElementSource.SEPARATOR and tok != 2048:
                     problems.append(f"separator token {tok} at {i}")
                 if src == ElementSource.TENSOR and not legal(tok):
                     problems.append(f"tensor token {tok} at {i}")
@@ -640,7 +663,7 @@ class TestInspectCommand:
             return problems
 
         rng = np.random.default_rng(0)
-        edge = [-5, 0, 1023, 1024, 31999, 32000, 33023, 33024, 33025]
+        edge = [-5, 0, 255, 256, 1023, 1024, 2047, 2048, 2049]
         found = 0
         for trial in range(50):
             seq = flatten_episode(rich_episode(seed=trial))

@@ -20,10 +20,10 @@ from seqpolicy.errors import SchemaError
 
 
 def test_vocab_layout():
-    assert TEXT_VOCAB == 32000
-    assert CONTINUOUS_BASE == 32000 and CONTINUOUS_END == 33024
-    assert SEPARATOR_TOKEN == 33024
-    assert VOCAB_SIZE == 33025
+    assert TEXT_VOCAB == 1024
+    assert CONTINUOUS_BASE == 1024 and CONTINUOUS_END == 2048
+    assert SEPARATOR_TOKEN == 2048
+    assert VOCAB_SIZE == 2049
 
 
 class TestMuLaw:
@@ -89,17 +89,17 @@ class TestBinning:
     def test_edge_values(self):
         # oracle: brute-force scan over the uniform bin edges
         edges = -1.0 + np.arange(CONTINUOUS_BINS + 1) * (2.0 / CONTINUOUS_BINS)
-        assert _bin(-1.0) == 32000
-        assert _bin(0.0) == 32512
-        assert _bin(1.0) == 33023
+        assert _bin(-1.0) == 1024
+        assert _bin(0.0) == 1536
+        assert _bin(1.0) == 2047
         for k in [0, 1, 511, 512, 1022]:
             inside = (edges[k] + edges[k + 1]) / 2.0
-            assert _bin(inside) == 32000 + k
+            assert _bin(inside) == 1024 + k
 
     def test_bin_centers(self):
-        assert _unbin(32000) == pytest.approx(-0.9990234375)
-        assert _unbin(32512) == pytest.approx(0.0009765625)
-        assert _unbin(33023) == pytest.approx(0.9990234375)
+        assert _unbin(1024) == pytest.approx(-0.9990234375)
+        assert _unbin(1536) == pytest.approx(0.0009765625)
+        assert _unbin(2047) == pytest.approx(0.9990234375)
 
     def test_roundtrip_exhaustive(self):
         for t in range(CONTINUOUS_BASE, CONTINUOUS_END):
@@ -113,7 +113,7 @@ class TestBinning:
         assert err.max() <= 1.0 / CONTINUOUS_BINS
 
     def test_out_of_range_rejected(self):
-        for token in (31999, 33024):
+        for token in (1023, 2048):
             with pytest.raises(ValueError, match="outside continuous range"):
                 codec.decode_continuous([token], UNIT)
 
@@ -122,12 +122,12 @@ class TestContinuousStreams:
     def test_zeros_encode_to_center_bin(self):
         s = TensorSchema.continuous("v", (2, 2), (-1.0, 1.0))
         assert not s.compand
-        assert codec.encode_continuous(np.zeros((2, 2)), s) == [32512] * 4
+        assert codec.encode_continuous(np.zeros((2, 2)), s) == [1536] * 4
 
     def test_companded_extreme(self):
         s = TensorSchema.continuous("v", (), (-256.0, 256.0))
         assert s.compand
-        assert codec.encode_continuous(256.0, s) == [33023]
+        assert codec.encode_continuous(256.0, s) == [2047]
 
     def test_roundtrip_within_bin_width(self):
         # property oracle: decode(encode(x)) stays within one companded bin of compand(x)
@@ -147,7 +147,7 @@ class TestContinuousStreams:
     def test_row_major_flatten(self):
         s = TensorSchema.continuous("v", (2, 2), (-1.0, 1.0))
         toks = codec.encode_continuous(np.array([[-1.0, -0.5], [0.5, 1.0]]), s)
-        assert toks[0] == 32000 and toks[-1] == 33023
+        assert toks[0] == 1024 and toks[-1] == 2047
         assert toks == sorted(toks)
 
     @pytest.mark.parametrize("value_range", [(-1.0, 1.0), (-256.0, 256.0)])

@@ -23,7 +23,7 @@ from conftest import manual_sequence, masked_nll_loss, micro_cfg, mixed_sampler
 
 def small_item(L=12, seed=0, with_sep=True):
     """Two timesteps mixing every element kind; separators optional so that
-    reduced-vocabulary configs can be exercised (the separator id is 33024)."""
+    reduced-vocabulary configs can be exercised (the separator id is 2048)."""
     sep = [("sep",)] if with_sep else []
     spec = (
         [("text", 45), ("patch", (0.25, 0.5), (0.4, 0.6)), ("tensor", 7)]
@@ -456,6 +456,84 @@ class TestSharedEmbedding:
             assert grads["embed/vocab"][t].any()
 
 
+class TestOutOfRangeIds:
+    """Token id 5000 has no row in a model with 2049 rows."""
+
+    def _model(self):
+        cfg = micro_cfg()
+        return cfg, M.init_params(cfg, seed=0)
+
+    @pytest.mark.parametrize("call", ["embed", "logits", "loss"])
+    def test_as_input(self, call):
+        cfg, params = self._model()
+        batch = assemble_batch([manual_sequence([("text", 7), ("text", 5000), ("text", 9)])])
+        run = {
+            "embed": lambda: embed_batch(params, cfg, batch, "eval", None),
+            "logits": lambda: M.forward_logits(params, cfg, batch),
+            "loss": lambda: M.loss_and_grads(params, cfg, batch, mode="eval"),
+        }[call]
+        with pytest.raises(ValueError, match="token id 5000 .*vocab 2049"):
+            run()
+
+    def test_as_masked_target(self):
+        cfg, params = self._model()
+        batch = assemble_batch([manual_sequence([("text", 7), ("text", 8), ("text", 9)])])
+        assert batch.shifted_mask()[0, 1]
+        targets = batch.shifted_targets()
+        targets[0, 1] = 5000
+        batch.shifted_targets = lambda: targets
+        with pytest.raises(ValueError, match="token id 5000 .*vocab 2049"):
+            M.loss_and_grads(params, cfg, batch, mode="eval")
+
+    @pytest.mark.parametrize("bad", [-2, -1, codec.VOCAB_SIZE, 40_000])
+    def test_ids_outside_the_rows(self, bad):
+        # a negative id would otherwise index rows from the end
+        cfg, params = self._model()
+        batch = assemble_batch([manual_sequence([("tensor", 3), ("tensor", bad)])])
+        with pytest.raises(ValueError, match=f"token id {bad} "):
+            embed_batch(params, cfg, batch, "eval", None)
+
+
+def test_gradients_with_separator_row_match_finite_differences():
+    """Sampled entries of every parameter of a 2049-row model, the separator's
+    row 2048 among them."""
+    cfg = micro_cfg(context=24)
+    params = M.init_params(cfg, seed=4, dtype=np.float64)
+    cont = codec.CONTINUOUS_BASE
+    spec = [
+        ("text", 3), ("patch", (0.25, 0.5), (0.4, 0.6)), ("tensor", 1000), ("sep",),
+        ("action", cont + 7), ("action", cont + 1020), ("ts",),
+        ("text", 200), ("tensor", cont + 512), ("sep",), ("action", cont + 7),
+    ]
+    batch = assemble_batch([manual_sequence(spec, seed=1), manual_sequence(spec[:6], seed=2)])
+
+    def dense_loss():
+        logits = M.forward_logits(params, cfg, batch)
+        return masked_nll_loss(logits, batch.shifted_targets(), batch.shifted_mask()).total
+
+    res, grads = M.loss_and_grads(params, cfg, batch, mode="eval")
+    assert res.total == pytest.approx(dense_loss(), rel=1e-12)
+    rng = np.random.default_rng(0)
+    h = 1e-6
+    for name in sorted(params):
+        flat, gflat = params[name].reshape(-1), grads[name].reshape(-1)
+        if name == "embed/vocab":
+            used = [3, 1000, cont + 7, cont + 512, cont + 1020, codec.SEPARATOR_TOKEN, 500]
+            indices = [i * cfg.width + int(rng.integers(cfg.width)) for i in used]
+        else:
+            indices = rng.choice(flat.size, size=min(flat.size, 12), replace=False)
+        for idx in indices:
+            orig = flat[idx]
+            flat[idx] = orig + h
+            up = dense_loss()
+            flat[idx] = orig - h
+            down = dense_loss()
+            flat[idx] = orig
+            fd, analytic = (up - down) / (2 * h), gflat[idx]
+            diff = abs(analytic - fd)
+            assert diff <= 1e-7 or diff / max(abs(analytic), abs(fd)) < 1e-4, (name, idx, fd)
+
+
 class TestModelConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -464,8 +542,8 @@ class TestModelConfig:
             micro_cfg(blocks=0)
         with pytest.raises(ConfigError):
             micro_cfg(stochastic_depth=1.0)
-        with pytest.raises(ConfigError, match="33026"):
-            micro_cfg(vocab=codec.VOCAB_SIZE + 1)  # no id reaches the extra rows
+        with pytest.raises(ConfigError, match="vocab must be >= 1"):
+            micro_cfg(vocab=0)
 
     def test_presets(self):
         tiny = M.tiny()
@@ -505,6 +583,43 @@ class TestCheckpoint:
         restored.load_state(loaded["rng_states"])
         assert restored.stochastic_depth.random() == streams.stochastic_depth.random()
         assert loaded["extra"] == {"step": 17}
+
+    @pytest.mark.parametrize("rows", [33025, 3000])
+    def test_former_layout_keeps_text_bin_and_separator_rows(self, tmp_path, rows):
+        # text rows first, then the bins and the separator as the last 1025 rows
+        cfg = micro_cfg(vocab=rows)
+        params = M.init_params(cfg, seed=12)
+        rng = np.random.default_rng(0)
+        opt = {"step": 3,
+               "m": {k: rng.normal(size=v.shape).astype(v.dtype) for k, v in params.items()},
+               "v": {k: rng.random(v.shape).astype(v.dtype) for k, v in params.items()}}
+        path = tmp_path / "former.ckpt"
+        M.save_checkpoint(path, cfg, params, optimizer_state=opt)
+        loaded = M.load_checkpoint(path)
+        assert loaded["cfg"] == micro_cfg() and loaded["cfg"].vocab == 2049
+        kept = np.r_[0:1024, rows - 1025:rows]
+        for saved, got in ((params, loaded["params"]), (opt["m"], loaded["optimizer_state"]["m"]),
+                           (opt["v"], loaded["optimizer_state"]["v"])):
+            assert got["embed/vocab"].shape == (2049, 16)
+            assert got["embed/vocab"].tobytes() == saved["embed/vocab"][kept].tobytes()
+            for name in saved:
+                if name != "embed/vocab":
+                    assert got[name].tobytes() == saved[name].tobytes(), name
+
+    def test_current_layout_loads_byte_identically(self, tmp_path):
+        cfg = micro_cfg()
+        params = M.init_params(cfg, seed=13)
+        opt = {"step": 1, "m": {k: v * 2 for k, v in params.items()},
+               "v": {k: v * v for k, v in params.items()}}
+        path = tmp_path / "model.ckpt"
+        M.save_checkpoint(path, cfg, params, optimizer_state=opt)
+        loaded = M.load_checkpoint(path)
+        assert loaded["cfg"] == cfg
+        # saving what was loaded writes the same bytes, every tensor's included
+        again = tmp_path / "again.ckpt"
+        M.save_checkpoint(again, loaded["cfg"], loaded["params"],
+                          optimizer_state=loaded["optimizer_state"])
+        assert again.read_bytes() == path.read_bytes()
 
     def test_corruption_detected(self, tmp_path):
         cfg = micro_cfg(vocab=64)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from seqpolicy import policy
-from seqpolicy.codec import CONTINUOUS_BASE, CONTINUOUS_END, TensorSchema
+from seqpolicy import codec
+from seqpolicy.codec import CONTINUOUS_BASE, CONTINUOUS_END, VOCAB_SIZE, TensorSchema
 from seqpolicy.corpora import run_policy_episode
 from seqpolicy.envs import (
     ENV_NAMES,
@@ -52,7 +53,7 @@ class TestSampleToken:
         lo, hi = policy.legal_token_range(schema)
         assert (lo, hi) == (CONTINUOUS_BASE, CONTINUOUS_END)
         for _ in range(200):
-            logits = rng.normal(size=33025) * 5
+            logits = rng.normal(size=VOCAB_SIZE) * 5
             tok = sample_token(logits, lo, hi, 1.0, rng)
             assert CONTINUOUS_BASE <= tok < CONTINUOUS_END
 
@@ -62,7 +63,7 @@ class TestSampleToken:
         lo, hi = policy.legal_token_range(schema)
         assert (lo, hi) == (0, 1024)
         for _ in range(200):
-            logits = rng.normal(size=33025) * 5
+            logits = rng.normal(size=VOCAB_SIZE) * 5
             tok = sample_token(logits, lo, hi, 1.0, rng)
             assert 0 <= tok < 1024
 
@@ -138,7 +139,7 @@ class TestRollout:
         for ts in episode.timesteps:
             schema, value = ts.action
             tokens = policy.encode_action(value, schema)
-            assert policy.decode_action(tokens, schema).tolist() == np.asarray(value).tolist()
+            assert codec.decode(tokens, schema).tolist() == np.asarray(value).tolist()
 
     def test_deployment_layout_matches_training(self, monkeypatch):
         state = tiny_state()
@@ -205,8 +206,10 @@ class TestRollout:
 # integer arrays and positions of every batch the model is asked for logits
 # on. Logits stay out, so the BLAS build cannot move it. Pinned when action
 # tokens became always embedded; the code before gave the same value for
-# these 32 cases.
-ROLLOUT_DIGEST = "7e76cee8dfa98c983af0066f1acc45f9d6033d5258c81e730ac821cb6f91223d"
+# these 32 cases. Re-pinned when the bins moved from [32000, 33024) to
+# [1024, 2048): the former batches with every id from 32000 up lowered by
+# 30976 give this value.
+ROLLOUT_DIGEST = "fbaca41a333fe198953768c9ec0983319aa5335c5a98a47672e3263c394074d3"
 
 
 def test_rollout_golden_digest(monkeypatch):
@@ -224,7 +227,7 @@ def test_rollout_golden_digest(monkeypatch):
         return real_forward(params, cfg, batch, positions=positions, **kwargs)
 
     monkeypatch.setattr(policy, "forward_logits", recording_forward)
-    cfg = micro_cfg(vocab=2049, width=32, kv_size=16, context=128, local_pos_table=32)
+    cfg = micro_cfg(width=32, kv_size=16, context=128, local_pos_table=32)
     state = ModelState(cfg, init_params(cfg, seed=5, dtype=np.float64), RngStreams(0))
     prompts = {
         name: run_policy_episode(make_env(name, seed=99), make_expert(name)) for name in ENV_NAMES

@@ -179,8 +179,10 @@ class TestFlattenEpisode:
 
 
 # SHA-256 of the flattened arrays of the episodes below, pinned before the
-# flattening loop was rewritten; any change to flattening output moves it.
-FLATTEN_DIGEST = "c0c48b75d1998b0aa00307b1d2bf9fe8a3f1ce1a390d3d48c2e5dba58787ebff"
+# flattening loop was rewritten and re-pinned when the bins moved from
+# [32000, 33024) to [1024, 2048): the former arrays with every id from 32000 up
+# lowered by 30976 give this value. Any other change to flattening moves it.
+FLATTEN_DIGEST = "9afba1317f635784268a73fd39954fd3d28adf0bb2495ddadd051850a56fc64c"
 
 
 def _golden_episodes():
@@ -216,8 +218,9 @@ def test_flatten_golden_digest():
 
 # SHA-256 of 20 training batches drawn from ``mixed_sampler(9)``, pinned
 # while windows were still padded to the training length and unpadded again
-# by a separate packing pass; any change to what training sees moves it.
-DRAWN_BATCHES_DIGEST = "c86888f8ae0a9739589c0c9e507efd5852b1763302836adbb882d3e69f37712f"
+# by a separate packing pass, and re-pinned for the id renumbering like
+# FLATTEN_DIGEST; any other change to what training sees moves it.
+DRAWN_BATCHES_DIGEST = "bb7be1f141a93317f5076faf706c45c78cb2762c649c08eb2b70a4aea43a668b"
 
 
 def test_drawn_batches_golden_digest():

@@ -72,7 +72,7 @@ def test_every_trace_point_resolves():
 def test_prompted_rollout_reaches_every_policy_trace_point():
     bench_trace = _bench_trace()
     policy = bench_trace.policy
-    cfg = micro_cfg(vocab=2049, context=64)
+    cfg = micro_cfg(context=64)
     state = M.ModelState(cfg, M.init_params(cfg, seed=1), M.RngStreams(0))
     prompt = run_policy_episode(GridReach(seed=2), GridReachExpert())
     tracer = bench_trace.Tracer()
@@ -97,8 +97,8 @@ def test_flatten_and_decode_reach_every_codec_trace_point():
     tracer.install()
     try:
         flatten_episode(rich_episode())
-        bench_trace.policy.decode_action([3, 7], discrete)
-        bench_trace.policy.decode_action([32000, 33023], continuous)
+        codec.decode([3, 7], discrete)
+        codec.decode([1024, 2047], continuous)
     finally:
         tracer.uninstall()
     expected = {attr for owner, attr, _ in bench_trace.TRACE_POINTS if owner is codec}
@@ -110,7 +110,7 @@ def test_training_reaches_every_trainer_trace_point():
     """Flattening runs inside the trace because the datasets flatten lazily."""
     bench_trace = _bench_trace()
     trainer = bench_trace.trainer
-    cfg = micro_cfg(vocab=2049, context=64, stochastic_depth=0.1, dropout=0.1)
+    cfg = micro_cfg(context=64, stochastic_depth=0.1, dropout=0.1)
     episodes = collect_episodes(GridReach(seed=2), GridReachExpert(), 4)
 
     def sampler():
