@@ -245,10 +245,14 @@ def expert_return(returns: list[float]) -> tuple[float, int]:
 def filter_episodes(
     episodes: list[Episode], fraction: float = 0.8
 ) -> tuple[list[Episode], FilterReport]:
-    """Keep episodes whose return reaches ``fraction`` of the expert return."""
+    """Keep episodes whose return reaches ``fraction`` of the expert return.
+
+    A negative expert return ``e`` gives the threshold ``e - (1 - fraction) * |e|``,
+    so the threshold never lies above the expert return.
+    """
     returns = [ep.total_return for ep in episodes]
     best, window = expert_return(returns)
-    threshold = fraction * best
+    threshold = fraction * best if best >= 0 else best - (1.0 - fraction) * abs(best)
     kept = [ep for ep in episodes if ep.total_return >= threshold]
     report = FilterReport(
         expert_return=best,

@@ -3,6 +3,7 @@
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import FULL_SCALE, MODES, ModelConfig, micro, tiny
 from .network import (
+    KVCache,
     LossResult,
     ModelState,
     RngStreams,
@@ -23,6 +24,7 @@ from .positions import (
 
 __all__ = [
     "FULL_SCALE",
+    "KVCache",
     "LossResult",
     "MODES",
     "ModelConfig",

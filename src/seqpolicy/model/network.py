@@ -16,7 +16,7 @@ checkpointable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -182,7 +182,7 @@ def embed_bwd(demb: np.ndarray, cache, params: dict, grads: dict) -> None:
 # transformer
 # ---------------------------------------------------------------------------
 
-def _attention_fwd(x, params, pfx, cfg, dropout_p, drop_rng, allowed):
+def _attention_fwd(x, params, pfx, cfg, dropout_p, drop_rng, allowed, past=None):
     b, length, _ = x.shape
     h, k = cfg.heads, cfg.kv_size
     q2, cq = linear_fwd(x, params[f"{pfx}/wq"], params[f"{pfx}/bq"])
@@ -191,6 +191,9 @@ def _attention_fwd(x, params, pfx, cfg, dropout_p, drop_rng, allowed):
     q = q2.reshape(b, length, h, k).transpose(0, 2, 1, 3)
     kk = k2.reshape(b, length, h, k).transpose(0, 2, 1, 3)
     v = v2.reshape(b, length, h, k).transpose(0, 2, 1, 3)
+    if past is not None:
+        kk = np.concatenate([past[0], kk], axis=2)
+        v = np.concatenate([past[1], v], axis=2)
     scores = (q @ kk.transpose(0, 1, 3, 2)) / math.sqrt(k)
     scores = np.where(allowed, scores, -np.inf)
     probs = softmax_last(scores)
@@ -270,12 +273,16 @@ def _ffn_bwd(dy, cache, params, pfx, grads):
 
 
 def hidden_fwd(params, cfg: ModelConfig, emb, mode: str, streams: RngStreams | None,
-               segments: np.ndarray | None = None):
+               segments: np.ndarray | None = None, past: list | None = None):
     """Pre-norm causal blocks, then the final layer norm.
 
     ``segments`` (B, L) names each position's window: attention is causal
     and never crosses windows. None means one window per row. Every position
-    attends to itself, so no softmax row is empty.
+    attends to itself, so no softmax row is empty. ``past`` holds one
+    ``(keys, values)`` pair per block for the ``n`` positions of the same
+    window that come before the rows of ``emb`` (then ``segments`` is None);
+    each block's cache then holds the keys and values of all ``n + L``
+    positions.
     """
     rules = mode_rules(mode)
     sd_p = cfg.stochastic_depth if rules.stochastic_depth else 0.0
@@ -283,7 +290,8 @@ def hidden_fwd(params, cfg: ModelConfig, emb, mode: str, streams: RngStreams | N
     if streams is None and (sd_p > 0.0 or drop_p > 0.0):
         raise ValueError(f"{mode}-mode stochastic depth and dropout need random streams")
     drop_rng = streams.dropout if streams is not None else None
-    allowed = np.tril(np.ones((emb.shape[1], emb.shape[1]), dtype=bool))
+    n = past[0][0].shape[2] if past else 0
+    allowed = np.tri(emb.shape[1], n + emb.shape[1], n, dtype=bool)
     if segments is not None:
         allowed = allowed & (segments[:, None, :, None] == segments[:, None, None, :])
     x = emb
@@ -295,7 +303,10 @@ def hidden_fwd(params, cfg: ModelConfig, emb, mode: str, streams: RngStreams | N
             c_ln1 = c_attn = None
         else:
             h, c_ln1 = layernorm_fwd(x, params[f"block{i}/ln1/g"], params[f"block{i}/ln1/b"])
-            a, c_attn = _attention_fwd(h, params, f"block{i}/attn", cfg, drop_p, drop_rng, allowed)
+            kv = past[i] if past else None
+            a, c_attn = _attention_fwd(
+                h, params, f"block{i}/attn", cfg, drop_p, drop_rng, allowed, kv
+            )
             x = x + a
         if skip_ffn:
             c_ln2 = c_ffn = None
@@ -406,22 +417,84 @@ def loss_and_grads(
     return LossResult(total=total, masked_tokens=int(rows.size), per_item=per_item), grads
 
 
+@dataclass
+class KVCache:
+    """Per-block attention keys and values of the first ``length`` positions
+    of one context, with those positions' tokens, sources and local positions.
+    """
+
+    kv: list[tuple] = field(default_factory=list)  # per block, (1, H, length, K) keys and values
+    tokens: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int32))
+    sources: np.ndarray = field(default_factory=lambda: np.zeros(0, np.uint8))
+    local_pos: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int32))
+
+    @property
+    def length(self) -> int:
+        return len(self.tokens)
+
+    def tail(self, batch: MaskedBatch, positions: np.ndarray | None) -> MaskedBatch:
+        """The positions of ``batch`` past the cached prefix, as a batch of
+        their own; refuses a batch this cache cannot extend."""
+        n = self.length
+        if batch.batch_size != 1 or len(batch.provenance) != 1:
+            raise ValueError(
+                f"a K/V cache serves one window in one row, got {len(batch.provenance)} "
+                f"windows in {batch.batch_size} rows"
+            )
+        cached = (self.tokens, self.sources, self.local_pos)
+        prefix = (batch.tokens[0, :n], batch.sources[0, :n], batch.local_pos[0, :n])
+        if not all(map(np.array_equal, prefix, cached)):
+            raise ValueError(f"the batch's first {n} positions differ from the cached ones")
+        if n and (positions is None or np.min(positions) < n):
+            raise ValueError(f"logits requested inside the cached prefix of {n} positions")
+        per_position = ("tokens", "sources", "local_pos", "segments")
+        tail = replace(batch, **{name: getattr(batch, name)[:, n:] for name in per_position})
+        if batch.patch_pixels is not None:
+            new = batch.patch_slots[:, 1] >= n
+            tail.patch_pixels = batch.patch_pixels[new]
+            tail.patch_intervals = batch.patch_intervals[new]
+            tail.patch_slots = batch.patch_slots[new] - np.array([0, n], np.int32)
+        return tail
+
+
 def forward_logits(
     params: dict,
     cfg: ModelConfig,
     batch: MaskedBatch,
     positions: np.ndarray | None = None,
+    cache: KVCache | None = None,
 ) -> np.ndarray:
     """Eval-mode logits over the ``embed/vocab`` rows at all positions, or at
     ``positions``, which holds one position per batch row.
+
+    With a ``cache``, ``batch`` is still the whole context: one window in one
+    row whose first ``cache.length`` positions are the cached ones. Only the
+    positions after them are embedded and run through the blocks, against the
+    cached keys and values, and the cache then holds the whole context.
+    ``positions`` must lie past the cached prefix. A batch the cache cannot
+    extend raises ``ValueError``.
     """
-    emb, _ = embed_batch(params, cfg, batch, "eval", None)
-    hidden, _ = hidden_fwd(params, cfg, emb, "eval", None, batch.segments)
+    if cache is None:
+        emb, _ = embed_batch(params, cfg, batch, "eval", None)
+        hidden, _ = hidden_fwd(params, cfg, emb, "eval", None, batch.segments)
+        start = 0
+    else:
+        if batch.seq_len > cfg.context:
+            raise CapacityError(f"sequence length {batch.seq_len} exceeds context {cfg.context}")
+        tail = cache.tail(batch, positions)
+        emb, _ = embed_batch(params, cfg, tail, "eval", None)
+        hidden, (blocks, _) = hidden_fwd(params, cfg, emb, "eval", None, past=cache.kv)
+        # each block's attention cache holds its past-and-new keys and values
+        cache.kv = [c_attn[4:6] for _, _, c_attn, *_ in blocks]
+        start = cache.length
+        cache.tokens, cache.sources, cache.local_pos = (
+            batch.tokens[0], batch.sources[0], batch.local_pos[0]
+        )
     if positions is None:
         flat = hidden.reshape(-1, cfg.width) @ params["embed/vocab"].T
-        return flat.reshape(batch.batch_size, batch.seq_len, cfg.vocab)
+        return flat.reshape(batch.batch_size, hidden.shape[1], cfg.vocab)
     rows = np.arange(batch.batch_size)
-    return hidden[rows, positions] @ params["embed/vocab"].T
+    return hidden[rows, np.asarray(positions) - start] @ params["embed/vocab"].T
 
 
 @dataclass

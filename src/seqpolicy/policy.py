@@ -8,6 +8,11 @@ on timestep ids below zero, then each observation and its action tokens.
 Truncation drops its oldest whole timesteps, so the local structure the
 model saw during training survives.
 
+Each rollout keeps one K/V cache of its context, so a forward pass embeds
+and runs only the positions added since the last one. A truncation changes
+every deeper layer's keys and values, so it starts a fresh cache and the next
+pass runs over the whole context.
+
 Sampled action tokens are range-masked to the legal token range of the
 action schema (continuous bins or the discrete range), so illegal ids are
 never emitted. Token id ``i`` is logit ``i``, so that range slices the logits.
@@ -22,7 +27,7 @@ import numpy as np
 from . import codec
 from .codec import Modality, TensorSchema
 from .errors import ConfigError
-from .model import ModelState, forward_logits
+from .model import KVCache, ModelState, forward_logits
 from .sequencer import (
     ElementSequence,
     ElementSource,
@@ -141,13 +146,16 @@ def sample_action(
     cfg: RolloutConfig,
     rng: np.random.Generator,
     stats: RolloutStats,
+    cache: KVCache,
 ) -> tuple[ElementSequence, list[int]]:
-    """One token at a time, each from one forward pass over everything so far."""
+    """One token at a time, each from one forward pass over the positions of
+    ``seq`` that ``cache`` does not hold yet."""
     tokens = []
     for _ in range(schema.num_elements):
         stats.forward_passes += 1
         logits = forward_logits(
-            state.params, state.cfg, assemble_batch([seq]), positions=np.array([len(seq) - 1])
+            state.params, state.cfg, assemble_batch([seq]),
+            positions=np.array([len(seq) - 1]), cache=cache,
         )
         token = sample_token(logits[0], *legal_token_range(schema), cfg.temperature, rng)
         tokens.append(token)
@@ -176,14 +184,18 @@ def rollout(
         seq = _prompt_sequence(cfg.prompt, cfg.prompt_budget, env.task_id)
         stats.prompted = True
 
+    cache = KVCache()
     observations = env.reset()
     timesteps: list[Timestep] = []
     rewards: list[float] = []
     for t in range(env.spec.episode_length):
         step = _observation_fragment(env.task_id, observations, t)
         seq = step if seq is None else concat_sequences([seq, step])
+        truncations = stats.truncations
         seq = _drop_oldest_timesteps(seq, limit, schema.num_elements, stats)
-        seq, tokens = sample_action(state, seq, schema, cfg, rng, stats)
+        if stats.truncations > truncations:  # a dropped timestep changes every deeper K/V
+            cache = KVCache()
+        seq, tokens = sample_action(state, seq, schema, cfg, rng, stats, cache)
         action = codec.decode(tokens, schema)
         next_observations, reward, done = env.step(action)
         timesteps.append(Timestep(observations=observations, action=(schema, action)))

@@ -189,6 +189,20 @@ class TestFiltering:
         assert report.kept == 5 and report.dropped == 15
         assert sorted(ep.total_return for ep in kept) == [16.0, 17.0, 18.0, 19.0, 20.0]
 
+    def test_negative_returns_threshold_below_expert(self):
+        eps = [_reward_episode(-r) for r in range(1, 21)]
+        kept, report = filter_episodes(eps)
+        assert report.expert_return == -1.5
+        assert report.threshold == pytest.approx(-1.8)
+        assert [ep.total_return for ep in kept] == [-1.0]
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.5, 0.8, 1.0])
+    @pytest.mark.parametrize("shift", [-30.0, -10.5, 0.0, 4.0])
+    def test_threshold_never_above_expert_return(self, fraction, shift):
+        eps = [_reward_episode(r + shift) for r in range(1, 21)]
+        _, report = filter_episodes(eps, fraction=fraction)
+        assert report.threshold <= report.expert_return
+
     def test_all_equal_keeps_all(self):
         eps = [_reward_episode(2.0) for _ in range(10)]
         kept, report = filter_episodes(eps)

@@ -17,11 +17,12 @@ from seqpolicy.envs import (
     make_expert,
 )
 from seqpolicy.errors import ConfigError
-from seqpolicy.model import ModelConfig, ModelState, RngStreams, init_params
+from seqpolicy.model import KVCache, ModelConfig, ModelState, RngStreams, init_params
+from seqpolicy.model import network
 from seqpolicy.policy import RolloutConfig, evaluate_policy, rollout, sample_token
-from seqpolicy.sequencer import flatten_episode, mask_of, targets_of
+from seqpolicy.sequencer import assemble_batch, flatten_episode, mask_of, targets_of
 
-from conftest import micro_cfg
+from conftest import build_layout_episode, micro_cfg
 
 
 def tiny_state(**overrides):
@@ -245,3 +246,120 @@ def test_rollout_golden_digest(monkeypatch):
         h.update(repr((actions, ret, stats)).encode())
     assert len(grid) == 32
     assert h.hexdigest() == ROLLOUT_DIGEST
+
+
+# Bounds on the largest |cached - uncached| logit gap, relative to the largest
+# |uncached| logit.
+CACHE_RTOL = {np.float64: 1e-12, np.float32: 16 * float(np.finfo(np.float32).eps)}
+
+
+def _digest_state(dtype):
+    cfg = micro_cfg(width=32, kv_size=16, context=128, local_pos_table=32)
+    return ModelState(cfg, init_params(cfg, seed=5, dtype=dtype), RngStreams(0))
+
+
+def _relative_gap(cached, plain):
+    return float(np.abs(cached - plain).max() / np.abs(plain).max())
+
+
+def _check_every_pass(monkeypatch):
+    """The list of each pass's cached-vs-uncached relative gap; each pass of a
+    rollout also runs without its cache, on the same batch."""
+    gaps = []
+    real = policy.forward_logits
+
+    def checking(params, cfg, batch, positions=None, cache=None):
+        assert cache is not None
+        cached = real(params, cfg, batch, positions=positions, cache=cache)
+        gaps.append(_relative_gap(cached, real(params, cfg, batch, positions=positions)))
+        return cached
+
+    monkeypatch.setattr(policy, "forward_logits", checking)
+    return gaps
+
+
+class TestKVCache:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("context", [1024, 12])
+    @pytest.mark.parametrize("prompted", [False, True])
+    @pytest.mark.parametrize("env_name", ENV_NAMES)
+    def test_cached_logits_match_uncached(self, monkeypatch, env_name, prompted, context, dtype):
+        prompt = (
+            run_policy_episode(make_env(env_name, seed=99), make_expert(env_name))
+            if prompted else None
+        )
+        gaps = _check_every_pass(monkeypatch)
+        _, _, stats = rollout(
+            _digest_state(dtype), make_env(env_name, seed=3),
+            RolloutConfig(prompt=prompt, context=context),
+        )
+        assert len(gaps) == stats.forward_passes
+        assert max(gaps) <= CACHE_RTOL[dtype]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_cached_logits_match_uncached_three_token_actions(self, monkeypatch, dtype):
+        gaps = _check_every_pass(monkeypatch)
+        _, _, stats = rollout(_digest_state(dtype), _FixedVectorEnv(), RolloutConfig())
+        assert len(gaps) == stats.forward_passes == 6
+        assert max(gaps) <= CACHE_RTOL[dtype]
+
+    def test_patches_in_the_tail_embed_at_their_slots(self):
+        cfg = micro_cfg(context=64)
+        params = init_params(cfg, seed=2, dtype=np.float64)
+        seq = flatten_episode(build_layout_episode(6, text_len=2, patch_grid=(2, 2), seed=3))
+        cache = KVCache()
+        assert len(seq) == 48  # 2 text ids, 4 patches, separator and action per step
+        # uneven steps put cache boundaries before, inside and after patch runs
+        for end in (3, 4, 9, 10, 17, 18, 19, 26, 33, 45, 48):
+            batch = assemble_batch([seq.slice(0, end)])
+            cached = network.forward_logits(params, cfg, batch, np.array([end - 1]), cache)
+            plain = network.forward_logits(params, cfg, batch, np.array([end - 1]))
+            assert cache.length == end
+            assert _relative_gap(cached, plain) <= CACHE_RTOL[np.float64]
+
+    def test_each_position_embedded_once(self, monkeypatch):
+        embedded = []
+        real = network.embed_batch
+
+        def spy(params, cfg, batch, *args):
+            embedded.append(batch.tokens.size)
+            return real(params, cfg, batch, *args)
+
+        monkeypatch.setattr(network, "embed_batch", spy)
+        demo = run_policy_episode(LineReacher(seed=9), make_expert("linereacher"))
+        episode, _, stats = rollout(
+            tiny_state(), LineReacher(seed=3), RolloutConfig(prompt=demo, prompt_budget=30)
+        )
+        assert stats.truncations == 0 and len(embedded) == stats.forward_passes
+        # the last action token is sampled, never embedded
+        assert sum(embedded) == 30 + len(flatten_episode(episode)) - 1
+
+    def _filled_cache(self):
+        cfg = micro_cfg()
+        params = init_params(cfg, seed=1, dtype=np.float64)
+        seq = flatten_episode(build_layout_episode(3, tensor_shape=(2,), seed=4))
+        cache = KVCache()
+        network.forward_logits(params, cfg, assemble_batch([seq.slice(0, 5)]), np.array([4]), cache)
+        return params, cfg, seq, cache
+
+    def test_changed_prefix_refused(self):
+        params, cfg, seq, cache = self._filled_cache()
+        changed = seq.slice(0, len(seq))
+        changed.tokens[2] += 1
+        with pytest.raises(ValueError, match="differ"):
+            network.forward_logits(
+                params, cfg, assemble_batch([changed]), np.array([len(seq) - 1]), cache
+            )
+
+    def test_position_inside_prefix_refused(self):
+        params, cfg, seq, cache = self._filled_cache()
+        with pytest.raises(ValueError, match="inside the cached prefix"):
+            network.forward_logits(params, cfg, assemble_batch([seq]), np.array([4]), cache)
+        with pytest.raises(ValueError, match="inside the cached prefix"):
+            network.forward_logits(params, cfg, assemble_batch([seq]), None, cache)
+
+    def test_two_row_batch_refused(self):
+        params, cfg, seq, _ = self._filled_cache()
+        batch = assemble_batch([seq, seq])
+        with pytest.raises(ValueError, match="one window in one row"):
+            network.forward_logits(params, cfg, batch, np.array([4, 4]), KVCache())
