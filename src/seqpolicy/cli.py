@@ -55,7 +55,8 @@ from .model import (
     tiny,
 )
 from .policy import RolloutConfig, evaluate_policy
-from .sequencer import ElementSource, Episode, episode_layout, flatten_episode, mask_of
+from .sequencer import (HAS_TOKEN, TOKEN_RANGE, ElementSource, Episode, episode_layout,
+                        flatten_episode, mask_of)
 from .trainer import (
     ABLATION_ARMS,
     FinetuneConfig,
@@ -175,6 +176,8 @@ def resolve_config(command: str, config_path, overrides: list[str], seed_flag) -
         build_model_config(resolved)  # and so does a fresh model the run cannot build
     if seed_flag is not None:
         resolved["seed"] = int(seed_flag)
+    if resolved["seed"] < 0:
+        raise ConfigError("seed must be >= 0")
     return resolved
 
 
@@ -316,6 +319,8 @@ def cmd_rollout(args) -> int:
         raise ConfigError(f"unknown env {args.env!r}; choose from {ENV_NAMES}")
     if args.episodes < 1:
         raise ConfigError(f"--episodes must be >= 1, got {args.episodes}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     warnings: list[str] = []
     prompt = None
     if args.prompt:
@@ -329,10 +334,8 @@ def cmd_rollout(args) -> int:
         warnings.append(f"{args.env} is prompt-disambiguated; unprompted rollouts are a coin flip")
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-
-    out_dir = Path(args.out) if args.out else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
+    cfg = RolloutConfig(prompt=prompt, prompt_budget=args.prompt_budget, context=args.context,
+                        temperature=args.temperature)
 
     episodes: list[Episode] = []
     returns: list[float] = []
@@ -347,12 +350,6 @@ def cmd_rollout(args) -> int:
         if not args.checkpoint:
             raise ConfigError("rollout needs --checkpoint or --expert")
         state = _state_from_checkpoint(args.checkpoint)
-        cfg = RolloutConfig(
-            prompt=prompt,
-            prompt_budget=args.prompt_budget,
-            context=args.context,
-            temperature=args.temperature,
-        )
         result = evaluate_policy(
             state, lambda s: make_env(args.env, seed=s), cfg, args.episodes, seed=args.seed
         )
@@ -362,7 +359,9 @@ def cmd_rollout(args) -> int:
     for i, ret in enumerate(returns):
         print(f"episode={i} return={ret!r}")
     print(f"mean_return={mean!r} episodes={len(returns)}")
-    if out_dir is not None:
+    if args.out:
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
         write_episodes(episodes, out_dir / "transcripts.ep")
         summary = {"env": args.env, "episodes": len(returns), "returns": returns,
                    "mean_return": mean, "warnings": warnings}
@@ -372,22 +371,11 @@ def cmd_rollout(args) -> int:
 
 
 def _token_range_violations(seq) -> list[str]:
-    """Token-range breaches per element source, in position order."""
+    """Tokens outside their source's ``TOKEN_RANGE``, in position order."""
     src, tok = seq.sources, seq.tokens
-    tensor_ok = (0 <= tok) & (tok < codec.CONTINUOUS_END)
-    checks = (
-        ((src == ElementSource.TEXT) & ((tok < 0) | (tok >= codec.TEXT_VOCAB)),
-         "text token {tok} at {i}"),
-        ((src == ElementSource.SEPARATOR) & (tok != codec.SEPARATOR_TOKEN),
-         "separator token {tok} at {i}"),
-        ((src == ElementSource.TENSOR) & ~tensor_ok, "tensor token {tok} at {i}"),
-        ((src == ElementSource.ACTION) & ~tensor_ok, "action token {tok} at {i}"),
-    )
-    bad = np.stack([hit for hit, _ in checks], axis=1)
-    return [
-        checks[k][1].format(tok=int(tok[i]), i=int(i))
-        for i, k in zip(*np.nonzero(bad))
-    ]
+    lo, hi = TOKEN_RANGE[src].T
+    bad = np.flatnonzero(HAS_TOKEN[src] & ((tok < lo) | (tok >= hi)))
+    return [f"{ElementSource(int(src[i])).name.lower()} token {int(tok[i])} at {i}" for i in bad]
 
 
 def cmd_inspect(args) -> int:

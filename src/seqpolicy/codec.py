@@ -197,7 +197,7 @@ def encode_continuous(values, schema: TensorSchema) -> list[int]:
         raise SchemaError(f"{schema.key}: shape {arr.shape} != schema {schema.shape}")
     flat = arr.ravel(order="C")
     if not np.all(np.isfinite(flat)):
-        raise ValueError(f"{schema.key}: non-finite continuous value")
+        raise SchemaError(f"{schema.key}: non-finite continuous value")
     if schema.compand:
         flat = _compand(flat)
     return (CONTINUOUS_BASE + _bin_array(flat)).tolist()
@@ -234,7 +234,7 @@ def encode_discrete(values, schema: TensorSchema) -> list[int]:
         raise SchemaError(f"{schema.key}: shape {arr.shape} != schema {schema.shape}")
     flat = arr.ravel(order="C")
     if flat.size and (flat.min() < 0 or flat.max() >= DISCRETE_VOCAB):
-        raise ValueError(f"{schema.key}: discrete value outside [0, {DISCRETE_VOCAB})")
+        raise SchemaError(f"{schema.key}: discrete value outside [0, {DISCRETE_VOCAB})")
     return flat.astype(np.int64).tolist()
 
 

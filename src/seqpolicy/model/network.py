@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..errors import CapacityError, MissingGradientError
-from ..sequencer import ElementSource, MaskedBatch
+from ..sequencer import HAS_TOKEN, ElementSource, MaskedBatch
 from .config import ModelConfig, mode_rules
 from .ops import (
     gelu_bwd,
@@ -139,16 +139,12 @@ def embed_batch(
         raise CapacityError(f"sequence length {length} exceeds context {cfg.context}")
     emb = np.zeros((b, length, cfg.width), dtype=dtype)
 
-    token_mask = np.isin(
-        batch.sources,
-        (ElementSource.TEXT, ElementSource.TENSOR, ElementSource.SEPARATOR, ElementSource.ACTION),
-    )
+    token_mask = HAS_TOKEN[batch.sources]
     token_rows = vocab_rows(cfg, batch.tokens[token_mask].astype(np.int64))
     emb[token_mask] = params["embed/vocab"][token_rows]
 
-    local_idx = resolve_local_indices(batch.sources, batch.local_pos, cfg)
-    add_mask = token_mask | (batch.sources == ElementSource.PATCH)
-    local_sel = local_idx[add_mask]
+    add_mask = batch.sources != ElementSource.PAD
+    local_sel = resolve_local_indices(batch.sources[add_mask], batch.local_pos[add_mask], cfg)
     emb[add_mask] += params["embed/local_pos"][local_sel]
 
     patch_cache = None
@@ -385,10 +381,7 @@ def loss_and_grads(
         return LossResult(total=0.0, masked_tokens=0, per_item=per_item), zero_grads(params)
 
     hsel = hidden[rows, cols]
-    picked = tgt[rows, cols].astype(np.int64)
-    if picked.min() < 0:
-        raise ValueError("masked position has no concrete target token")
-    picked = vocab_rows(cfg, picked)
+    picked = vocab_rows(cfg, tgt[rows, cols].astype(np.int64))
     logits = hsel @ params["embed/vocab"].T
     # fused log-softmax: one exp pass; nll gathered without a full logp array
     shifted = logits - logits.max(axis=-1, keepdims=True)

@@ -6,8 +6,8 @@ interval; evaluation takes the rounded interval mean, which reproduces the
 worked example: an 80x64 image patch covering rows [0.25, 0.5] and columns
 [0.4, 0.6] quantizes to [32, 64] and [51, 77], giving eval indices 48 and 64.
 
-Local positions: within a timestep, observation elements count 0, 1, 2, ...;
-the separator and all action elements each get one dedicated table slot.
+Local positions: within a timestep, ``sequencer.OBSERVATION`` elements count
+0, 1, 2, ...; the separator and all action elements each get one reserved slot.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import CapacityError
-from ..sequencer import ElementSource
+from ..sequencer import LOCAL_NONE, OBSERVATION, RESERVED_SLOT
 from .config import ModelConfig, mode_rules
 
 
@@ -61,26 +61,15 @@ def patch_position_index(
 def resolve_local_indices(
     sources: np.ndarray, local_pos: np.ndarray, cfg: ModelConfig
 ) -> np.ndarray:
-    """Vectorized resolution; works on (L,) or (B, L) arrays.
-
-    Observation ordinals map straight through, the separator and action
-    elements use the two reserved top slots, padding maps to slot 0 (its
-    embedding is never added).
-    """
-    out = np.zeros(sources.shape, dtype=np.int64)
-    obs = (
-        (sources == ElementSource.TEXT)
-        | (sources == ElementSource.PATCH)
-        | (sources == ElementSource.TENSOR)
-    )
-    if np.any(obs):
-        ordinals = local_pos[obs]
-        if int(ordinals.max()) >= cfg.max_observation_elements:
-            raise CapacityError(
-                f"observation has {int(ordinals.max()) + 1} elements, "
-                f"local position table holds {cfg.max_observation_elements}"
-            )
-        out[obs] = ordinals
-    out[sources == ElementSource.SEPARATOR] = cfg.separator_local_index
-    out[sources == ElementSource.ACTION] = cfg.action_local_index
-    return out
+    """Local-position table indices of non-padding elements, on (L,) or (B, L)
+    arrays: ``OBSERVATION`` sources take their ordinal, the others their
+    ``RESERVED_SLOT``, the separator or action slot at the table's top."""
+    obs = OBSERVATION[sources]
+    most = int(local_pos[obs].max(initial=LOCAL_NONE))
+    if most >= cfg.max_observation_elements:
+        raise CapacityError(
+            f"observation has {most + 1} elements, "
+            f"local position table holds {cfg.max_observation_elements}"
+        )
+    reserved = np.array([cfg.separator_local_index, cfg.action_local_index])
+    return np.where(obs, local_pos, reserved[RESERVED_SLOT[sources]])

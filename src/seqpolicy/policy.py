@@ -3,8 +3,9 @@
 The loop tokenizes each observation exactly as training did (same flattening
 code path), appends a separator, samples the action tokens one at a time,
 each conditioned on the context so far, decodes them by inverting the codec,
-and steps the environment. The context is one element sequence: the prompt
-on timestep ids below zero, then each observation and its action tokens.
+and steps the environment. The context is one element sequence: the prompt,
+an episode of the env's own task, on timestep ids below zero, then each
+observation and its action tokens. A prompt from another task is refused.
 Truncation drops its oldest whole timesteps, so the local structure the
 model saw during training survives.
 
@@ -55,6 +56,8 @@ class RolloutConfig:
             raise ConfigError(f"temperature must be >= 0, got {self.temperature}")
         if self.prompt_budget < 0:
             raise ConfigError(f"prompt_budget must be >= 0, got {self.prompt_budget}")
+        if self.context < 1:
+            raise ConfigError(f"context must be >= 1, got {self.context}")
 
 
 @dataclass
@@ -113,10 +116,9 @@ def _with_actions(seq: ElementSequence, tokens: list[int]) -> ElementSequence:
     return concat_sequences([seq, actions])
 
 
-def _prompt_sequence(prompt: Episode, budget: int, task_id: str) -> ElementSequence:
+def _prompt_sequence(prompt: Episode, budget: int) -> ElementSequence:
     """The first ``budget`` prompt elements, on timestep ids below zero."""
     flat = flatten_episode(prompt).slice(0, budget)
-    flat.task_id = task_id
     if len(flat):
         flat.timestep = prompt_timesteps(flat.timestep)
     return flat
@@ -181,7 +183,9 @@ def rollout(
     stats = RolloutStats()
     seq = None
     if cfg.prompt is not None:
-        seq = _prompt_sequence(cfg.prompt, cfg.prompt_budget, env.task_id)
+        if cfg.prompt.task_id != env.task_id:
+            raise ConfigError(f"prompt task {cfg.prompt.task_id!r} != env task {env.task_id!r}")
+        seq = _prompt_sequence(cfg.prompt, cfg.prompt_budget)
         stats.prompted = True
 
     cache = KVCache()

@@ -8,7 +8,8 @@ time order, giving a total length of T * (k + m + n + 1 + A).
 
 The loss mask is 1 exactly on text tokens and action tokens. Targets carry
 the element's own token id except on image patches and non-text observation
-tokens, which are never predicted.
+tokens, which are never predicted. Those and every other per-source fact are
+tables here, indexed by source value; the model and ``inspect`` read them.
 """
 
 from __future__ import annotations
@@ -39,8 +40,20 @@ class ElementSource(enum.IntEnum):
     ACTION = 5
 
 
-# Indexed by ElementSource value: whether the element carries loss, and
-# whether its own token is its target.
+# Per-source facts, indexed by ElementSource value. Each table names its
+# members, so reordering the enum cannot misclassify a source.
+HAS_TOKEN = np.zeros(len(ElementSource), bool)  # embedded from its token's row
+HAS_TOKEN[[ElementSource.TEXT, ElementSource.TENSOR, ElementSource.SEPARATOR,
+           ElementSource.ACTION]] = True
+OBSERVATION = np.zeros(len(ElementSource), bool)  # local position is its ordinal
+OBSERVATION[[ElementSource.TEXT, ElementSource.PATCH, ElementSource.TENSOR]] = True
+RESERVED_SLOT = np.zeros(len(ElementSource), np.int64)  # separator 0, action 1
+RESERVED_SLOT[[ElementSource.SEPARATOR, ElementSource.ACTION]] = 0, 1
+TOKEN_RANGE = np.zeros((len(ElementSource), 2), np.int64)  # legal ids [lo, hi)
+TOKEN_RANGE[ElementSource.TEXT] = 0, codec.TEXT_VOCAB
+TOKEN_RANGE[[ElementSource.TENSOR, ElementSource.ACTION]] = 0, codec.CONTINUOUS_END
+TOKEN_RANGE[ElementSource.SEPARATOR] = codec.SEPARATOR_TOKEN, codec.VOCAB_SIZE
+# Whether the element carries loss, and whether its own token is its target.
 _LOSS_TABLE = np.zeros(len(ElementSource), np.uint8)
 _LOSS_TABLE[[ElementSource.TEXT, ElementSource.ACTION]] = 1
 _TARGET_TABLE = np.zeros(len(ElementSource), bool)

@@ -52,6 +52,12 @@ def _reward_episode(r, task="t"):
     return Episode(task_id=task, timesteps=[ts], rewards=[float(r)])
 
 
+def _one_observation_episode(schema, value):
+    act = TensorSchema.discrete("a", (), is_action=True)
+    ts = Timestep(observations={schema.key: (schema, value)}, action=(act, np.int64(0)))
+    return Episode(task_id="t", timesteps=[ts], rewards=[0.0])
+
+
 @pytest.fixture
 def reward_manifest(tmp_path):
     episodes = [_reward_episode(r) for r in range(1, 21)]
@@ -314,6 +320,8 @@ class TestResolvedConfigGolden:
         ("finetune", "lr=-1e-5", "lr must be >= 0"),
         ("pretrain", "weight_decay=-0.1", "weight_decay must be >= 0"),
         ("pretrain", "warmup_steps=-1", "warmup_steps must be >= 0"),
+        ("pretrain", "seed=-1", "seed must be >= 0"),
+        ("finetune", "seed=-1", "seed must be >= 0"),
     ])
     def test_config_error_messages(self, tmp_path, monkeypatch, capsys, command, item, message):
         with pytest.raises(ConfigError) as exc:
@@ -323,6 +331,13 @@ class TestResolvedConfigGolden:
         assert main([command, "--set", item]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not any(tmp_path.iterdir())  # refused before the run directory is made
+
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    def test_negative_seed_flag_exit_2(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--set", "manifest=absent.cfg", "--seed", "-1"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+        assert not any(tmp_path.iterdir())  # refused before resolved_config.txt is written
 
 
 class TestFilterCommand:
@@ -425,6 +440,18 @@ class TestPretrainCommand:
         assert code == EXIT_OK
         assert (tmp_path / "runs" / "grid" / "final.ckpt").exists()
 
+    def test_value_the_schema_cannot_encode_exit_3(self, tmp_path, capsys):
+        episode = _one_observation_episode(TensorSchema.discrete("x", ()), np.int64(5000))
+        manifest = build_dataset(tmp_path / "data", "bad", [episode])
+        mpath = tmp_path / "manifest.cfg"
+        write_manifest([manifest], mpath)
+        code = main(["pretrain", *_sets(f"manifest={mpath}", f"out_dir={tmp_path / 'run'}",
+                                        "model.preset=micro", "steps=2", "batch_size=2",
+                                        "seq_len=8")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == "data error: x: discrete value outside [0, 1024)\n"
+
     def test_empty_mixture_exit_3(self, tmp_path, capsys):
         mpath = tmp_path / "manifest.cfg"
         mpath.write_text("[nothing]\npaths = missing/*.ep\nweight = 1.0\n")
@@ -489,6 +516,10 @@ class TestVocabLayouts:
         loaded = M.load_checkpoint(out / "final.ckpt")
         assert loaded["cfg"].vocab == rows
         assert loaded["params"]["embed/vocab"].shape == (rows, 128)
+
+
+_BAD_ROLLOUT_FLAGS = [("--prompt-budget", "-3"), ("--temperature", "-1"), ("--context", "0"),
+                      ("--context", "-3"), ("--seed", "-1")]
 
 
 class TestRolloutCommand:
@@ -560,7 +591,7 @@ class TestRolloutCommand:
         expected = evaluate_policy(state, lambda s: make_env("gridreach", s), rollout_cfg, 3, seed=4)
         assert printed == expected.returns
 
-    @pytest.mark.parametrize("flag", [("--prompt-budget", "-3"), ("--temperature", "-1")])
+    @pytest.mark.parametrize("flag", _BAD_ROLLOUT_FLAGS)
     def test_bad_context_flags_exit_2(self, tmp_path, capsys, flag):
         path = tmp_path / "model.ckpt"
         cfg = micro_cfg(context=64)
@@ -577,6 +608,29 @@ class TestRolloutCommand:
                      "gridreach", "-n", episodes, "--out", str(out)])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: --episodes must be >= 1, got {episodes}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", _BAD_ROLLOUT_FLAGS)
+    def test_bad_flags_exit_2_before_reading(self, tmp_path, capsys, flag):
+        out = tmp_path / "out"
+        code = main(["rollout", "--checkpoint", str(tmp_path / "absent.ckpt"), "--env",
+                     "gridreach", "-n", "1", "--out", str(out), *flag])
+        assert code == EXIT_CONFIG  # an absent checkpoint that was read would exit 3
+        assert flag[0][2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_prompt_of_another_task_exit_2(self, tmp_path, capsys):
+        prompts, out = tmp_path / "bandit_b", tmp_path / "out"
+        assert main(["rollout", "--env", "bandit_b", "--expert", "-n", "1",
+                     "--out", str(prompts)]) == EXIT_OK
+        path = tmp_path / "model.ckpt"
+        cfg = micro_cfg(context=64)
+        M.save_checkpoint(path, cfg, M.init_params(cfg, seed=2))
+        code = main(["rollout", "--checkpoint", str(path), "--env", "bandit_a", "-n", "1",
+                     "--prompt", str(prompts / "transcripts.ep"), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.endswith(
+            "error: prompt task 'bandit_b' != env task 'bandit_a'\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", [("--parallel",), ("--context-timesteps", "1")])
@@ -633,6 +687,18 @@ class TestInspectCommand:
         assert main(["inspect", str(path)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert "data error" in err and "invalid UTF-8 at frame body byte 4" in err
+
+    @pytest.mark.parametrize("schema, value, message", [
+        (TensorSchema.discrete("x", ()), np.int64(5000), "x: discrete value outside [0, 1024)"),
+        (TensorSchema.continuous("y", (2,), (-1.0, 1.0)), np.array([0.0, np.nan]),
+         "y: non-finite continuous value"),
+    ])
+    def test_value_the_schema_cannot_encode_exit_3(self, tmp_path, capsys, schema, value,
+                                                    message):
+        path = tmp_path / "bad.ep"
+        write_episodes([_one_observation_episode(schema, value)], path)
+        assert main(["inspect", str(path)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {message}\n"
 
     def test_violations_in_position_order(self):
         seq = manual_sequence([("text", 1_500), ("sep",), ("tensor", 3_000), ("action", 5),

@@ -215,6 +215,16 @@ class TestDiscreteStreams:
         with pytest.raises(ValueError):
             codec.encode_discrete(np.array([-1]), s)
 
+    @pytest.mark.parametrize("encode, schema, value", [
+        (codec.encode_discrete, TensorSchema.discrete("d", ()), np.int64(5000)),
+        (codec.encode_continuous, TensorSchema.continuous("c", (2,), (-1.0, 1.0)),
+         np.array([0.0, np.nan])),
+    ])
+    def test_unencodable_value_is_a_schema_error(self, encode, schema, value):
+        # a data error, not a configuration error
+        with pytest.raises(SchemaError):
+            encode(value, schema)
+
 
 class TestText:
     def test_byte_values(self):

@@ -179,9 +179,14 @@ class TestRollout:
         assert np.array_equal(first.tokens[:6], flatten_episode(demo).tokens[:6])
         assert (first.timestep[6:] == 0).all()
 
+    def test_prompt_of_another_task_rejected(self):
+        demo = run_policy_episode(make_env("bandit_b", 9), make_expert("bandit_b"))
+        with pytest.raises(ConfigError, match="prompt task 'bandit_b' != env task 'bandit_a'"):
+            rollout(tiny_state(), make_env("bandit_a", 9), RolloutConfig(prompt=demo))
+
     @pytest.mark.parametrize(
         "bad", [{"prompt_budget": -3}, {"temperature": -1.0}, {"temperature": -0.5},
-                {"temperature": float("nan")}]
+                {"temperature": float("nan")}, {"context": 0}, {"context": -3}]
     )
     def test_bad_config_rejected(self, bad):
         with pytest.raises(ConfigError):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from seqpolicy import sequencer
 from seqpolicy.codec import SEPARATOR_TOKEN, TensorSchema
 from seqpolicy.corpora import collect_episodes, synthetic_text_episodes
-from seqpolicy.envs import make_env, make_expert
+from seqpolicy.envs import ENV_NAMES, make_env, make_expert
 from seqpolicy.errors import SchemaError
 from seqpolicy.trainer import _draw_batch
 from seqpolicy.sequencer import (
@@ -26,7 +26,13 @@ from seqpolicy.sequencer import (
     targets_of,
 )
 
-from conftest import build_layout_episode, manual_sequence, mixed_sampler, rich_episode
+from conftest import (
+    build_layout_episode,
+    manual_sequence,
+    mixed_items,
+    mixed_sampler,
+    rich_episode,
+)
 
 SEQUENCE_ARRAYS = ("sources", "tokens", "local_pos", "timestep", "patch_pixels", "patch_intervals")
 
@@ -431,3 +437,41 @@ class TestPatchRows:
         again = sequencer.concat_sequences([seq.slice(0, 2), tail])
         for name in SEQUENCE_ARRAYS:
             assert np.array_equal(getattr(again, name), getattr(seq, name))
+
+
+def _table_cases():
+    """Name -> (sources, tokens, local_pos) of flattened, prompted and packed data."""
+    cases = {}
+    for name in ENV_NAMES:
+        cases[name] = flatten_episode(collect_episodes(make_env(name, 1), make_expert(name), 1)[0])
+    cases["text"] = flatten_episode(synthetic_text_episodes(1, seed=2, words_per_doc=4)[0])
+    cases["rich"] = flatten_episode(rich_episode(seed=1))
+    cases["prompted"] = mixed_items()[-1]
+    packed = assemble_batch(mixed_items())
+    assert (packed.sources == ElementSource.PAD).any()
+    cases["packed"] = packed
+    return {name: (c.sources, c.tokens, c.local_pos) for name, c in cases.items()}
+
+
+class TestSourceTables:
+    """The per-source tables agree with what flattening and packing emit."""
+
+    TABLES = ("HAS_TOKEN", "OBSERVATION", "RESERVED_SLOT", "TOKEN_RANGE",
+              "_LOSS_TABLE", "_TARGET_TABLE")
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return _table_cases()
+
+    @pytest.mark.parametrize("table", TABLES)
+    def test_one_entry_per_source(self, table):
+        assert len(getattr(sequencer, table)) == len(ElementSource)
+
+    @pytest.mark.parametrize("case", [*ENV_NAMES, "text", "rich", "prompted", "packed"])
+    def test_tables_match_emitted_elements(self, cases, case):
+        sources, tokens, local_pos = cases[case]
+        has = sequencer.HAS_TOKEN[sources]
+        np.testing.assert_array_equal(has, tokens >= 0)
+        np.testing.assert_array_equal(sequencer.OBSERVATION[sources], local_pos >= 0)
+        lo, hi = np.moveaxis(sequencer.TOKEN_RANGE[sources], -1, 0)
+        assert has.any() and ((lo <= tokens) & (tokens < hi))[has].all()
