@@ -220,11 +220,12 @@ def cmd_filter(args) -> int:
     report_lines = []
     filtered_manifests = []
     for manifest in manifests:
-        dataset = LoadedDataset(manifest)
+        # the episodes alone: filtering needs no flattened sequences
+        episodes = [ep for p in manifest.paths for ep in read_episodes(p)]
         kept_all = []
-        for task_id in sorted(dataset.by_task):
-            episodes = [dataset.episodes[i] for i in dataset.by_task[task_id]]
-            kept, report = filter_episodes(episodes, fraction=args.fraction)
+        for task_id in sorted({ep.task_id for ep in episodes}):
+            same_task = [ep for ep in episodes if ep.task_id == task_id]
+            kept, report = filter_episodes(same_task, fraction=args.fraction)
             kept_all.extend(kept)
             report_lines.append(
                 f"dataset={manifest.name} task={task_id} expert_return={report.expert_return!r} "
@@ -381,8 +382,15 @@ def _token_range_violations(seq) -> list[str]:
 def cmd_inspect(args) -> int:
     episodes = read_episodes(args.episode_file)
     bad = 0
+    unencodable = None
     for n, ep in enumerate(episodes):
-        seq = flatten_episode(ep)
+        try:
+            seq = flatten_episode(ep)
+        except SchemaError as e:
+            print(f"episode={n} task={ep.task_id}  VIOLATION: {e}")
+            bad += 1
+            unencodable = unencodable or e
+            continue
         try:
             layout = episode_layout(ep)
             expected = layout.total
@@ -404,6 +412,8 @@ def cmd_inspect(args) -> int:
             print(f"  VIOLATION: {problem}")
             bad += 1
     print(f"episodes={len(episodes)} violations={bad}")
+    if unencodable is not None:
+        raise unencodable  # reported as a data error, the first one found
     return EXIT_OK if bad == 0 else EXIT_DATA
 
 

@@ -324,7 +324,11 @@ def write_manifest(manifests: list[DatasetManifest], path) -> None:
 
 
 class LoadedDataset:
-    """Episodes of one dataset plus their flattened-sequence cache."""
+    """Episodes of one dataset plus their flattened sequences.
+
+    Every episode is flattened when the dataset loads, so a record the
+    schema cannot encode raises ``SchemaError`` before training starts.
+    """
 
     def __init__(self, manifest: DatasetManifest, episodes: list[Episode] | None = None):
         self.manifest = manifest
@@ -333,7 +337,7 @@ class LoadedDataset:
             for p in manifest.paths:
                 episodes.extend(read_episodes(p))
         self.episodes = episodes
-        self._flat: list[ElementSequence | None] = [None] * len(episodes)
+        self._flat = [flatten_episode(ep, dataset=manifest.name) for ep in episodes]
         self.by_task: dict[str, list[int]] = {}
         for i, ep in enumerate(episodes):
             self.by_task.setdefault(ep.task_id, []).append(i)
@@ -343,8 +347,6 @@ class LoadedDataset:
         return self.manifest.name
 
     def flattened(self, index: int) -> ElementSequence:
-        if self._flat[index] is None:
-            self._flat[index] = flatten_episode(self.episodes[index], dataset=self.name)
         return self._flat[index]
 
     def __len__(self) -> int:

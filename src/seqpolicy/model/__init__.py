@@ -14,7 +14,6 @@ from .network import (
     loss_and_grads,
     parameter_count,
     validate_gradients,
-    zero_grads,
 )
 from .positions import (
     patch_position_index,
@@ -44,5 +43,4 @@ __all__ = [
     "save_checkpoint",
     "tiny",
     "validate_gradients",
-    "zero_grads",
 ]

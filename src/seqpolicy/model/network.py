@@ -2,8 +2,11 @@
 
 Parameters live in a flat ``{name: ndarray}`` dict. Forward passes stash the
 caches needed for the hand-written reverse pass; ``loss_and_grads`` returns
-exact gradients for every parameter, with the shared vocabulary matrix
-accumulating both its input-lookup and output-projection contributions.
+exact gradients for the parameters the batch reached, with the shared
+vocabulary matrix accumulating both its input-lookup and output-projection
+contributions. A parameter it did not reach, such as the patch embedder on a
+batch without patches or a sub-layer that stochastic depth skipped, has no
+entry: its gradient is zero.
 Token id ``i`` is ``embed/vocab`` row ``i``, and logits have one entry per row.
 
 Modes: ``"pretrain"`` applies stochastic depth (sub-layers skipped with the
@@ -103,11 +106,9 @@ def parameter_count(params: dict[str, np.ndarray]) -> int:
     return int(sum(v.size for v in params.values()))
 
 
-def zero_grads(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {k: np.zeros_like(v) for k, v in params.items()}
-
-
 def validate_gradients(params: dict, grads: dict) -> None:
+    """Refuse gradients that miss a parameter; holds only for a batch that
+    reaches every parameter, since ``loss_and_grads`` leaves out the rest."""
     missing = set(params) - set(grads)
     if missing:
         raise MissingGradientError(f"no gradient for parameters: {sorted(missing)}")
@@ -165,13 +166,14 @@ def embed_batch(
 def embed_bwd(demb: np.ndarray, cache, params: dict, grads: dict) -> None:
     token_mask, token_rows, add_mask, local_sel, patch_cache, row_idx, col_idx, batch = cache
     np.add.at(grads["embed/vocab"], token_rows, demb[token_mask])
+    grads["embed/local_pos"] = np.zeros_like(params["embed/local_pos"])
     np.add.at(grads["embed/local_pos"], local_sel, demb[add_mask])
     if patch_cache is not None:
         dpe = demb[batch.patch_slots[:, 0], batch.patch_slots[:, 1]]
-        np.add.at(grads["embed/patch_row"], row_idx, dpe)
-        np.add.at(grads["embed/patch_col"], col_idx, dpe)
-        for name, g in patch_embed_bwd(dpe, patch_cache, params).items():
-            grads[name] += g
+        for name, idx in (("embed/patch_row", row_idx), ("embed/patch_col", col_idx)):
+            grads[name] = np.zeros_like(params[name])
+            np.add.at(grads[name], idx, dpe)
+        grads.update(patch_embed_bwd(dpe, patch_cache, params))
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +211,8 @@ def _attention_fwd(x, params, pfx, cfg, dropout_p, drop_rng, allowed, past=None)
 def _attention_bwd(dout, cache, params, pfx, grads):
     cq, ck, cv, q, kk, v, probs, keep, co, (b, length, h, k) = cache
     dctx, dwo, dbo = linear_bwd(dout, co, params[f"{pfx}/wo"])
-    grads[f"{pfx}/wo"] += dwo
-    grads[f"{pfx}/bo"] += dbo
+    grads[f"{pfx}/wo"] = dwo
+    grads[f"{pfx}/bo"] = dbo
     dctx = dctx.reshape(b, length, h, k).transpose(0, 2, 1, 3)
     probs_used = probs * keep if keep is not None else probs
     dprobs_used = dctx @ v.transpose(0, 1, 3, 2)
@@ -225,12 +227,12 @@ def _attention_bwd(dout, cache, params, pfx, grads):
     dxq, dwq, dbq = linear_bwd(dq2, cq, params[f"{pfx}/wq"])
     dxk, dwk, dbk = linear_bwd(dk2, ck, params[f"{pfx}/wk"])
     dxv, dwv, dbv = linear_bwd(dv2, cv, params[f"{pfx}/wv"])
-    grads[f"{pfx}/wq"] += dwq
-    grads[f"{pfx}/bq"] += dbq
-    grads[f"{pfx}/wk"] += dwk
-    grads[f"{pfx}/bk"] += dbk
-    grads[f"{pfx}/wv"] += dwv
-    grads[f"{pfx}/bv"] += dbv
+    grads[f"{pfx}/wq"] = dwq
+    grads[f"{pfx}/bq"] = dbq
+    grads[f"{pfx}/wk"] = dwk
+    grads[f"{pfx}/bk"] = dbk
+    grads[f"{pfx}/wv"] = dwv
+    grads[f"{pfx}/bv"] = dbv
     return dxq + dxk + dxv
 
 
@@ -254,17 +256,17 @@ def _ffn_bwd(dy, cache, params, pfx, grads):
     if keep is not None:
         dy = dy * keep
     dhidden, dwo, dbo = linear_bwd(dy, cy, params[f"{pfx}/wo"])
-    grads[f"{pfx}/wo"] += dwo
-    grads[f"{pfx}/bo"] += dbo
+    grads[f"{pfx}/wo"] = dwo
+    grads[f"{pfx}/bo"] = dbo
     da = dhidden * u
     du = dhidden * a
     dg = gelu_bwd(da, cge)
     dxg, dwg, dbg = linear_bwd(dg, cg, params[f"{pfx}/wg"])
     dxu, dwv, dbv = linear_bwd(du, cu, params[f"{pfx}/wv"])
-    grads[f"{pfx}/wg"] += dwg
-    grads[f"{pfx}/bg"] += dbg
-    grads[f"{pfx}/wv"] += dwv
-    grads[f"{pfx}/bv"] += dbv
+    grads[f"{pfx}/wg"] = dwg
+    grads[f"{pfx}/bg"] = dbg
+    grads[f"{pfx}/wv"] = dwv
+    grads[f"{pfx}/bv"] = dbv
     return dxg + dxu
 
 
@@ -318,21 +320,21 @@ def hidden_fwd(params, cfg: ModelConfig, emb, mode: str, streams: RngStreams | N
 def hidden_bwd(dout, cache, params, cfg: ModelConfig, grads):
     caches, c_lnf = cache
     dx, dg, db = layernorm_bwd(dout, c_lnf)
-    grads["final_ln/g"] += dg
-    grads["final_ln/b"] += db
+    grads["final_ln/g"] = dg
+    grads["final_ln/b"] = db
     for i in reversed(range(cfg.blocks)):
         skip_attn, c_ln1, c_attn, skip_ffn, c_ln2, c_ffn = caches[i]
         if not skip_ffn:
             dh = _ffn_bwd(dx, c_ffn, params, f"block{i}/ffn", grads)
             dln, dg, db = layernorm_bwd(dh, c_ln2)
-            grads[f"block{i}/ln2/g"] += dg
-            grads[f"block{i}/ln2/b"] += db
+            grads[f"block{i}/ln2/g"] = dg
+            grads[f"block{i}/ln2/b"] = db
             dx = dx + dln
         if not skip_attn:
             dh = _attention_bwd(dx, c_attn, params, f"block{i}/attn", grads)
             dln, dg, db = layernorm_bwd(dh, c_ln1)
-            grads[f"block{i}/ln1/g"] += dg
-            grads[f"block{i}/ln1/b"] += db
+            grads[f"block{i}/ln1/g"] = dg
+            grads[f"block{i}/ln1/b"] = db
             dx = dx + dln
     return dx
 
@@ -362,7 +364,8 @@ def loss_and_grads(
     streams: RngStreams | None = None,
     reduction: str = "sum",
 ):
-    """Forward plus exact reverse pass for every parameter.
+    """Forward plus exact reverse pass for the parameters the batch reached;
+    the gradient of any other parameter is zero and has no entry.
 
     ``reduction="sum"`` differentiates the raw summed loss; ``"mean"``
     scales gradients by 1/masked_tokens (the reported LossResult is
@@ -377,8 +380,6 @@ def loss_and_grads(
     msk = batch.shifted_mask()
     rows, cols = np.nonzero(msk != 0)
     per_item = np.zeros(len(batch.provenance), dtype=np.float64)
-    if rows.size == 0:
-        return LossResult(total=0.0, masked_tokens=0, per_item=per_item), zero_grads(params)
 
     hsel = hidden[rows, cols]
     picked = vocab_rows(cfg, tgt[rows, cols].astype(np.int64))
@@ -399,8 +400,7 @@ def loss_and_grads(
     if reduction == "mean":
         dlogits /= rows.size
 
-    grads = {k: np.zeros_like(v) for k, v in params.items() if k != "embed/vocab"}
-    grads["embed/vocab"] = dlogits.T @ hsel
+    grads = {"embed/vocab": dlogits.T @ hsel}
     dhsel = dlogits @ params["embed/vocab"]
     dhidden = np.zeros_like(hidden)
     dhidden[rows, cols] = dhsel

@@ -73,10 +73,13 @@ def optimizer_step(
 ) -> None:
     """One decoupled-weight-decay adaptive-moment update, in place.
 
-    Non-finite gradients abort with diagnostics before any update; there is
-    no silent clipping. Each tensor is updated in blocks of ``ADAM_BLOCK``
-    elements through two block-sized scratch buffers; the arithmetic is
-    elementwise, so the result does not depend on the blocking.
+    A parameter with no entry in ``grads`` has a zero gradient. It is skipped
+    when ``weight_decay`` is 0 and both its moments are all zero, since its
+    update is then exactly zero; otherwise it takes the update of a zero
+    gradient. Non-finite gradients abort with diagnostics before any update;
+    there is no silent clipping. Each tensor is updated in blocks of
+    ``ADAM_BLOCK`` elements through two block-sized scratch buffers; the
+    arithmetic is elementwise, so the result does not depend on the blocking.
     """
     bad = [k for k, g in grads.items() if not np.all(np.isfinite(g))]
     if bad:
@@ -95,7 +98,12 @@ def optimizer_step(
             buffers[p.dtype] = (np.empty(ADAM_BLOCK, p.dtype), np.empty(ADAM_BLOCK, p.dtype))
         scratch1, scratch2 = buffers[p.dtype]
         flat_p, flat_m, flat_v = _flat(p), _flat(state["m"][k]), _flat(state["v"][k])
-        flat_g = grads[k].reshape(-1)
+        if k in grads:
+            flat_g = grads[k].reshape(-1)
+        elif weight_decay or flat_m.any() or flat_v.any():
+            flat_g = np.zeros(p.size, p.dtype)
+        else:
+            continue
         for lo in range(0, p.size, ADAM_BLOCK):
             hi = min(lo + ADAM_BLOCK, p.size)
             g, m, v, w = flat_g[lo:hi], flat_m[lo:hi], flat_v[lo:hi], flat_p[lo:hi]

@@ -58,6 +58,13 @@ def _one_observation_episode(schema, value):
     return Episode(task_id="t", timesteps=[ts], rewards=[0.0])
 
 
+def _grid_then_unencodable():
+    """40 GridReach episodes, then one whose discrete observation 5000 the
+    schema cannot encode."""
+    bad = _one_observation_episode(TensorSchema.discrete("x", ()), np.int64(5000))
+    return collect_episodes(GridReach(seed=0), GridReachExpert(), 40) + [bad]
+
+
 @pytest.fixture
 def reward_manifest(tmp_path):
     episodes = [_reward_episode(r) for r in range(1, 21)]
@@ -452,6 +459,20 @@ class TestPretrainCommand:
         err = capsys.readouterr().err
         assert err == "data error: x: discrete value outside [0, 1024)\n"
 
+    def test_unencodable_record_exit_3_before_the_first_step(self, tmp_path, capsys):
+        manifest = build_dataset(tmp_path / "data", "grid", _grid_then_unencodable())
+        mpath = tmp_path / "manifest.cfg"
+        write_manifest([manifest], mpath)
+        out = tmp_path / "run"
+        code = main(["pretrain", *_sets(f"manifest={mpath}", f"out_dir={out}",
+                                        "model.preset=micro", "steps=200", "batch_size=2",
+                                        "seq_len=8", "checkpoint_every=1")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == "data error: x: discrete value outside [0, 1024)\n"
+        log = out / "metrics.log"
+        assert not log.exists() or log.read_text() == ""
+        assert not list(out.glob("*.ckpt"))
+
     def test_empty_mixture_exit_3(self, tmp_path, capsys):
         mpath = tmp_path / "manifest.cfg"
         mpath.write_text("[nothing]\npaths = missing/*.ep\nweight = 1.0\n")
@@ -699,6 +720,19 @@ class TestInspectCommand:
         write_episodes([_one_observation_episode(schema, value)], path)
         assert main(["inspect", str(path)]) == EXIT_DATA
         assert capsys.readouterr().err == f"data error: {message}\n"
+
+    def test_unencodable_record_named_and_counted(self, tmp_path, capsys):
+        path = tmp_path / "grid.ep"
+        write_episodes(_grid_then_unencodable(), path)
+        assert main(["inspect", str(path)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert all(line.startswith(f"episode={n} ") for n, line in enumerate(lines[:40]))
+        assert lines[40:] == [
+            "episode=40 task=t  VIOLATION: x: discrete value outside [0, 1024)",
+            "episodes=41 violations=1",
+        ]
+        assert captured.err == "data error: x: discrete value outside [0, 1024)\n"
 
     def test_violations_in_position_order(self):
         seq = manual_sequence([("text", 1_500), ("sep",), ("tensor", 3_000), ("action", 5),

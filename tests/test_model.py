@@ -255,6 +255,54 @@ class TestDistinctPatches:
         assert embed_rows == [len(order)]
 
 
+PATCH_PARAMS = {
+    "embed/patch_row", "embed/patch_col", "patch/gn1/g", "patch/gn1/b", "patch/conv1/w",
+    "patch/conv1/b", "patch/gn2/g", "patch/gn2/b", "patch/conv2/w", "patch/conv2/b",
+    "patch/skip/w", "patch/skip/b", "patch/proj/w", "patch/proj/b",
+}
+SUB_LAYER_PARAMS = (
+    ("ln1/g", "ln1/b", "attn/wq", "attn/bq", "attn/wk", "attn/bk", "attn/wv", "attn/bv",
+     "attn/wo", "attn/bo"),
+    ("ln2/g", "ln2/b", "ffn/wg", "ffn/bg", "ffn/wv", "ffn/bv", "ffn/wo", "ffn/bo"),
+)
+
+
+class TestGradientKeys:
+    """``loss_and_grads`` returns a gradient for each parameter the batch reached."""
+
+    def _check(self, dtype, batch, mode="eval", streams=None):
+        cfg = micro_cfg(vocab=64, stochastic_depth=0.5)
+        params = M.init_params(cfg, seed=2, dtype=dtype)
+        _, grads = M.loss_and_grads(params, cfg, batch, mode=mode, streams=streams)
+        for name, g in grads.items():
+            assert g.dtype == params[name].dtype == dtype, name
+            assert g.shape == params[name].shape, name
+            assert not any(np.may_share_memory(g, p) for p in params.values()), name
+        return params.keys() - grads.keys()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_patch_batch_has_every_name(self, dtype):
+        assert self._check(dtype, small_batch(with_sep=False)) == set()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_patchless_batch_lacks_the_patch_names(self, dtype):
+        spec = [("text", 5), ("tensor", 7), ("action", 3), ("ts",), ("tensor", 9), ("action", 1)]
+        batch = assemble_batch([manual_sequence(spec)])
+        assert self._check(dtype, batch) == PATCH_PARAMS
+
+    @pytest.mark.parametrize("skipped", range(4))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_skipped_sub_layer_lacks_its_names(self, dtype, skipped, scripted_rng):
+        # draws per block: attention, then feedforward; a draw below 0.5 skips
+        block, layer = divmod(skipped, 2)
+        streams = M.RngStreams(0)
+        streams.stochastic_depth = scripted_rng(randoms=[0.0 if i == skipped else 0.9
+                                                         for i in range(4)])
+        missing = self._check(dtype, small_batch(with_sep=False), "pretrain", streams)
+        expected = {f"block{block}/{name}" for name in SUB_LAYER_PARAMS[layer]}
+        assert missing == expected
+
+
 class TestForward:
     def test_causality(self):
         cfg = micro_cfg()

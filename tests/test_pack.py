@@ -128,8 +128,15 @@ class TestPackedModel:
             np.testing.assert_allclose(
                 pack_loss.per_item, [loss.total for loss, _ in alone], **tol
             )
+            # a window without patches reaches no patch parameter: its absent
+            # gradients are exactly those, and count as zero in the sum
+            patch_names = {n for n in params if n.startswith(("patch/", "embed/patch_"))}
+            assert len(patch_names) == 14
+            for window, (_, grads) in zip(items, alone):
+                has_patch = (window.sources == ElementSource.PATCH).any()
+                assert params.keys() - grads.keys() == (set() if has_patch else patch_names)
             for name in params:
-                summed = sum(grads[name] for _, grads in alone)
+                summed = sum(grads.get(name, 0.0) for _, grads in alone)
                 np.testing.assert_allclose(pack_grads[name], summed, err_msg=name, **tol)
 
     def test_no_attention_across_windows(self):

@@ -1,12 +1,26 @@
+import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import seqpolicy
 from seqpolicy import trainer
 from seqpolicy.corpora import collect_episodes
 from seqpolicy.datastore import DatasetManifest, LoadedDataset, MixtureSampler
-from seqpolicy.envs import GridReach, GridReachExpert, TwoTaskBandit, TwoTaskBanditExpert
+from seqpolicy.envs import (
+    GridReach,
+    GridReachExpert,
+    LineReacher,
+    LineReacherExpert,
+    TwoTaskBandit,
+    TwoTaskBanditExpert,
+)
 from seqpolicy.errors import CapacityError, NonFiniteAbort
 from seqpolicy.model import ModelConfig, ModelState, parameter_count
 from seqpolicy.trainer import (
@@ -21,6 +35,8 @@ from seqpolicy.trainer import (
     optimizer_step,
     pretrain,
 )
+
+from conftest import micro_cfg, mixed_sampler
 
 
 class TestSchedule:
@@ -170,6 +186,39 @@ class TestBlockedOptimizer:
             assert np.array_equal(params[k], p)
             assert np.array_equal(state["m"][k], m)
             assert np.array_equal(state["v"][k], v)
+
+
+class TestAbsentGradient:
+    """A parameter with no gradient entry takes the update of a zero gradient."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.1])
+    @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+    def test_bit_identical_to_explicit_zeros(self, dtype, weight_decay, warm):
+        runs = []
+        for explicit in (False, True):
+            params = _optimizer_tensors(dtype)
+            state = init_optimizer_state(params)
+            if warm:  # nonzero moments for every tensor
+                optimizer_step(params, _optimizer_tensors(dtype, seed=1), state, 1e-2,
+                               weight_decay)
+            before = params["matrix"].copy()
+            grads = _optimizer_tensors(dtype, seed=2)
+            del grads["matrix"]
+            if explicit:
+                grads["matrix"] = np.zeros_like(params["matrix"])
+            optimizer_step(params, grads, state, 1e-2, weight_decay)
+            runs.append((params, state))
+        (params, state), (ref_params, ref_state) = runs
+        assert state["step"] == ref_state["step"]
+        for k in params:
+            for got, want in ((params, ref_params), (state["m"], ref_state["m"]),
+                              (state["v"], ref_state["v"])):
+                assert got[k].dtype == dtype
+                assert got[k].tobytes() == want[k].tobytes(), k
+        # only zero decay with zero moments leaves the tensor where it was
+        moved = not np.array_equal(params["matrix"], before)
+        assert moved == (warm or weight_decay > 0)
 
 
 class TestEvalProtocol:
@@ -383,3 +432,61 @@ class TestHarnesses:
         assert [m.name for m in noctl] == ["text_docs"]
         with pytest.raises(ValueError):
             ablation_manifests("bogus", manifests, "grid")
+
+
+def _training_run_digests() -> dict[str, str]:
+    """SHA-256 of each micro run's final parameters, both AdamW moments and
+    metrics log: ``pretrain`` with weight decay and stochastic depth on a
+    corpus with image episodes, and ``finetune`` on LineReacher, which has
+    none. Batches of 2 windows of 16 keep every step under 32 loss-bearing
+    positions: from there on, OpenBLAS splits ``dlogits @ embed/vocab``
+    (K = 2049) by thread, and the bytes depend on the thread count."""
+    line = LoadedDataset(
+        DatasetManifest(name="line", paths=[], sample_weight=1.0),
+        collect_episodes(LineReacher(seed=5), LineReacherExpert(), 6),
+    )
+    runs = {
+        "pretrain": lambda: pretrain(
+            mixed_sampler(seed=3),
+            ModelState.initialize(micro_cfg(local_pos_table=64, stochastic_depth=0.25), seed=1),
+            TrainConfig(steps=10, batch_size=2, seq_len=16, warmup_steps=2, lr_max=1e-3,
+                        decay_steps=10, checkpoint_every=0),
+        ),
+        "finetune": lambda: finetune(
+            ModelState.initialize(micro_cfg(dropout=0.1), seed=2),
+            MixtureSampler([line], seq_len=16, rng=np.random.default_rng(4)),
+            FinetuneConfig(steps=10, batch_size=2, seq_len=16, lr=1e-3, eval_every=0),
+        ),
+    }
+    digests = {}
+    for name, run in runs.items():
+        result = run()
+        h = hashlib.sha256()
+        for key in sorted(result.state.params):
+            h.update(key.encode())
+            for tensors in (result.state.params, result.optimizer_state["m"],
+                            result.optimizer_state["v"]):
+                h.update(tensors[key].tobytes())
+        h.update(result.metrics.text().encode())
+        digests[name] = h.hexdigest()
+    return digests
+
+
+# Pinned before the gradients of parameters a batch does not reach were left
+# out of loss_and_grads; AdamW must treat an absent gradient as exactly zero.
+TRAINING_DIGESTS = {
+    "pretrain": "748d1136178ac39868489c567f59fe075defe9b3e1919f042344126688054dc0",
+    "finetune": "bd46c37366d1ccae3d87ae1ccd038ac6da9aa886342cb107dfbd1680e190fc9f",
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_training_digests_pinned(threads):
+    """A fresh interpreter per BLAS thread count, set before NumPy loads."""
+    tests = Path(__file__).parent
+    code = "import json, test_trainer; print(json.dumps(test_trainer._training_run_digests()))"
+    path = os.pathsep.join([str(Path(seqpolicy.__file__).parents[1]), str(tests)])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, cwd=tests)
+    assert json.loads(run.stdout) == TRAINING_DIGESTS
