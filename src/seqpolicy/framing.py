@@ -6,13 +6,15 @@ An episode file is a run of frames and a checkpoint is one frame
     magic (4 bytes) | u16 version | u64 body_len | body | u32 crc32(body)
 
 The magic and version say what the body holds; each owner keeps only its
-body schema, written with ``Writer`` and parsed with ``Reader``. Named
-float32 tensors (checkpoint parameters and moments) are stored as
-``u32 name_len | name | u8 ndim | u32 dims... | float32 data``.
+body schema. Episode records are built in memory with ``Writer`` and
+parsed with ``Reader``; a checkpoint streams through its file, written by
+``FileWriter`` and read back by ``FileReader``, so neither side holds a
+copy of the whole frame.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import zlib
@@ -28,6 +30,7 @@ _U8 = struct.Struct("<B")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _F64 = struct.Struct("<d")
+_CHUNK = 1 << 20  # bytes per read of a streamed body's CRC pass
 
 
 def frame(magic: bytes, version: int, body: bytes | bytearray) -> bytes:
@@ -36,28 +39,39 @@ def frame(magic: bytes, version: int, body: bytes | bytearray) -> bytes:
     return b"".join((header, body, _U32.pack(zlib.crc32(body))))
 
 
-def unframe(data: bytes, offset: int, magic: bytes, version: int) -> tuple[bytes, int]:
-    """Check the frame starting at ``offset``; returns (body, next offset)."""
+def _body_len(header: bytes, available: int, magic: bytes, version: int) -> int:
+    """Check a frame's header, given ``available`` bytes from the frame's
+    start to the end of its file or buffer; returns the body length."""
     kind = magic.decode()
-    if offset + _HEADER.size > len(data):
+    if len(header) < _HEADER.size:
         raise TruncatedRecordError(f"{kind} header incomplete")
-    found_magic, found_version, body_len = _HEADER.unpack_from(data, offset)
+    found_magic, found_version, body_len = _HEADER.unpack(header)
     if found_magic != magic:
         raise TruncatedRecordError(f"bad magic {found_magic!r}, expected {magic!r}")
     if found_version != version:
         raise VersionMismatchError(
             f"{kind} format version {found_version}, supported {version}"
         )
-    start = offset + _HEADER.size
-    end = start + body_len
-    if end + _U32.size > len(data):
+    present = available - _HEADER.size - _U32.size
+    if body_len > present:
         raise TruncatedRecordError(
-            f"{kind} frame claims {body_len} body bytes, "
-            f"only {len(data) - start - _U32.size} present"
+            f"{kind} frame claims {body_len} body bytes, only {present} present"
         )
+    return body_len
+
+
+def _check_crc(crc: int, stored: bytes, magic: bytes) -> None:
+    if crc != _U32.unpack(stored)[0]:
+        raise ChecksumError(f"{magic.decode()} checksum mismatch")
+
+
+def unframe(data: bytes, offset: int, magic: bytes, version: int) -> tuple[bytes, int]:
+    """Check the frame starting at ``offset``; returns (body, next offset)."""
+    header = data[offset : offset + _HEADER.size]
+    start = offset + _HEADER.size
+    end = start + _body_len(header, len(data) - offset, magic, version)
     body = data[start:end]
-    if zlib.crc32(body) != _U32.unpack_from(data, end)[0]:
-        raise ChecksumError(f"{kind} checksum mismatch")
+    _check_crc(zlib.crc32(body), data[end : end + _U32.size], magic)
     return body, end + _U32.size
 
 
@@ -86,32 +100,47 @@ class Writer:
     def __init__(self):
         self.buf = bytearray()
 
+    def raw(self, b) -> None:
+        self.buf += b
+
     def u8(self, v: int) -> None:
-        self.buf += _U8.pack(v)
+        self.raw(_U8.pack(v))
 
     def u32(self, v: int) -> None:
-        self.buf += _U32.pack(v)
+        self.raw(_U32.pack(v))
 
     def u64(self, v: int) -> None:
-        self.buf += _U64.pack(v)
+        self.raw(_U64.pack(v))
 
     def f64(self, v: float) -> None:
-        self.buf += _F64.pack(v)
+        self.raw(_F64.pack(v))
 
     def string(self, s: str) -> None:
         raw = s.encode("utf-8")
         self.u32(len(raw))
-        self.buf += raw
+        self.raw(raw)
 
-    def raw(self, b: bytes) -> None:
-        self.buf += b
 
-    def tensor(self, name: str, arr: np.ndarray) -> None:
-        self.string(name)
-        self.u8(arr.ndim)
-        for d in arr.shape:
-            self.u32(d)
-        self.buf += np.ascontiguousarray(arr, dtype="<f4").tobytes()
+class FileWriter(Writer):
+    """Writes one frame into the binary file ``f`` as its body is written:
+    the header first, each piece as it comes, the CRC at ``finish``, which
+    seeks back to fill in the header's body length."""
+
+    def __init__(self, f, magic: bytes, version: int):
+        self.f, self.magic, self.version = f, magic, version
+        self.start, self.crc = f.tell(), 0
+        f.write(_HEADER.pack(magic, version, 0))
+
+    def raw(self, b) -> None:
+        self.crc = zlib.crc32(b, self.crc)
+        self.f.write(b)
+
+    def finish(self) -> None:
+        end = self.f.tell()
+        self.f.seek(self.start)
+        self.f.write(_HEADER.pack(self.magic, self.version, end - self.start - _HEADER.size))
+        self.f.seek(end)
+        self.f.write(_U32.pack(self.crc))
 
 
 class Reader:
@@ -119,16 +148,21 @@ class Reader:
 
     def __init__(self, data: bytes):
         self.data = data
+        self.size = len(data)
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
+    def advance(self, n: int) -> int:
+        """Moves past the next ``n`` body bytes; returns where they start."""
+        if self.pos + n > self.size:
             raise TruncatedRecordError(
-                f"frame body ends at byte {len(self.data)}, needed {self.pos + n}"
+                f"frame body ends at byte {self.size}, needed {self.pos + n}"
             )
-        out = self.data[self.pos : self.pos + n]
         self.pos += n
-        return out
+        return self.pos - n
+
+    def take(self, n: int) -> bytes:
+        at = self.advance(n)
+        return self.data[at : at + n]
 
     def u8(self) -> int:
         return _U8.unpack(self.take(1))[0]
@@ -150,12 +184,38 @@ class Reader:
             at = self.pos - len(raw) + exc.start
             raise RecordFormatError(f"invalid UTF-8 at frame body byte {at}") from None
 
-    def tensor(self) -> tuple[str, np.ndarray]:
-        name = self.string()
-        shape = tuple(self.u32() for _ in range(self.u8()))
-        count = int(np.prod(shape))
-        arr = np.frombuffer(self.take(4 * count), dtype="<f4").reshape(shape)
-        return name, arr.astype(np.float32)
-
     def done(self) -> bool:
-        return self.pos == len(self.data)
+        return self.pos == self.size
+
+
+class FileReader(Reader):
+    """Parses the body of the frame at the binary file ``f``'s position
+    straight from the file, once its header and its CRC, over the body read
+    in 1 MiB chunks, are checked: a damaged frame is refused before parsing."""
+
+    def __init__(self, f, magic: bytes, version: int):
+        self.f, self.pos, start = f, 0, f.tell()
+        available = os.fstat(f.fileno()).st_size - start
+        self.size = _body_len(f.read(_HEADER.size), available, magic, version)
+        chunk, crc = memoryview(bytearray(min(self.size, _CHUNK))), 0
+        for at in range(0, self.size, _CHUNK):
+            crc = zlib.crc32(self._fill(chunk[: self.size - at]), crc)
+        _check_crc(crc, f.read(_U32.size), magic)
+        f.seek(start + _HEADER.size)
+
+    def _fill(self, buf):
+        if self.f.readinto(buf) != len(buf):
+            raise TruncatedRecordError("file ended inside a frame body")
+        return buf
+
+    def take(self, n: int) -> bytes:
+        self.advance(n)
+        return self.f.read(n)
+
+    def floats(self, shape: tuple[int, ...]) -> np.ndarray:
+        """A new float32 array of ``shape`` read from the body; a size past
+        the body's end is refused before anything is allocated."""
+        self.advance(4 * math.prod(shape))
+        out = np.empty(shape, "<f4")
+        self._fill(memoryview(out.reshape(-1)).cast("B"))
+        return out

@@ -1,17 +1,20 @@
 """Versioned binary checkpoints: named float32 tensors plus optimizer and
-random-stream state, framed and checksummed like episode records."""
+random-stream state, framed and checksummed like episode records.
+
+A tensor is stored as ``u32 name_len | name | u8 ndim | u32 dims... |
+float32 data``. Saving and loading stream through the file, one tensor at
+a time, so neither holds a second copy of the checkpoint."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from pathlib import Path
 
 import numpy as np
 
 from ..codec import TEXT_VOCAB, VOCAB_SIZE
 from ..errors import RecordFormatError
-from ..framing import Reader, Writer, atomic_writer, frame, unframe
+from ..framing import FileReader, FileWriter, Writer, atomic_writer
 from .config import ModelConfig
 
 MAGIC = b"SQCK"
@@ -20,6 +23,26 @@ CHECKPOINT_VERSION = 1
 # Former config fields that v1 files hold, at the only values the model has:
 # RGB patches, and action tokens embedded like any other token.
 _FIXED_FIELDS = {"patch_channels": 3, "zero_action_inputs": False}
+
+
+def _write_tensors(w: Writer, group: dict[str, np.ndarray]) -> None:
+    w.u32(len(group))
+    for name in sorted(group):
+        value = group[name]
+        w.string(name)
+        w.u8(value.ndim)
+        for d in value.shape:
+            w.u32(d)
+        # written from the tensor's own memory; a float64 one is converted alone
+        w.raw(memoryview(np.ascontiguousarray(value, dtype="<f4")))
+
+
+def _read_tensors(r: FileReader) -> dict[str, np.ndarray]:
+    tensors = {}
+    for _ in range(r.u32()):
+        name = r.string()
+        tensors[name] = r.floats(tuple(r.u32() for _ in range(r.u8())))
+    return tensors
 
 
 def save_checkpoint(
@@ -31,50 +54,46 @@ def save_checkpoint(
     extra: dict | None = None,
 ) -> None:
     """Replace ``path`` with a checkpoint; a crash keeps the old file."""
-    w = Writer()
-    w.string(json.dumps(dataclasses.asdict(cfg)))
-    w.u32(len(params))
-    for name in sorted(params):
-        w.tensor(name, params[name])
-    if optimizer_state is not None:
-        w.u8(1)
-        w.u64(optimizer_state["step"])
-        for group in (optimizer_state["m"], optimizer_state["v"]):
-            w.u32(len(group))
-            for name in sorted(group):
-                w.tensor(name, group[name])
-    else:
-        w.u8(0)
-    for blob in (rng_states, extra):
-        if blob is not None:
+    with atomic_writer(path) as f:
+        w = FileWriter(f, MAGIC, CHECKPOINT_VERSION)
+        w.string(json.dumps(dataclasses.asdict(cfg)))
+        _write_tensors(w, params)
+        if optimizer_state is not None:
             w.u8(1)
-            w.string(json.dumps(blob))
+            w.u64(optimizer_state["step"])
+            _write_tensors(w, optimizer_state["m"])
+            _write_tensors(w, optimizer_state["v"])
         else:
             w.u8(0)
-    with atomic_writer(path) as f:
-        f.write(frame(MAGIC, CHECKPOINT_VERSION, w.buf))
+        for blob in (rng_states, extra):
+            if blob is not None:
+                w.u8(1)
+                w.string(json.dumps(blob))
+            else:
+                w.u8(0)
+        w.finish()
 
 
 def load_checkpoint(path) -> dict:
     """Returns {cfg, params, optimizer_state, rng_states, extra}."""
-    body, _ = unframe(Path(path).read_bytes(), 0, MAGIC, CHECKPOINT_VERSION)
-    r = Reader(body)
-    try:
-        raw = json.loads(r.string())
-        for key, value in _FIXED_FIELDS.items():
-            if (found := raw.pop(key, value)) != value:
-                raise ValueError(f"sets {key}={found!r}, not {value!r}")
-        cfg = ModelConfig(**raw)
-    except (TypeError, ValueError) as exc:  # not JSON, a key ModelConfig lacks, a bad value
-        raise RecordFormatError(f"checkpoint config: {exc}") from None
-    params = dict(r.tensor() for _ in range(r.u32()))
-    optimizer_state = None
-    if r.u8():
-        step = r.u64()
-        m, v = [dict(r.tensor() for _ in range(r.u32())) for _ in range(2)]
-        optimizer_state = {"step": step, "m": m, "v": v}
-    rng_states = json.loads(r.string()) if r.u8() else None
-    extra = json.loads(r.string()) if r.u8() else None
+    with open(path, "rb") as f:
+        r = FileReader(f, MAGIC, CHECKPOINT_VERSION)
+        try:
+            raw = json.loads(r.string())
+            for key, value in _FIXED_FIELDS.items():
+                if (found := raw.pop(key, value)) != value:
+                    raise ValueError(f"sets {key}={found!r}, not {value!r}")
+            cfg = ModelConfig(**raw)
+        except (TypeError, ValueError) as exc:  # not JSON, a key ModelConfig lacks, a bad value
+            raise RecordFormatError(f"checkpoint config: {exc}") from None
+        params = _read_tensors(r)
+        optimizer_state = None
+        if r.u8():
+            step = r.u64()
+            m, v = _read_tensors(r), _read_tensors(r)
+            optimizer_state = {"step": step, "m": m, "v": v}
+        rng_states = json.loads(r.string()) if r.u8() else None
+        extra = json.loads(r.string()) if r.u8() else None
     # A file with more vocabulary rows is in the former id layout: text rows
     # first, then the bins and the separator as its last rows.
     if cfg.vocab > VOCAB_SIZE:

@@ -230,8 +230,11 @@ def truncated_normal(
 ) -> np.ndarray:
     """Normal(0, std) with resampling outside ``bound`` standard deviations."""
     out = rng.standard_normal(shape)
-    bad = np.abs(out) > bound
-    while np.any(bad):
-        out[bad] = rng.standard_normal(int(bad.sum()))
-        bad = np.abs(out) > bound
-    return (out * std).astype(dtype)
+    flat = out.reshape(-1)
+    bad = np.flatnonzero(np.abs(flat) > bound)
+    while bad.size:  # redraw, in index order, only what is still out of bounds
+        redrawn = rng.standard_normal(bad.size)
+        flat[bad] = redrawn
+        bad = bad[np.abs(redrawn) > bound]
+    out *= std
+    return out.astype(dtype, copy=False)

@@ -1,7 +1,9 @@
+import hashlib
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,14 +13,24 @@ from scipy.special import erf, erfc
 import seqpolicy
 from seqpolicy import codec
 from seqpolicy import model as M
-from seqpolicy.errors import CapacityError, ChecksumError, ConfigError
+from seqpolicy.errors import (
+    CapacityError,
+    ChecksumError,
+    ConfigError,
+    RecordFormatError,
+    TruncatedRecordError,
+)
+from seqpolicy.framing import Reader, Writer, frame, unframe
 from seqpolicy.model import network, ops, patch_embed
 from seqpolicy.model.network import embed_batch, hidden_fwd
 from seqpolicy.model.ops import gelu_bwd, gelu_fwd
 from seqpolicy.sequencer import assemble_batch
 from seqpolicy.trainer import _draw_batch
 
-from conftest import manual_sequence, masked_nll_loss, micro_cfg, mixed_sampler
+from conftest import golden_checkpoint, manual_sequence, masked_nll_loss, micro_cfg, mixed_sampler
+
+# SHA-256 of ``init_params(tiny(), seed=0)``: each name, dtype, shape and bytes.
+TINY_INIT_SHA256 = "70e1a1d39362cb29aae4437b5455e3d3d3bbf70e00a09c7d8415d530d8fe9cae"
 
 
 def small_item(L=12, seed=0, with_sep=True):
@@ -600,6 +612,21 @@ class TestModelConfig:
         assert (full.blocks, full.heads, full.width, full.kv_size) == (8, 24, 768, 32)
         assert M.FULL_SCALE["1.18b"].ff_hidden == 8192
 
+    def test_tiny_init_digest(self):
+        params = M.init_params(M.tiny(), seed=0)
+        h = hashlib.sha256()
+        for name in sorted(params):
+            p = params[name]
+            for part in (name, str(p.dtype), repr(p.shape)):
+                h.update(part.encode())
+            h.update(p.tobytes())
+        assert h.hexdigest() == TINY_INIT_SHA256
+
+    def test_truncated_normal_bounds_and_dtype(self):
+        out = ops.truncated_normal(np.random.default_rng(0), (300, 7), 0.5, np.float32, bound=0.3)
+        assert out.shape == (300, 7) and out.dtype == np.float32
+        assert np.all(np.abs(out) <= np.float32(0.15)) and len(np.unique(out)) == out.size
+
     def test_param_count_monotone_in_width(self):
         small = M.init_params(micro_cfg(width=16), seed=0)
         large = M.init_params(micro_cfg(width=32, kv_size=16), seed=0)
@@ -677,6 +704,104 @@ class TestCheckpoint:
         data[50] ^= 0x55
         path.write_bytes(bytes(data))
         with pytest.raises(ChecksumError):
+            M.load_checkpoint(path)
+
+    @staticmethod
+    def _traced_peak(fn):
+        """(fn(), the peak of traced allocation while it ran, in bytes)."""
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = fn()
+            return out, tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    def test_save_and_load_stream_through_the_file(self, tmp_path):
+        cfg = M.tiny()
+        params = M.init_params(cfg, seed=0)
+        rng = np.random.default_rng(1)
+        opt = {"step": 4,
+               "m": {k: rng.standard_normal(v.shape, np.float32) for k, v in params.items()},
+               "v": {k: rng.random(v.shape, np.float32) for k, v in params.items()}}
+        path = tmp_path / "tiny.ckpt"
+        _, save_peak = self._traced_peak(
+            lambda: M.save_checkpoint(path, cfg, params, optimizer_state=opt, extra={"step": 4}))
+        size = path.stat().st_size
+        assert save_peak < 0.05 * size
+        loaded, load_peak = self._traced_peak(lambda: M.load_checkpoint(path))
+        groups = (loaded["params"], loaded["optimizer_state"]["m"], loaded["optimizer_state"]["v"])
+        arrays = sum(a.nbytes for g in groups for a in g.values())
+        assert load_peak <= arrays + 2 * 2**20
+        for saved, got in zip((params, opt["m"], opt["v"]), groups):
+            for name in saved:
+                assert got[name].tobytes() == saved[name].tobytes(), name
+
+    def test_float64_model_roundtrips_as_float32(self, tmp_path):
+        cfg = micro_cfg(vocab=64)
+        params = M.init_params(cfg, seed=5, dtype=np.float64)
+        opt = {"step": 2, "m": {k: v * 3 for k, v in params.items()},
+               "v": {k: v * v for k, v in params.items()}}
+        single = {k: v.astype(np.float32) for k, v in params.items()}
+        path, expected = tmp_path / "f64.ckpt", tmp_path / "f32.ckpt"
+        M.save_checkpoint(path, cfg, params, optimizer_state=opt)
+        M.save_checkpoint(expected, cfg, single, optimizer_state={
+            "step": 2, **{g: {k: v.astype(np.float32) for k, v in opt[g].items()} for g in "mv"}})
+        assert path.read_bytes() == expected.read_bytes()
+        loaded = M.load_checkpoint(path)
+        for name, value in loaded["params"].items():
+            assert value.dtype == np.float32 and value.tobytes() == single[name].tobytes()
+        # a float64 state converts one tensor at a time
+        big = M.init_params(M.tiny(), seed=0, dtype=np.float64)
+        _, peak = self._traced_peak(lambda: M.save_checkpoint(path, M.tiny(), big))
+        assert peak <= max(v.nbytes for v in big.values()) // 2 + 2**20
+
+    @staticmethod
+    def _with_first_dim(data: bytes, dim) -> bytes:
+        """CRC-valid checkpoint bytes whose first tensor's first dimension is
+        ``dim(remaining body bytes after the dims, the other dims' product)``."""
+        body = unframe(data, 0, M.checkpoint.MAGIC, M.checkpoint.CHECKPOINT_VERSION)[0]
+        r = Reader(body)
+        r.string(), r.u32(), r.string()
+        ndim, dims_at = r.u8(), r.pos
+        rest = math.prod([r.u32() for _ in range(ndim)][1:])
+        w = Writer()
+        w.raw(body[:dims_at])
+        w.u32(dim(len(body) - r.pos, rest))
+        w.raw(body[dims_at + 4:])
+        return frame(M.checkpoint.MAGIC, M.checkpoint.CHECKPOINT_VERSION, w.buf)
+
+    @pytest.mark.parametrize("dim", [
+        lambda left, rest: left // (4 * rest) + 1,  # one row more than the body holds
+        lambda left, rest: 2**32 - 1,  # far more than memory holds
+    ], ids=["one-row-past", "u32-max"])
+    def test_tensor_past_the_body_is_refused(self, tmp_path, dim):
+        path = tmp_path / "golden.ckpt"
+        golden_checkpoint(path)
+        path.write_bytes(self._with_first_dim(path.read_bytes(), dim))
+        with pytest.raises(RecordFormatError, match="frame body ends at byte"):
+            M.load_checkpoint(path)
+
+    def test_checksum_is_checked_before_parsing(self, tmp_path):
+        path = tmp_path / "golden.ckpt"
+        golden_checkpoint(path)
+        data = path.read_bytes()
+        # a tensor past the body, under the intact file's CRC
+        path.write_bytes(self._with_first_dim(data, lambda left, rest: 2**32 - 1)[:-4] + data[-4:])
+        with pytest.raises(ChecksumError, match="SQCK checksum mismatch"):
+            M.load_checkpoint(path)
+
+    def test_body_len_past_end_of_file(self, tmp_path):
+        path = tmp_path / "golden.ckpt"
+        golden_checkpoint(path)
+        data = bytearray(path.read_bytes())
+        data[6:14] = (len(data) - 14 - 4 + 1).to_bytes(8, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(TruncatedRecordError, match="SQCK frame claims 293262 body bytes, only 293261"):
             M.load_checkpoint(path)
 
 
