@@ -4,7 +4,8 @@ Episodes are stored as self-describing binary records holding raw values,
 never tokens; tokenization is a view over storage, so codec parameters can
 change without rewriting corpora. Each record is one ``seqpolicy.framing``
 frame (magic "SQEP", version 1): length-prefixed and closed by a CRC-32 of
-its body, giving cheap corruption detection.
+its body, giving cheap corruption detection. A file is written and read
+one record after another, each streamed through the file like a checkpoint.
 
 The body carries the task id, per-timestep rewards, a schema table
 (length-prefixed UTF-8 keys plus shape/modality/range fields), and one
@@ -23,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .codec import Modality, TensorSchema
-from .errors import ExhaustedStreamError, RecordFormatError, SchemaError, TruncatedRecordError
-from .framing import Reader, Writer, atomic_writer, frame, unframe
+from .errors import ExhaustedStreamError, RecordFormatError, SchemaError
+from .framing import Reader, Writer, atomic_writer
 from .sequencer import ElementSequence, Episode, Timestep, flatten_episode, sample_subsequence
 
 logger = logging.getLogger(__name__)
@@ -117,9 +118,9 @@ def _read_value(r: Reader, schema: TensorSchema):
     return arr.reshape(schema.shape) if schema.shape else arr[0]
 
 
-def encode_episode(ep: Episode) -> bytes:
-    """Serialize one episode to a framed, checksummed record."""
-    body = Writer()
+def _write_episode(f, ep: Episode) -> None:
+    """Write one episode's record at the binary file ``f``'s position."""
+    body = Writer(f, MAGIC, FORMAT_VERSION)
     body.string(ep.task_id)
     body.u32(len(ep.rewards))
     for rwd in ep.rewards:
@@ -157,14 +158,13 @@ def encode_episode(ep: Episode) -> bytes:
             body.u8(1)
             body.u32(act[0])
             _write_value(body, act[1], act[2])
+    body.finish()
 
-    return frame(MAGIC, FORMAT_VERSION, body.buf)
 
-
-def decode_episode(data: bytes, offset: int = 0) -> tuple[Episode, int]:
-    """Parse one record starting at ``offset``; returns (episode, next offset)."""
-    body, next_offset = unframe(data, offset, MAGIC, FORMAT_VERSION)
-    r = Reader(body)
+def _read_episode(f) -> Episode:
+    """Parse the record at the binary file ``f``'s position, leaving ``f``
+    at the next record."""
+    r = Reader(f, MAGIC, FORMAT_VERSION)
     task_id = r.string()
     n_rewards = r.u32()
     rewards = [r.f64() for _ in range(n_rewards)]
@@ -190,26 +190,23 @@ def decode_episode(data: bytes, offset: int = 0) -> tuple[Episode, int]:
             schema = next_schema()
             action = (schema, _read_value(r, schema))
         timesteps.append(Timestep(observations=observations, action=action))
-    if not r.done():
-        raise TruncatedRecordError("record body has trailing bytes")
-    return Episode(task_id=task_id, timesteps=timesteps, rewards=rewards), next_offset
+    r.finish()
+    return Episode(task_id=task_id, timesteps=timesteps, rewards=rewards)
 
 
 def write_episodes(episodes: list[Episode], path) -> None:
     """Replace ``path`` with these records; a crash keeps the old file."""
     with atomic_writer(path) as f:
         for ep in episodes:
-            f.write(encode_episode(ep))
+            _write_episode(f, ep)
 
 
 def read_episodes(path) -> list[Episode]:
-    """Read all records concatenated in the file at ``path``."""
-    data = Path(path).read_bytes()
+    """Read all records concatenated in the file at ``path``, one after another."""
     episodes = []
-    offset = 0
-    while offset < len(data):
-        episode, offset = decode_episode(data, offset)
-        episodes.append(episode)
+    with open(path, "rb") as f:
+        while f.peek(1):
+            episodes.append(_read_episode(f))
     return episodes
 
 

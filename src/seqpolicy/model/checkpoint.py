@@ -14,7 +14,7 @@ import numpy as np
 
 from ..codec import TEXT_VOCAB, VOCAB_SIZE
 from ..errors import RecordFormatError
-from ..framing import FileReader, FileWriter, Writer, atomic_writer
+from ..framing import Reader, Writer, atomic_writer
 from .config import ModelConfig
 
 MAGIC = b"SQCK"
@@ -37,7 +37,7 @@ def _write_tensors(w: Writer, group: dict[str, np.ndarray]) -> None:
         w.raw(memoryview(np.ascontiguousarray(value, dtype="<f4")))
 
 
-def _read_tensors(r: FileReader) -> dict[str, np.ndarray]:
+def _read_tensors(r: Reader) -> dict[str, np.ndarray]:
     tensors = {}
     for _ in range(r.u32()):
         name = r.string()
@@ -55,7 +55,7 @@ def save_checkpoint(
 ) -> None:
     """Replace ``path`` with a checkpoint; a crash keeps the old file."""
     with atomic_writer(path) as f:
-        w = FileWriter(f, MAGIC, CHECKPOINT_VERSION)
+        w = Writer(f, MAGIC, CHECKPOINT_VERSION)
         w.string(json.dumps(dataclasses.asdict(cfg)))
         _write_tensors(w, params)
         if optimizer_state is not None:
@@ -77,7 +77,7 @@ def save_checkpoint(
 def load_checkpoint(path) -> dict:
     """Returns {cfg, params, optimizer_state, rng_states, extra}."""
     with open(path, "rb") as f:
-        r = FileReader(f, MAGIC, CHECKPOINT_VERSION)
+        r = Reader(f, MAGIC, CHECKPOINT_VERSION)
         try:
             raw = json.loads(r.string())
             for key, value in _FIXED_FIELDS.items():
@@ -92,8 +92,12 @@ def load_checkpoint(path) -> dict:
             step = r.u64()
             m, v = _read_tensors(r), _read_tensors(r)
             optimizer_state = {"step": step, "m": m, "v": v}
-        rng_states = json.loads(r.string()) if r.u8() else None
-        extra = json.loads(r.string()) if r.u8() else None
+        try:
+            rng_states = json.loads(r.string()) if r.u8() else None
+            extra = json.loads(r.string()) if r.u8() else None
+        except ValueError as exc:
+            raise RecordFormatError(f"checkpoint rng_states/extra: {exc}") from None
+        r.finish()
     # A file with more vocabulary rows is in the former id layout: text rows
     # first, then the bins and the separator as its last rows.
     if cfg.vocab > VOCAB_SIZE:

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 
@@ -15,6 +16,7 @@ from seqpolicy.codec import TensorSchema
 from seqpolicy.corpora import collect_episodes, synthetic_text_episodes
 from seqpolicy.datastore import DatasetManifest, LoadedDataset, MixtureSampler
 from seqpolicy.envs import GridReach, GridReachExpert
+from seqpolicy.framing import Reader, Writer
 from seqpolicy.sequencer import (
     ElementSequence,
     Episode,
@@ -135,16 +137,29 @@ def golden_checkpoint(path) -> None:
                       rng_states=M.RngStreams(3).state_dict(), extra={"step": 17})
 
 
+def framed(magic: bytes, version: int, write) -> bytes:
+    """The bytes of one frame whose body ``write(Writer)`` writes."""
+    f = io.BytesIO()
+    w = Writer(f, magic, version)
+    write(w)
+    w.finish()
+    return f.getvalue()
+
+
+def frame_body(data: bytes, magic: bytes, version: int) -> bytes:
+    """The body of the frame ``data`` starts with, once its header and CRC are checked."""
+    r = Reader(io.BytesIO(data), magic, version)
+    return r.take(r.size)
+
+
 def rewrite_checkpoint_config(data: bytes, edit) -> bytes:
     """Checkpoint bytes whose config JSON is ``edit(config dict)``; the rest is kept."""
-    from seqpolicy.framing import Reader, Writer, frame, unframe
     from seqpolicy.model.checkpoint import CHECKPOINT_VERSION, MAGIC
 
-    r = Reader(unframe(data, 0, MAGIC, CHECKPOINT_VERSION)[0])
-    w = Writer()
-    w.string(json.dumps(edit(json.loads(r.string()))))
-    w.raw(r.data[r.pos:])
-    return frame(MAGIC, CHECKPOINT_VERSION, w.buf)
+    r = Reader(io.BytesIO(data), MAGIC, CHECKPOINT_VERSION)
+    config = json.dumps(edit(json.loads(r.string())))
+    rest = r.take(r.size - r.pos)
+    return framed(MAGIC, CHECKPOINT_VERSION, lambda w: (w.string(config), w.raw(rest)))
 
 
 def build_layout_episode(
@@ -199,22 +214,22 @@ def one_stream_record(schema_index=0, modality_code=2) -> bytes:
     """A CRC-valid one-timestep episode record with a chosen schema index and
     modality code; the defaults (index 0, discrete) make a valid record."""
     from seqpolicy.datastore import FORMAT_VERSION, MAGIC
-    from seqpolicy.framing import Writer, frame
 
-    w = Writer()
-    w.string("t")
-    w.u32(1)  # rewards
-    w.f64(0.0)
-    w.u32(1)  # schemas: key, modality, is_action, compand, ndim, no range
-    w.string("o")
-    for field_value in (modality_code, 0, 0, 0, 0):
-        w.u8(field_value)
-    w.u32(1)  # timesteps
-    w.u32(1)  # observations
-    w.u32(schema_index)
-    w.raw(np.int32(5).tobytes())
-    w.u8(0)  # no action
-    return frame(MAGIC, FORMAT_VERSION, w.buf)
+    def body(w: Writer) -> None:
+        w.string("t")
+        w.u32(1)  # rewards
+        w.f64(0.0)
+        w.u32(1)  # schemas: key, modality, is_action, compand, ndim, no range
+        w.string("o")
+        for field_value in (modality_code, 0, 0, 0, 0):
+            w.u8(field_value)
+        w.u32(1)  # timesteps
+        w.u32(1)  # observations
+        w.u32(schema_index)
+        w.raw(np.int32(5).tobytes())
+        w.u8(0)  # no action
+
+    return framed(MAGIC, FORMAT_VERSION, body)
 
 
 @pytest.fixture

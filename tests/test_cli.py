@@ -20,7 +20,6 @@ from seqpolicy.corpora import build_dataset, collect_episodes
 from seqpolicy.datastore import (
     FORMAT_VERSION,
     MAGIC,
-    encode_episode,
     load_manifest,
     read_episodes,
     write_episodes,
@@ -29,13 +28,14 @@ from seqpolicy.datastore import (
 from seqpolicy import model as M
 from seqpolicy.envs import GridReach, GridReachExpert, make_env
 from seqpolicy.errors import ConfigError
-from seqpolicy.framing import frame, unframe
 from seqpolicy.policy import RolloutConfig, evaluate_policy
 from seqpolicy.sequencer import ElementSource, Episode, Timestep, flatten_episode
 from seqpolicy.codec import TensorSchema
 from seqpolicy.trainer import FinetuneConfig, TrainConfig
 
 from conftest import (
+    frame_body,
+    framed,
     golden_checkpoint,
     manual_sequence,
     micro_cfg,
@@ -594,6 +594,19 @@ class TestRolloutCommand:
         err = capsys.readouterr().err
         assert err.startswith("data error: checkpoint config") and message in err
 
+    def test_bad_json_in_checkpoint_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "model.ckpt"
+        golden_checkpoint(path)
+        magic, version = M.checkpoint.MAGIC, M.checkpoint.CHECKPOINT_VERSION
+        body = frame_body(path.read_bytes(), magic, version)
+        assert body.endswith(b'{"step": 17}')  # the extra blob
+        broken = body[:-12] + b'{"step"  17}'
+        path.write_bytes(framed(magic, version, lambda w: w.raw(broken)))
+        code = main(["rollout", "--checkpoint", str(path), "--env", "gridreach", "-n", "1"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: checkpoint") and "Expecting ':' delimiter" in err
+
     def test_needs_checkpoint_or_expert(self, capsys):
         assert main(["rollout", "--env", "gridreach", "-n", "1"]) == EXIT_CONFIG
 
@@ -689,22 +702,23 @@ class TestInspectCommand:
             assert "data error" in capsys.readouterr().err
 
     def test_non_rgb_image_schema_exit_3(self, tmp_path, capsys):
-        body = unframe(encode_episode(rich_episode()), 0, MAGIC, FORMAT_VERSION)[0]
+        path = tmp_path / "gray.ep"
+        write_episodes([rich_episode()], path)
+        body = frame_body(path.read_bytes(), MAGIC, FORMAT_VERSION)
         # the "cam" schema: image code, not an action, not companded, shape (16, 32, 3)
         rgb = b"cam" + bytes([1, 0, 0, 3]) + np.array([16, 32, 3], "<u4").tobytes()
         assert body.count(rgb) == 1
         gray = body.replace(rgb, rgb[:-4] + np.array([1], "<u4").tobytes())
-        path = tmp_path / "gray.ep"
-        path.write_bytes(frame(MAGIC, FORMAT_VERSION, gray))
+        path.write_bytes(framed(MAGIC, FORMAT_VERSION, lambda w: w.raw(gray)))
         assert main(["inspect", str(path)]) == EXIT_DATA
         assert "cam: image shape must be (H, W, 3), got (16, 32, 1)" in capsys.readouterr().err
 
     def test_invalid_utf8_task_id_exit_3(self, tmp_path, capsys):
         # a CRC-valid record whose task id byte is 0xFF
-        body = bytearray(unframe(one_stream_record(), 0, MAGIC, FORMAT_VERSION)[0])
+        body = bytearray(frame_body(one_stream_record(), MAGIC, FORMAT_VERSION))
         body[4] = 0xFF  # the byte after the task id's u32 length
         path = tmp_path / "bad.ep"
-        path.write_bytes(frame(MAGIC, FORMAT_VERSION, body))
+        path.write_bytes(framed(MAGIC, FORMAT_VERSION, lambda w: w.raw(body)))
         assert main(["inspect", str(path)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert "data error" in err and "invalid UTF-8 at frame body byte 4" in err

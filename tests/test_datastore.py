@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from seqpolicy.datastore import (
     DatasetManifest,
     LoadedDataset,
     MixtureSampler,
-    encode_episode,
     expert_return,
     filter_episodes,
     load_manifest,
@@ -27,7 +28,14 @@ from seqpolicy.errors import (
 )
 from seqpolicy.sequencer import Episode, Timestep
 
-from conftest import build_layout_episode, golden_checkpoint, one_stream_record, rich_episode
+from conftest import (
+    build_layout_episode,
+    frame_body,
+    framed,
+    golden_checkpoint,
+    one_stream_record,
+    rich_episode,
+)
 
 
 def _reward_episode(r, task="t"):
@@ -46,22 +54,42 @@ class TestEpisodeRecords:
 
     def test_roundtrip_via_buffer(self):
         ep = rich_episode(1)
-        record = encode_episode(ep)
-        assert datastore.decode_episode(record) == (ep, len(record))
+        f = io.BytesIO()
+        datastore._write_episode(f, ep)
+        f.seek(0)
+        assert datastore._read_episode(f) == ep
+        assert f.tell() == len(f.getvalue())
 
-    def test_empty_episode_roundtrips(self):
+    def test_empty_episode_roundtrips(self, tmp_path):
         ep = Episode(task_id="empty", timesteps=[], rewards=[])
-        assert datastore.decode_episode(encode_episode(ep))[0] == ep
+        write_episodes([ep], tmp_path / "ep.bin")
+        assert read_episodes(tmp_path / "ep.bin") == [ep]
 
-    def test_empty_observation_timestep_roundtrips(self):
+    def test_empty_observation_timestep_roundtrips(self, tmp_path):
         ep = Episode(task_id="t", timesteps=[Timestep(observations={})], rewards=[0.0])
-        assert datastore.decode_episode(encode_episode(ep))[0] == ep
+        write_episodes([ep], tmp_path / "ep.bin")
+        assert read_episodes(tmp_path / "ep.bin") == [ep]
 
     def test_multiple_records_per_file(self, tmp_path):
         eps = [rich_episode(i, task=f"t{i}") for i in range(3)]
         path = tmp_path / "eps.bin"
         write_episodes(eps, path)
         assert read_episodes(path) == eps
+
+    def test_records_larger_than_the_file_buffer(self, tmp_path):
+        # the middle body (20 32x32x3 frames) outgrows one buffered read, so
+        # its CRC pass reads past the buffer and seeks back
+        pixels = build_layout_episode(T=20, patch_grid=(2, 2), seed=3)
+        eps = [rich_episode(0), pixels, rich_episode(1)]
+        path = tmp_path / "eps.bin"
+        write_episodes(eps, path)
+        data = bytearray(path.read_bytes())
+        assert len(data) > 20 * 32 * 32 * 3 > io.DEFAULT_BUFFER_SIZE
+        assert read_episodes(path) == eps
+        data[-10] ^= 0xFF  # a body byte of the third record
+        path.write_bytes(bytes(data))
+        with pytest.raises(ChecksumError, match="SQEP"):
+            read_episodes(path)
 
     # The corruption cases run on both framed formats: an episode record and
     # a checkpoint. Each error must name the format it came from.
@@ -84,12 +112,12 @@ class TestEpisodeRecords:
                 load(data)
 
     def test_bad_schema_index_or_modality_code(self):
-        episode, _ = datastore.decode_episode(one_stream_record())
+        episode = datastore._read_episode(io.BytesIO(one_stream_record()))
         assert episode.timesteps[0].observations["o"][1] == 5
         with pytest.raises(RecordFormatError, match="schema index 99"):
-            datastore.decode_episode(one_stream_record(schema_index=99))
+            datastore._read_episode(io.BytesIO(one_stream_record(schema_index=99)))
         with pytest.raises(RecordFormatError, match="modality code 9"):
-            datastore.decode_episode(one_stream_record(modality_code=9))
+            datastore._read_episode(io.BytesIO(one_stream_record(modality_code=9)))
 
     def test_version_mismatch(self, tmp_path):
         for magic, data, load in _framed_artefacts(tmp_path):
@@ -102,6 +130,13 @@ class TestEpisodeRecords:
             data[-1] ^= 0xFF  # clobber the stored crc
             with pytest.raises(ChecksumError, match=magic):
                 load(data)
+
+    def test_trailing_body_bytes(self, tmp_path):
+        for magic, data, load in _framed_artefacts(tmp_path):
+            # a CRC-valid frame with 7 bytes after the last field; both formats are at version 1
+            body = frame_body(bytes(data), magic.encode(), 1) + bytes(7)
+            with pytest.raises(TruncatedRecordError, match="record body has trailing bytes"):
+                load(framed(magic.encode(), 1, lambda w: w.raw(body)))
 
     def test_body_corruption_detected(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -129,8 +164,10 @@ def _framed_artefacts(tmp_path):
         path.write_bytes(bytes(data))
         return M.load_checkpoint(path)
 
+    episode = tmp_path / "golden.ep"
+    write_episodes([rich_episode()], episode)
     return [
-        ("SQEP", bytearray(encode_episode(rich_episode())), load_episodes),
+        ("SQEP", bytearray(episode.read_bytes()), load_episodes),
         ("SQCK", bytearray(ckpt.read_bytes()), load_checkpoint),
     ]
 

@@ -8,7 +8,6 @@ from seqpolicy import model as M
 from seqpolicy.cli import _log_resolved, main
 from seqpolicy.datastore import (
     DatasetManifest,
-    encode_episode,
     read_episodes,
     write_episodes,
     write_manifest,
@@ -52,8 +51,9 @@ def _assert_same_tensors(a: dict, b: dict) -> None:
 
 
 class TestGoldenBytes:
-    def test_episode_record_digest(self):
-        data = encode_episode(rich_episode())
+    def test_episode_record_digest(self, tmp_path):
+        write_episodes([rich_episode()], tmp_path / "golden.ep")
+        data = (tmp_path / "golden.ep").read_bytes()
         assert len(data) == 5026
         assert hashlib.sha256(data).hexdigest() == EPISODE_SHA256
 

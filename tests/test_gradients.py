@@ -129,7 +129,9 @@ def test_sampled_entries_full_vocab_with_separator():
         size = params[name].size
         if name == "embed/vocab":
             width = cfg.width
-            rows = [3, 7, 9, 33024, 12345]  # used tokens, the separator, an unused row
+            # used tokens and unused rows; the separator's row 2048 is checked by
+            # test_gradients_with_separator_row_match_finite_differences
+            rows = [3, 7, 9, 33024, 12345]
             indices = [r * width + int(rng.integers(0, width)) for r in rows]
         elif size > 256:
             indices = sorted(int(i) for i in rng.choice(size, size=48, replace=False))

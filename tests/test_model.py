@@ -1,4 +1,5 @@
 import hashlib
+import io
 import math
 import os
 import subprocess
@@ -20,14 +21,22 @@ from seqpolicy.errors import (
     RecordFormatError,
     TruncatedRecordError,
 )
-from seqpolicy.framing import Reader, Writer, frame, unframe
+from seqpolicy.framing import Reader
 from seqpolicy.model import network, ops, patch_embed
 from seqpolicy.model.network import embed_batch, hidden_fwd
 from seqpolicy.model.ops import gelu_bwd, gelu_fwd
 from seqpolicy.sequencer import assemble_batch
 from seqpolicy.trainer import _draw_batch
 
-from conftest import golden_checkpoint, manual_sequence, masked_nll_loss, micro_cfg, mixed_sampler
+from conftest import (
+    frame_body,
+    framed,
+    golden_checkpoint,
+    manual_sequence,
+    masked_nll_loss,
+    micro_cfg,
+    mixed_sampler,
+)
 
 # SHA-256 of ``init_params(tiny(), seed=0)``: each name, dtype, shape and bytes.
 TINY_INIT_SHA256 = "70e1a1d39362cb29aae4437b5455e3d3d3bbf70e00a09c7d8415d530d8fe9cae"
@@ -764,16 +773,15 @@ class TestCheckpoint:
     def _with_first_dim(data: bytes, dim) -> bytes:
         """CRC-valid checkpoint bytes whose first tensor's first dimension is
         ``dim(remaining body bytes after the dims, the other dims' product)``."""
-        body = unframe(data, 0, M.checkpoint.MAGIC, M.checkpoint.CHECKPOINT_VERSION)[0]
-        r = Reader(body)
+        magic, version = M.checkpoint.MAGIC, M.checkpoint.CHECKPOINT_VERSION
+        body = frame_body(data, magic, version)
+        r = Reader(io.BytesIO(data), magic, version)
         r.string(), r.u32(), r.string()
         ndim, dims_at = r.u8(), r.pos
         rest = math.prod([r.u32() for _ in range(ndim)][1:])
-        w = Writer()
-        w.raw(body[:dims_at])
-        w.u32(dim(len(body) - r.pos, rest))
-        w.raw(body[dims_at + 4:])
-        return frame(M.checkpoint.MAGIC, M.checkpoint.CHECKPOINT_VERSION, w.buf)
+        first = dim(len(body) - r.pos, rest)
+        return framed(magic, version, lambda w: (
+            w.raw(body[:dims_at]), w.u32(first), w.raw(body[dims_at + 4:])))
 
     @pytest.mark.parametrize("dim", [
         lambda left, rest: left // (4 * rest) + 1,  # one row more than the body holds

@@ -107,7 +107,7 @@ def test_flatten_and_decode_reach_every_codec_trace_point():
 
 
 def test_training_reaches_every_trainer_trace_point():
-    """Flattening runs inside the trace because the datasets flatten lazily."""
+    """Flattening runs inside the trace because the datasets flatten when they load."""
     bench_trace = _bench_trace()
     trainer = bench_trace.trainer
     cfg = micro_cfg(context=64, stochastic_depth=0.1, dropout=0.1)
