@@ -284,10 +284,14 @@ def cmd_pretrain(args) -> int:
     resolved, out_dir, manifests, state = _prepare_training("pretrain", args)
     chosen = ablation_manifests(resolved["preset"], manifests, resolved["target_domain"])
     cfg = _build(TrainConfig, resolved)
-    result = pretrain(_sampler(chosen, resolved), state, cfg,
-                      out_dir=out_dir, log_path=out_dir / "metrics.log")
-    final_loss = result.metrics.column("loss_mean")[-1] if result.metrics.lines else float("nan")
-    print(f"final loss_mean={final_loss!r} prompted_fraction={result.prompted_fraction!r}")
+    sampler = _sampler(chosen, resolved)  # a data error comes before the warning
+    if cfg.steps <= cfg.warmup_steps:
+        print(f"warning: steps={cfg.steps} <= warmup_steps={cfg.warmup_steps}: the whole run "
+              f"warms up, below lr_max={cfg.lr_max!r}", file=sys.stderr)
+    result = pretrain(sampler, state, cfg, out_dir=out_dir, log_path=out_dir / "metrics.log")
+    loss, lr = (result.metrics.column(key)[-1] if result.metrics.lines else float("nan")
+                for key in ("loss_mean", "lr"))
+    print(f"final loss_mean={loss!r} prompted_fraction={result.prompted_fraction!r} lr={lr!r}")
     print(f"checkpoint: {out_dir / 'final.ckpt'}")
     return EXIT_OK
 

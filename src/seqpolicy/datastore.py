@@ -195,10 +195,15 @@ def _read_episode(f) -> Episode:
 
 
 def write_episodes(episodes: list[Episode], path) -> None:
-    """Replace ``path`` with these records; a crash keeps the old file."""
+    """Replace ``path`` with these records; a crash keeps the old file. Each
+    record is framed in memory, where ``Writer.finish`` seeks, then written whole."""
+    buf = io.BytesIO()
     with atomic_writer(path) as f:
         for ep in episodes:
-            _write_episode(f, ep)
+            buf.seek(0)
+            buf.truncate()
+            _write_episode(buf, ep)
+            f.write(buf.getvalue())
 
 
 def read_episodes(path) -> list[Episode]:

@@ -6,9 +6,10 @@ An episode file is a run of frames and a checkpoint is one frame
     magic (4 bytes) | u16 version | u64 body_len | body | u32 crc32(body)
 
 The magic and version say what the body holds; each owner keeps only its
-body schema. Both formats stream through their file: ``Writer`` writes a
-frame's body piece by piece and ``Reader`` parses it back once the frame's
-header and CRC are checked, so neither side holds a copy of a whole frame.
+body schema. ``Writer`` writes a frame's body piece by piece and ``Reader``
+parses it back once the frame's header and CRC are checked. A checkpoint
+streams through its file, so no side holds a copy of it; an episode record
+is small and is framed in memory, then written whole.
 """
 
 from __future__ import annotations

@@ -180,13 +180,16 @@ def embed_bwd(demb: np.ndarray, cache, params: dict, grads: dict) -> None:
 # transformer
 # ---------------------------------------------------------------------------
 
-def _attention_fwd(x, params, pfx, cfg, dropout_p, drop_rng, allowed, past=None):
+def _attention_fwd(x, params, pfx, cfg, dropout_p, drop_rng, allowed, past=None, pick=None):
     b, length, _ = x.shape
     h, k = cfg.heads, cfg.kv_size
-    q2, cq = linear_fwd(x, params[f"{pfx}/wq"], params[f"{pfx}/bq"])
+    if pick is not None:  # queries at the picked positions only; keys and values everywhere
+        allowed = np.take_along_axis(allowed, pick[:, None], axis=2)
+    xq = x if pick is None else np.take_along_axis(x, pick, axis=1)
+    q2, cq = linear_fwd(xq, params[f"{pfx}/wq"], params[f"{pfx}/bq"])
     k2, ck = linear_fwd(x, params[f"{pfx}/wk"], params[f"{pfx}/bk"])
     v2, cv = linear_fwd(x, params[f"{pfx}/wv"], params[f"{pfx}/bv"])
-    q = q2.reshape(b, length, h, k).transpose(0, 2, 1, 3)
+    q = q2.reshape(b, -1, h, k).transpose(0, 2, 1, 3)
     kk = k2.reshape(b, length, h, k).transpose(0, 2, 1, 3)
     v = v2.reshape(b, length, h, k).transpose(0, 2, 1, 3)
     if past is not None:
@@ -202,7 +205,7 @@ def _attention_fwd(x, params, pfx, cfg, dropout_p, drop_rng, allowed, past=None)
     else:
         keep = None
         probs_used = probs
-    ctx = (probs_used @ v).transpose(0, 2, 1, 3).reshape(b, length, h * k)
+    ctx = (probs_used @ v).transpose(0, 2, 1, 3).reshape(b, -1, h * k)
     out, co = linear_fwd(ctx, params[f"{pfx}/wo"], params[f"{pfx}/bo"])
     cache = (cq, ck, cv, q, kk, v, probs, keep, co, (b, length, h, k))
     return out, cache
@@ -271,7 +274,8 @@ def _ffn_bwd(dy, cache, params, pfx, grads):
 
 
 def hidden_fwd(params, cfg: ModelConfig, emb, mode: str, streams: RngStreams | None,
-               segments: np.ndarray | None = None, past: list | None = None):
+               segments: np.ndarray | None = None, past: list | None = None,
+               rows: np.ndarray | None = None):
     """Pre-norm causal blocks, then the final layer norm.
 
     ``segments`` (B, L) names each position's window: attention is causal
@@ -280,7 +284,9 @@ def hidden_fwd(params, cfg: ModelConfig, emb, mode: str, streams: RngStreams | N
     ``(keys, values)`` pair per block for the ``n`` positions of the same
     window that come before the rows of ``emb`` (then ``segments`` is None);
     each block's cache then holds the keys and values of all ``n + L``
-    positions.
+    positions. In eval mode, ``rows`` (one position of ``emb`` per batch row)
+    runs the last block past its keys and values, and the final norm, only
+    there: the output is then (B, 1, width).
     """
     rules = mode_rules(mode)
     sd_p = cfg.stochastic_depth if rules.stochastic_depth else 0.0
@@ -289,12 +295,13 @@ def hidden_fwd(params, cfg: ModelConfig, emb, mode: str, streams: RngStreams | N
         raise ValueError(f"{mode}-mode stochastic depth and dropout need random streams")
     drop_rng = streams.dropout if streams is not None else None
     n = past[0][0].shape[2] if past else 0
-    allowed = np.tri(emb.shape[1], n + emb.shape[1], n, dtype=bool)
+    allowed = np.tri(emb.shape[1], n + emb.shape[1], n, dtype=bool)[None, None]
     if segments is not None:
         allowed = allowed & (segments[:, None, :, None] == segments[:, None, None, :])
     x = emb
     caches = []
     for i in range(cfg.blocks):
+        pick = rows[:, None, None] if rows is not None and i == cfg.blocks - 1 else None
         skip_attn = sd_p > 0.0 and streams.stochastic_depth.random() < sd_p
         skip_ffn = sd_p > 0.0 and streams.stochastic_depth.random() < sd_p
         if skip_attn:
@@ -303,9 +310,9 @@ def hidden_fwd(params, cfg: ModelConfig, emb, mode: str, streams: RngStreams | N
             h, c_ln1 = layernorm_fwd(x, params[f"block{i}/ln1/g"], params[f"block{i}/ln1/b"])
             kv = past[i] if past else None
             a, c_attn = _attention_fwd(
-                h, params, f"block{i}/attn", cfg, drop_p, drop_rng, allowed, kv
+                h, params, f"block{i}/attn", cfg, drop_p, drop_rng, allowed, kv, pick
             )
-            x = x + a
+            x = (x if pick is None else np.take_along_axis(x, pick, axis=1)) + a
         if skip_ffn:
             c_ln2 = c_ffn = None
         else:
@@ -414,6 +421,9 @@ def loss_and_grads(
 class KVCache:
     """Per-block attention keys and values of the first ``length`` positions
     of one context, with those positions' tokens, sources and local positions.
+
+    No array is written in place (each pass concatenates new keys and
+    values), so shallow copies and ``prefix`` views may share them.
     """
 
     kv: list[tuple] = field(default_factory=list)  # per block, (1, H, length, K) keys and values
@@ -424,6 +434,11 @@ class KVCache:
     @property
     def length(self) -> int:
         return len(self.tokens)
+
+    def prefix(self, n: int) -> "KVCache":
+        """A cache of the first ``n`` positions, as views of this one's arrays."""
+        kv = [(k[:, :, :n], v[:, :, :n]) for k, v in self.kv]
+        return KVCache(kv, self.tokens[:n], self.sources[:n], self.local_pos[:n])
 
     def tail(self, batch: MaskedBatch, positions: np.ndarray | None) -> MaskedBatch:
         """The positions of ``batch`` past the cached prefix, as a batch of
@@ -465,29 +480,29 @@ def forward_logits(
     positions after them are embedded and run through the blocks, against the
     cached keys and values, and the cache then holds the whole context.
     ``positions`` must lie past the cached prefix. A batch the cache cannot
-    extend raises ``ValueError``.
+    extend raises ``ValueError``. With ``positions``, the last block runs
+    past its keys and values only there.
     """
+    start = 0 if cache is None else cache.length
+    rows = None if positions is None else np.asarray(positions) - start
     if cache is None:
         emb, _ = embed_batch(params, cfg, batch, "eval", None)
-        hidden, _ = hidden_fwd(params, cfg, emb, "eval", None, batch.segments)
-        start = 0
+        hidden, _ = hidden_fwd(params, cfg, emb, "eval", None, batch.segments, rows=rows)
     else:
         if batch.seq_len > cfg.context:
             raise CapacityError(f"sequence length {batch.seq_len} exceeds context {cfg.context}")
         tail = cache.tail(batch, positions)
         emb, _ = embed_batch(params, cfg, tail, "eval", None)
-        hidden, (blocks, _) = hidden_fwd(params, cfg, emb, "eval", None, past=cache.kv)
+        hidden, (blocks, _) = hidden_fwd(params, cfg, emb, "eval", None, past=cache.kv, rows=rows)
         # each block's attention cache holds its past-and-new keys and values
         cache.kv = [c_attn[4:6] for _, _, c_attn, *_ in blocks]
-        start = cache.length
         cache.tokens, cache.sources, cache.local_pos = (
             batch.tokens[0], batch.sources[0], batch.local_pos[0]
         )
-    if positions is None:
+    if rows is None:
         flat = hidden.reshape(-1, cfg.width) @ params["embed/vocab"].T
         return flat.reshape(batch.batch_size, hidden.shape[1], cfg.vocab)
-    rows = np.arange(batch.batch_size)
-    return hidden[rows, np.asarray(positions) - start] @ params["embed/vocab"].T
+    return hidden[:, 0] @ params["embed/vocab"].T
 
 
 @dataclass

@@ -10,9 +10,11 @@ Truncation drops its oldest whole timesteps, so the local structure the
 model saw during training survives.
 
 Each rollout keeps one K/V cache of its context, so a forward pass embeds
-and runs only the positions added since the last one. A truncation changes
-every deeper layer's keys and values, so it starts a fresh cache and the next
-pass runs over the whole context.
+and runs only the positions added since the last one; its last block runs
+past keys and values only at the sampled position. A truncation changes
+every deeper layer's keys and values, so it starts a new cache, from the
+keys and values of the prompt elements still in the context: those depend
+on the prompt and the weights alone, so an evaluation computes them once.
 
 Sampled action tokens are range-masked to the legal token range of the
 action schema (continuous bins or the discrete range), so illegal ids are
@@ -21,7 +23,7 @@ never emitted. Token id ``i`` is logit ``i``, so that range slices the logits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -174,10 +176,16 @@ def rollout(
     env,
     cfg: RolloutConfig,
     rng: np.random.Generator | None = None,
+    *,
+    prompt_kv: dict[int, KVCache] | None = None,
 ) -> tuple[Episode, float, RolloutStats]:
     """Run the model as a policy for one episode; returns the realized
-    episode, its total return, and per-rollout statistics."""
+    episode, its total return, and per-rollout statistics. ``prompt_kv``
+    maps ``n`` to a cache of the prompt's last ``n`` elements; only rollouts
+    with the same params and prompt may share it.
+    """
     rng = rng if rng is not None else np.random.default_rng(0)
+    prompt_kv = {} if prompt_kv is None else prompt_kv
     schema = env.spec.action_schema
     limit = min(cfg.context, state.cfg.context)
     stats = RolloutStats()
@@ -188,7 +196,7 @@ def rollout(
         seq = _prompt_sequence(cfg.prompt, cfg.prompt_budget)
         stats.prompted = True
 
-    cache = KVCache()
+    cache = None
     observations = env.reset()
     timesteps: list[Timestep] = []
     rewards: list[float] = []
@@ -197,9 +205,13 @@ def rollout(
         seq = step if seq is None else concat_sequences([seq, step])
         truncations = stats.truncations
         seq = _drop_oldest_timesteps(seq, limit, schema.num_elements, stats)
-        if stats.truncations > truncations:  # a dropped timestep changes every deeper K/V
-            cache = KVCache()
+        fresh = cache is None or stats.truncations > truncations
+        if fresh:  # a dropped timestep changes every deeper K/V, but not the prompt's
+            n = int(np.count_nonzero(seq.timestep < 0))
+            cache = replace(prompt_kv[n]) if n in prompt_kv else KVCache()
         seq, tokens = sample_action(state, seq, schema, cfg, rng, stats, cache)
+        if fresh:
+            prompt_kv.setdefault(n, cache.prefix(n))
         action = codec.decode(tokens, schema)
         next_observations, reward, done = env.step(action)
         timesteps.append(Timestep(observations=observations, action=(schema, action)))
@@ -230,12 +242,14 @@ def evaluate_policy(
     episodes: int,
     seed: int = 0,
 ) -> EvalResult:
-    """Average the policy over repeated rollouts on freshly seeded envs."""
+    """Average the policy over repeated rollouts on freshly seeded envs; they
+    share the prompt's keys and values."""
     rng = np.random.default_rng(seed)
     result = EvalResult(returns=[])
+    prompt_kv: dict[int, KVCache] = {}
     for i in range(episodes):
         env = env_factory(seed + i)
-        episode, ret, stats = rollout(state, env, cfg, rng)
+        episode, ret, stats = rollout(state, env, cfg, rng, prompt_kv=prompt_kv)
         result.returns.append(ret)
         result.episodes.append(episode)
         result.stats.append(stats)

@@ -419,6 +419,22 @@ class TestPretrainCommand:
         assert code == EXIT_OK
         assert M.load_checkpoint(out / "final.ckpt")["cfg"] == M.micro()
 
+    @pytest.mark.parametrize("schedule, warns", [((), True), (("warmup_steps=1",), False)])
+    def test_all_warmup_schedule_warns(self, tmp_path, capsys, schedule, warns):
+        """The default schedule is the paper's, so a desk-scale run never leaves warmup."""
+        out = tmp_path / "run"
+        code = main(["pretrain", *_sets(f"manifest={_grid_manifest(tmp_path)}", "steps=2",
+                                        "batch_size=2", "seq_len=32", "checkpoint_every=0",
+                                        "model.preset=micro", f"out_dir={out}", *schedule)])
+        assert code == EXIT_OK
+        captured = capsys.readouterr()
+        assert ("warning:" in captured.err) == warns
+        assert ("steps=2 <= warmup_steps=15000" in captured.err) == warns
+        log = (out / "metrics.log").read_text().split()
+        last_lr = [part for part in log if part.startswith("lr=")][-1]
+        final = [line for line in captured.out.splitlines() if line.startswith("final ")]
+        assert final[0].endswith(f" {last_lr}")
+
     def test_unknown_key_exit_2(self, tmp_path):
         assert main(["pretrain", "--set", "nonsense=1"]) == EXIT_CONFIG
 

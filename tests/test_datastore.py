@@ -1,3 +1,4 @@
+import contextlib
 import io
 
 import numpy as np
@@ -90,6 +91,31 @@ class TestEpisodeRecords:
         path.write_bytes(bytes(data))
         with pytest.raises(ChecksumError, match="SQEP"):
             read_episodes(path)
+
+    def test_one_write_per_record_and_no_seek(self, tmp_path, monkeypatch):
+        """A seek on the destination file would flush it once per record."""
+        real = datastore.atomic_writer
+        writes = []
+
+        class WriteOnly:
+            def __init__(self, f):
+                self.f = f
+
+            def write(self, b):
+                writes.append(len(b))
+                return self.f.write(b)
+
+        @contextlib.contextmanager
+        def write_only(path):
+            with real(path) as f:
+                yield WriteOnly(f)
+
+        monkeypatch.setattr(datastore, "atomic_writer", write_only)
+        eps = [rich_episode(i, task=f"t{i}") for i in range(3)]
+        path = tmp_path / "eps.bin"
+        write_episodes(eps, path)
+        assert len(writes) == 3 and sum(writes) == path.stat().st_size
+        assert read_episodes(path) == eps
 
     # The corruption cases run on both framed formats: an episode record and
     # a checkpoint. Each error must name the format it came from.

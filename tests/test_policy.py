@@ -22,7 +22,7 @@ from seqpolicy.model import network
 from seqpolicy.policy import RolloutConfig, evaluate_policy, rollout, sample_token
 from seqpolicy.sequencer import assemble_batch, flatten_episode, mask_of, targets_of
 
-from conftest import build_layout_episode, micro_cfg
+from conftest import MIXED_LEN, build_layout_episode, micro_cfg, mixed_items
 
 
 def tiny_state(**overrides):
@@ -267,16 +267,22 @@ def _relative_gap(cached, plain):
     return float(np.abs(cached - plain).max() / np.abs(plain).max())
 
 
+def _all_positions(params, cfg, batch, positions):
+    """Logits at ``positions`` taken from a pass that runs every position
+    through every block: the reference for passes that prune."""
+    return network.forward_logits(params, cfg, batch)[np.arange(batch.batch_size), positions]
+
+
 def _check_every_pass(monkeypatch):
     """The list of each pass's cached-vs-uncached relative gap; each pass of a
-    rollout also runs without its cache, on the same batch."""
+    rollout also runs without its cache, over all positions of the same batch."""
     gaps = []
     real = policy.forward_logits
 
     def checking(params, cfg, batch, positions=None, cache=None):
         assert cache is not None
         cached = real(params, cfg, batch, positions=positions, cache=cache)
-        gaps.append(_relative_gap(cached, real(params, cfg, batch, positions=positions)))
+        gaps.append(_relative_gap(cached, _all_positions(params, cfg, batch, positions)))
         return cached
 
     monkeypatch.setattr(policy, "forward_logits", checking)
@@ -294,11 +300,12 @@ class TestKVCache:
             if prompted else None
         )
         gaps = _check_every_pass(monkeypatch)
-        _, _, stats = rollout(
-            _digest_state(dtype), make_env(env_name, seed=3),
-            RolloutConfig(prompt=prompt, context=context),
+        # later episodes start from the prompt keys and values of earlier ones
+        result = evaluate_policy(
+            _digest_state(dtype), lambda s: make_env(env_name, seed=s),
+            RolloutConfig(prompt=prompt, context=context), episodes=3, seed=3,
         )
-        assert len(gaps) == stats.forward_passes
+        assert len(gaps) == sum(s.forward_passes for s in result.stats)
         assert max(gaps) <= CACHE_RTOL[dtype]
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -318,7 +325,7 @@ class TestKVCache:
         for end in (3, 4, 9, 10, 17, 18, 19, 26, 33, 45, 48):
             batch = assemble_batch([seq.slice(0, end)])
             cached = network.forward_logits(params, cfg, batch, np.array([end - 1]), cache)
-            plain = network.forward_logits(params, cfg, batch, np.array([end - 1]))
+            plain = _all_positions(params, cfg, batch, np.array([end - 1]))
             assert cache.length == end
             assert _relative_gap(cached, plain) <= CACHE_RTOL[np.float64]
 
@@ -332,12 +339,51 @@ class TestKVCache:
 
         monkeypatch.setattr(network, "embed_batch", spy)
         demo = run_policy_episode(LineReacher(seed=9), make_expert("linereacher"))
-        episode, _, stats = rollout(
-            tiny_state(), LineReacher(seed=3), RolloutConfig(prompt=demo, prompt_budget=30)
+        result = evaluate_policy(
+            tiny_state(), LineReacher, RolloutConfig(prompt=demo, prompt_budget=30),
+            episodes=3, seed=3,
         )
-        assert stats.truncations == 0 and len(embedded) == stats.forward_passes
-        # the last action token is sampled, never embedded
-        assert sum(embedded) == 30 + len(flatten_episode(episode)) - 1
+        assert not any(s.truncations for s in result.stats)
+        assert len(embedded) == sum(s.forward_passes for s in result.stats)
+        # the prompt is embedded once per evaluation; each episode's last
+        # action token is sampled, never embedded
+        assert sum(embedded) == 30 + sum(len(flatten_episode(ep)) - 1 for ep in result.episodes)
+
+    def test_shared_prompt_kv_is_never_written(self, monkeypatch):
+        """Each rollout of an evaluation reads the entries the earlier ones stored."""
+        stored = {}
+        real = policy.rollout
+
+        def snapshot(*args, prompt_kv):
+            out = real(*args, prompt_kv=prompt_kv)
+            for n, entry in prompt_kv.items():
+                arrays = [a for kv in entry.kv for a in kv]
+                arrays += [entry.tokens, entry.sources, entry.local_pos]
+                stored.setdefault(n, (arrays, [a.tobytes() for a in arrays]))
+            return out
+
+        monkeypatch.setattr(policy, "rollout", snapshot)
+        prompt = run_policy_episode(GridReach(seed=99), GridReachExpert())
+        result = evaluate_policy(_digest_state(np.float32), GridReach,
+                                 RolloutConfig(prompt=prompt, context=12), episodes=3, seed=3)
+        assert all(s.truncations for s in result.stats) and len(stored) > 1
+        for arrays, before in stored.values():
+            assert [a.tobytes() for a in arrays] == before
+
+    def test_sampled_rows_of_a_packed_batch(self):
+        """Pruning the last block to one position per row keeps each row's
+        windows apart."""
+        cfg = micro_cfg(context=MIXED_LEN, local_pos_table=64)
+        params = init_params(cfg, seed=3, dtype=np.float64)
+        batch = assemble_batch(mixed_items())
+        assert any(len(np.unique(row)) > 1 for row in batch.segments)
+        full = network.forward_logits(params, cfg, batch)
+        rng = np.random.default_rng(0)
+        for _ in range(8):
+            positions = rng.integers(batch.seq_len, size=batch.batch_size)
+            picked = network.forward_logits(params, cfg, batch, positions)
+            plain = full[np.arange(batch.batch_size), positions]
+            assert _relative_gap(picked, plain) <= CACHE_RTOL[np.float64]
 
     def _filled_cache(self):
         cfg = micro_cfg()

@@ -3,8 +3,9 @@
 ``perfbench/bench_trace.py`` wraps ``owner.__dict__[attr]`` for each trace
 point, so a rename in the program breaks a traced benchmark run. This test
 reads that table and fails on the rename instead. A name that stays imported
-but is no longer called would silently zero the benchmark's numbers, so a
-traced rollout must also reach every ``policy`` trace point, flattening and
+but is no longer called would silently zero the benchmark's numbers, so the
+second episode of a traced evaluation, which reuses the prompt's keys and
+values, must also reach every ``policy`` trace point, flattening and
 action decoding every ``codec`` one, and a pretrain and a finetune step every
 ``trainer`` one.
 """
@@ -69,20 +70,37 @@ def test_every_trace_point_resolves():
     assert not missing, f"trace points that no longer resolve: {missing}"
 
 
-def test_prompted_rollout_reaches_every_policy_trace_point():
+def test_prompted_rollout_reaches_every_policy_trace_point(monkeypatch):
+    """The second episode of an evaluation starts from the prompt keys and
+    values the first one stored, and still reaches every trace point."""
     bench_trace = _bench_trace()
     policy = bench_trace.policy
     cfg = micro_cfg(context=64)
     state = M.ModelState(cfg, M.init_params(cfg, seed=1), M.RngStreams(0))
     prompt = run_policy_episode(GridReach(seed=2), GridReachExpert())
+    embedded = []
+    real_embed = M.network.embed_batch
+
+    def spy(params, cfg, batch, *args):
+        embedded.append(batch.tokens.size)
+        return real_embed(params, cfg, batch, *args)
+
+    monkeypatch.setattr(M.network, "embed_batch", spy)
     tracer = bench_trace.Tracer()
     tracer.install()
     try:
-        policy.rollout(state, GridReach(seed=3), RolloutConfig(prompt=prompt),
-                       np.random.default_rng(0))
+        result = policy.evaluate_policy(state, GridReach, RolloutConfig(prompt=prompt), 2, seed=3)
     finally:
         tracer.uninstall()
-    recorded = {span[0] for span in tracer.spans}
+    assert embedded[result.stats[0].forward_passes] < embedded[0]  # the prompt is not re-run
+    second = [i for i, span in enumerate(tracer.spans) if span[0] == "policy.rollout"][1]
+
+    def in_second(i):
+        while i is not None and i != second:
+            i = tracer.spans[i][3]
+        return i == second
+
+    recorded = {span[0] for i, span in enumerate(tracer.spans) if in_second(i)}
     expected = {name for owner, _, name in bench_trace.TRACE_POINTS if owner is policy}
     assert len(expected) == 6
     assert not expected - recorded, f"trace points never reached: {expected - recorded}"
