@@ -55,7 +55,7 @@ from .model import (
     tiny,
 )
 from .policy import RolloutConfig, evaluate_policy
-from .sequencer import (HAS_TOKEN, TOKEN_RANGE, ElementSource, Episode, episode_layout,
+from .sequencer import (HAS_TOKEN, TOKEN_RANGE, ElementSource, episode_layout,
                         flatten_episode, mask_of)
 from .trainer import (
     ABLATION_ARMS,
@@ -326,6 +326,8 @@ def cmd_rollout(args) -> int:
         raise ConfigError(f"--episodes must be >= 1, got {args.episodes}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    if args.expert == bool(args.checkpoint):
+        raise ConfigError("rollout takes exactly one of --checkpoint and --expert")
     warnings: list[str] = []
     prompt = None
     if args.prompt:
@@ -335,30 +337,23 @@ def cmd_rollout(args) -> int:
             warnings.append(f"prompt file {args.prompt} holds no episodes; rolling out unprompted")
         else:
             prompt = prompt_eps[0]
-    if prompt is None and args.env.startswith("bandit"):
+    if prompt is None and not args.expert and args.env.startswith("bandit"):
         warnings.append(f"{args.env} is prompt-disambiguated; unprompted rollouts are a coin flip")
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     cfg = RolloutConfig(prompt=prompt, prompt_budget=args.prompt_budget, context=args.context,
                         temperature=args.temperature)
 
-    episodes: list[Episode] = []
-    returns: list[float] = []
     if args.expert:
         expert = make_expert(args.env)
-        for i in range(args.episodes):
-            env = make_env(args.env, seed=args.seed + i)
-            ep = run_policy_episode(env, expert)
-            episodes.append(ep)
-            returns.append(ep.total_return)
+        episodes = [run_policy_episode(make_env(args.env, seed=args.seed + i), expert)
+                    for i in range(args.episodes)]
     else:
-        if not args.checkpoint:
-            raise ConfigError("rollout needs --checkpoint or --expert")
         state = _state_from_checkpoint(args.checkpoint)
-        result = evaluate_policy(
+        episodes = evaluate_policy(
             state, lambda s: make_env(args.env, seed=s), cfg, args.episodes, seed=args.seed
-        )
-        episodes, returns = result.episodes, result.returns
+        ).episodes
+    returns = [ep.total_return for ep in episodes]
 
     mean = float(np.mean(returns))
     for i, ret in enumerate(returns):

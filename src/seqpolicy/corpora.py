@@ -17,7 +17,8 @@ _WORDS = (
 
 
 def run_policy_episode(env, actor) -> Episode:
-    """Roll one episode with ``actor.act(observation_set) -> raw action``."""
+    """Roll one episode with ``actor.act(observation_set) -> raw action``: the
+    one loop that steps an env, for scripted experts and ``policy.ModelActor``."""
     obs = env.reset()
     timesteps: list[Timestep] = []
     rewards: list[float] = []

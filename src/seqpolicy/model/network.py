@@ -423,7 +423,7 @@ class KVCache:
     of one context, with those positions' tokens, sources and local positions.
 
     No array is written in place (each pass concatenates new keys and
-    values), so shallow copies and ``prefix`` views may share them.
+    values), so shallow copies may share them.
     """
 
     kv: list[tuple] = field(default_factory=list)  # per block, (1, H, length, K) keys and values
@@ -436,9 +436,10 @@ class KVCache:
         return len(self.tokens)
 
     def prefix(self, n: int) -> "KVCache":
-        """A cache of the first ``n`` positions, as views of this one's arrays."""
-        kv = [(k[:, :, :n], v[:, :, :n]) for k, v in self.kv]
-        return KVCache(kv, self.tokens[:n], self.sources[:n], self.local_pos[:n])
+        """A cache of the first ``n`` positions, as copies that keep none of
+        this one's arrays alive."""
+        kv = [(k[:, :, :n].copy(), v[:, :, :n].copy()) for k, v in self.kv]
+        return KVCache(kv, *(a[:n].copy() for a in (self.tokens, self.sources, self.local_pos)))
 
     def tail(self, batch: MaskedBatch, positions: np.ndarray | None) -> MaskedBatch:
         """The positions of ``batch`` past the cached prefix, as a batch of

@@ -1,9 +1,11 @@
 """Deploy a trained model as a control policy.
 
-The loop tokenizes each observation exactly as training did (same flattening
-code path), appends a separator, samples the action tokens one at a time,
-each conditioned on the context so far, decodes them by inverting the codec,
-and steps the environment. The context is one element sequence: the prompt,
+The model acts like a scripted expert: a ``ModelActor`` maps each observation
+set to an action, and ``corpora.run_policy_episode``, the one loop that steps
+every env, drives it. The actor tokenizes each observation exactly as training
+did (same flattening code path), appends a separator, samples the action
+tokens one at a time, each conditioned on the context so far, and decodes them
+by inverting the codec. The context is one element sequence: the prompt,
 an episode of the env's own task, on timestep ids below zero, then each
 observation and its action tokens. A prompt from another task is refused.
 Truncation drops its oldest whole timesteps, so the local structure the
@@ -29,6 +31,7 @@ import numpy as np
 
 from . import codec
 from .codec import Modality, TensorSchema
+from .corpora import run_policy_episode
 from .errors import ConfigError
 from .model import KVCache, ModelState, forward_logits
 from .sequencer import (
@@ -105,17 +108,16 @@ def _observation_fragment(task_id: str, observations, timestep_id: int) -> Eleme
     return frag
 
 
-def _with_actions(seq: ElementSequence, tokens: list[int]) -> ElementSequence:
-    """``seq`` followed by action elements in its last timestep."""
-    n = len(tokens)
-    actions = ElementSequence(
-        sources=np.full(n, ElementSource.ACTION, np.uint8),
-        tokens=np.array(tokens, np.int32),
-        local_pos=np.full(n, -1, np.int32),
-        timestep=np.full(n, seq.timestep[-1], np.int32),
+def _with_action(seq: ElementSequence, token: int) -> ElementSequence:
+    """``seq`` followed by an action element in its last timestep."""
+    action = ElementSequence(
+        sources=np.full(1, ElementSource.ACTION, np.uint8),
+        tokens=np.array([token], np.int32),
+        local_pos=np.full(1, -1, np.int32),
+        timestep=np.full(1, seq.timestep[-1], np.int32),
         task_id=seq.task_id,
     )
-    return concat_sequences([seq, actions])
+    return concat_sequences([seq, action])
 
 
 def _prompt_sequence(prompt: Episode, budget: int) -> ElementSequence:
@@ -143,32 +145,55 @@ def _drop_oldest_timesteps(
     return seq.slice(int(starts[drop]), len(seq)) if drop else seq
 
 
-def sample_action(
-    state: ModelState,
-    seq: ElementSequence,
-    schema: TensorSchema,
-    cfg: RolloutConfig,
-    rng: np.random.Generator,
-    stats: RolloutStats,
-    cache: KVCache,
-) -> tuple[ElementSequence, list[int]]:
-    """One token at a time, each from one forward pass over the positions of
-    ``seq`` that ``cache`` does not hold yet."""
-    tokens = []
-    for _ in range(schema.num_elements):
-        stats.forward_passes += 1
-        logits = forward_logits(
-            state.params, state.cfg, assemble_batch([seq]),
-            positions=np.array([len(seq) - 1]), cache=cache,
-        )
-        token = sample_token(logits[0], *legal_token_range(schema), cfg.temperature, rng)
-        tokens.append(token)
-        seq = _with_actions(seq, [token])
-    return seq, tokens
-
-
 def encode_action(value, schema: TensorSchema) -> list[int]:
     return codec.encode(value, schema)
+
+
+class ModelActor:
+    """The model as the policy of one episode on ``env``, with its context, K/V
+    cache and statistics. ``prompt_kv`` maps ``n`` to a cache of the prompt's
+    last ``n`` elements; only actors with the same params and prompt may share it.
+    """
+
+    def __init__(self, state: ModelState, env, cfg: RolloutConfig, rng: np.random.Generator,
+                 prompt_kv: dict[int, KVCache]):
+        if cfg.prompt is not None and cfg.prompt.task_id != env.task_id:
+            raise ConfigError(f"prompt task {cfg.prompt.task_id!r} != env task {env.task_id!r}")
+        self.state, self.cfg, self.rng, self.prompt_kv = state, cfg, rng, prompt_kv
+        self.task_id, self.schema = env.task_id, env.spec.action_schema
+        self.limit = min(cfg.context, state.cfg.context)
+        self.stats = RolloutStats(prompted=cfg.prompt is not None)
+        self.seq = None if cfg.prompt is None else _prompt_sequence(cfg.prompt, cfg.prompt_budget)
+        self.cache: KVCache | None = None
+
+    def act(self, observations):
+        """Sample the action one token at a time, each from one forward pass
+        over the context positions the cache does not hold yet."""
+        stats, schema = self.stats, self.schema
+        step = _observation_fragment(self.task_id, observations, stats.env_steps)
+        seq = step if self.seq is None else concat_sequences([self.seq, step])
+        truncations = stats.truncations
+        seq = _drop_oldest_timesteps(seq, self.limit, schema.num_elements, stats)
+        fresh = self.cache is None or stats.truncations > truncations
+        if fresh:  # a dropped timestep changes every deeper K/V, but not the prompt's
+            n = int(np.count_nonzero(seq.timestep < 0))
+            self.cache = replace(self.prompt_kv[n]) if n in self.prompt_kv else KVCache()
+        tokens = []
+        for _ in range(schema.num_elements):
+            stats.forward_passes += 1
+            logits = forward_logits(
+                self.state.params, self.state.cfg, assemble_batch([seq]),
+                positions=np.array([len(seq) - 1]), cache=self.cache,
+            )
+            token = sample_token(logits[0], *legal_token_range(schema), self.cfg.temperature,
+                                 self.rng)
+            tokens.append(token)
+            seq = _with_action(seq, token)
+        if fresh and n not in self.prompt_kv:
+            self.prompt_kv[n] = self.cache.prefix(n)
+        self.seq = seq
+        stats.env_steps += 1
+        return codec.decode(tokens, schema)
 
 
 def rollout(
@@ -180,48 +205,11 @@ def rollout(
     prompt_kv: dict[int, KVCache] | None = None,
 ) -> tuple[Episode, float, RolloutStats]:
     """Run the model as a policy for one episode; returns the realized
-    episode, its total return, and per-rollout statistics. ``prompt_kv``
-    maps ``n`` to a cache of the prompt's last ``n`` elements; only rollouts
-    with the same params and prompt may share it.
-    """
+    episode, its total return, and the ``ModelActor``'s statistics."""
     rng = rng if rng is not None else np.random.default_rng(0)
-    prompt_kv = {} if prompt_kv is None else prompt_kv
-    schema = env.spec.action_schema
-    limit = min(cfg.context, state.cfg.context)
-    stats = RolloutStats()
-    seq = None
-    if cfg.prompt is not None:
-        if cfg.prompt.task_id != env.task_id:
-            raise ConfigError(f"prompt task {cfg.prompt.task_id!r} != env task {env.task_id!r}")
-        seq = _prompt_sequence(cfg.prompt, cfg.prompt_budget)
-        stats.prompted = True
-
-    cache = None
-    observations = env.reset()
-    timesteps: list[Timestep] = []
-    rewards: list[float] = []
-    for t in range(env.spec.episode_length):
-        step = _observation_fragment(env.task_id, observations, t)
-        seq = step if seq is None else concat_sequences([seq, step])
-        truncations = stats.truncations
-        seq = _drop_oldest_timesteps(seq, limit, schema.num_elements, stats)
-        fresh = cache is None or stats.truncations > truncations
-        if fresh:  # a dropped timestep changes every deeper K/V, but not the prompt's
-            n = int(np.count_nonzero(seq.timestep < 0))
-            cache = replace(prompt_kv[n]) if n in prompt_kv else KVCache()
-        seq, tokens = sample_action(state, seq, schema, cfg, rng, stats, cache)
-        if fresh:
-            prompt_kv.setdefault(n, cache.prefix(n))
-        action = codec.decode(tokens, schema)
-        next_observations, reward, done = env.step(action)
-        timesteps.append(Timestep(observations=observations, action=(schema, action)))
-        rewards.append(float(reward))
-        stats.env_steps += 1
-        observations = next_observations
-        if done:
-            break
-    episode = Episode(task_id=env.task_id, timesteps=timesteps, rewards=rewards)
-    return episode, episode.total_return, stats
+    actor = ModelActor(state, env, cfg, rng, {} if prompt_kv is None else prompt_kv)
+    episode = run_policy_episode(env, actor)
+    return episode, episode.total_return, actor.stats
 
 
 @dataclass

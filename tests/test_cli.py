@@ -16,7 +16,7 @@ from seqpolicy.cli import (
     parse_config_file,
     resolve_config,
 )
-from seqpolicy.corpora import build_dataset, collect_episodes
+from seqpolicy.corpora import build_dataset, collect_episodes, run_policy_episode
 from seqpolicy.datastore import (
     FORMAT_VERSION,
     MAGIC,
@@ -26,7 +26,7 @@ from seqpolicy.datastore import (
     write_manifest,
 )
 from seqpolicy import model as M
-from seqpolicy.envs import GridReach, GridReachExpert, make_env
+from seqpolicy.envs import GridReach, GridReachExpert, make_env, make_expert
 from seqpolicy.errors import ConfigError
 from seqpolicy.policy import RolloutConfig, evaluate_policy
 from seqpolicy.sequencer import ElementSource, Episode, Timestep, flatten_episode
@@ -625,6 +625,42 @@ class TestRolloutCommand:
 
     def test_needs_checkpoint_or_expert(self, capsys):
         assert main(["rollout", "--env", "gridreach", "-n", "1"]) == EXIT_CONFIG
+
+    def test_expert_with_checkpoint_exit_2_before_reading(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["rollout", "--env", "gridreach", "--expert", "--checkpoint",
+                     str(tmp_path / "absent.ckpt"), "-n", "1", "--out", str(out)])
+        assert code == EXIT_CONFIG  # an absent checkpoint that was read would exit 3
+        assert capsys.readouterr().err == (
+            "error: rollout takes exactly one of --checkpoint and --expert\n")
+        assert not out.exists()
+
+    def test_bandit_warning_only_for_model_rollouts(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["rollout", "--env", "bandit_a", "--expert", "-n", "3",
+                     "--out", str(out)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "mean_return=1.0" in captured.out
+        assert json.loads((out / "rollout_summary.json").read_text())["warnings"] == []
+        path = tmp_path / "model.ckpt"
+        cfg = micro_cfg(context=64)
+        M.save_checkpoint(path, cfg, M.init_params(cfg, seed=2))
+        code = main(["rollout", "--checkpoint", str(path), "--env", "bandit_a", "-n", "1"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == (
+            "warning: bandit_a is prompt-disambiguated; unprompted rollouts are a coin flip\n")
+
+    def test_expert_rollout_seeds_episode_i_with_seed_plus_i(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["rollout", "--env", "linereacher", "--expert", "--seed", "3", "-n", "2",
+                     "--out", str(out)]) == EXIT_OK
+        expected = [run_policy_episode(make_env("linereacher", seed=3 + i),
+                                       make_expert("linereacher")) for i in range(2)]
+        write_episodes(expected, tmp_path / "expected.ep")
+        assert read_episodes(out / "transcripts.ep") == read_episodes(tmp_path / "expected.ep")
+        summary = json.loads((out / "rollout_summary.json").read_text())
+        assert summary["returns"] == [ep.total_return for ep in expected]
 
     def test_model_rollout_is_evaluate_policy(self, tmp_path, capsys):
         path = tmp_path / "model.ckpt"

@@ -19,7 +19,7 @@ from seqpolicy.envs import (
 from seqpolicy.errors import ConfigError
 from seqpolicy.model import KVCache, ModelConfig, ModelState, RngStreams, init_params
 from seqpolicy.model import network
-from seqpolicy.policy import RolloutConfig, evaluate_policy, rollout, sample_token
+from seqpolicy.policy import ModelActor, RolloutConfig, evaluate_policy, rollout, sample_token
 from seqpolicy.sequencer import assemble_batch, flatten_episode, mask_of, targets_of
 
 from conftest import MIXED_LEN, build_layout_episode, micro_cfg, mixed_items
@@ -201,6 +201,17 @@ class TestRollout:
         tokens = [flatten_episode(ep).tokens for ep in episodes]
         assert np.array_equal(tokens[0], tokens[1])
 
+    def test_model_actor_in_the_episode_loop_is_rollout(self):
+        state = tiny_state()
+        prompt = run_policy_episode(GridReach(seed=99), GridReachExpert())
+        cfg = RolloutConfig(prompt=prompt, prompt_budget=6, context=13, temperature=0.7)
+        episode, ret, stats = rollout(state, GridReach(seed=4), cfg, np.random.default_rng(1))
+        env = GridReach(seed=4)
+        actor = ModelActor(state, env, cfg, np.random.default_rng(1), {})
+        assert run_policy_episode(env, actor) == episode
+        assert actor.stats == stats
+        assert stats.prompted and stats.truncations and ret == episode.total_return
+
     def test_evaluate_policy_mean(self):
         state = tiny_state()
         result = evaluate_policy(state, lambda s: GridReach(seed=s), RolloutConfig(), episodes=4)
@@ -369,6 +380,42 @@ class TestKVCache:
         assert all(s.truncations for s in result.stats) and len(stored) > 1
         for arrays, before in stored.values():
             assert [a.tobytes() for a in arrays] == before
+
+    def test_shared_prompt_entries_own_their_memory(self, monkeypatch):
+        """Each entry is a copy of its source cache's first ``n`` positions,
+        so it keeps none of the whole-context arrays alive."""
+        cuts = []
+        real_prefix = KVCache.prefix
+
+        def spy(cache, n):
+            entry = real_prefix(cache, n)
+            cuts.append((entry, [a for kv in cache.kv for a in kv],
+                         [cache.tokens, cache.sources, cache.local_pos]))
+            return entry
+
+        shared = []
+        real_rollout = policy.rollout
+
+        def keep(*args, prompt_kv):
+            shared.append(prompt_kv)
+            return real_rollout(*args, prompt_kv=prompt_kv)
+
+        monkeypatch.setattr(KVCache, "prefix", spy)
+        monkeypatch.setattr(policy, "rollout", keep)
+        prompt = run_policy_episode(GridReach(seed=99), GridReachExpert())
+        evaluate_policy(_digest_state(np.float32), GridReach,
+                        RolloutConfig(prompt=prompt, context=12), episodes=3, seed=3)
+        prompt_kv = shared[0]
+        stored = [(n, cut) for n, entry in prompt_kv.items() for cut in cuts if cut[0] is entry]
+        assert len(stored) == len(prompt_kv) > 1
+        for n, (entry, kv, per_position) in stored:
+            arrays = [a for pair in entry.kv for a in pair]
+            assert all(a.base is None for a in arrays + [entry.tokens, entry.sources,
+                                                         entry.local_pos])
+            for a, whole in zip(arrays, kv, strict=True):
+                assert np.array_equal(a, whole[:, :, :n])
+            for a, whole in zip((entry.tokens, entry.sources, entry.local_pos), per_position):
+                assert np.array_equal(a, whole[:n])
 
     def test_sampled_rows_of_a_packed_batch(self):
         """Pruning the last block to one position per row keeps each row's
