@@ -328,6 +328,12 @@ def cmd_rollout(args) -> int:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     if args.expert == bool(args.checkpoint):
         raise ConfigError("rollout takes exactly one of --checkpoint and --expert")
+    model_flags = {"prompt": args.prompt, "prompt_budget": args.prompt_budget,
+                   "context": args.context, "temperature": args.temperature}
+    given = {key: value for key, value in model_flags.items() if value is not None}
+    if args.expert and given:
+        flags = ", ".join("--" + key.replace("_", "-") for key in given)
+        raise ConfigError(f"--expert takes no {flags}: only a model rollout reads them")
     warnings: list[str] = []
     prompt = None
     if args.prompt:
@@ -341,18 +347,22 @@ def cmd_rollout(args) -> int:
         warnings.append(f"{args.env} is prompt-disambiguated; unprompted rollouts are a coin flip")
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    cfg = RolloutConfig(prompt=prompt, prompt_budget=args.prompt_budget, context=args.context,
-                        temperature=args.temperature)
+    given.pop("prompt", None)
+    cfg = RolloutConfig(prompt=prompt, **given)
 
+    counts = {}
     if args.expert:
         expert = make_expert(args.env)
         episodes = [run_policy_episode(make_env(args.env, seed=args.seed + i), expert)
                     for i in range(args.episodes)]
     else:
         state = _state_from_checkpoint(args.checkpoint)
-        episodes = evaluate_policy(
+        result = evaluate_policy(
             state, lambda s: make_env(args.env, seed=s), cfg, args.episodes, seed=args.seed
-        ).episodes
+        )
+        episodes = result.episodes
+        counts = {key: sum(getattr(s, key) for s in result.stats)
+                  for key in ("truncations", "rebuilds")}
     returns = [ep.total_return for ep in episodes]
 
     mean = float(np.mean(returns))
@@ -364,7 +374,7 @@ def cmd_rollout(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         write_episodes(episodes, out_dir / "transcripts.ep")
         summary = {"env": args.env, "episodes": len(returns), "returns": returns,
-                   "mean_return": mean, "warnings": warnings}
+                   "mean_return": mean, **counts, "warnings": warnings}
         with atomic_writer(out_dir / "rollout_summary.json") as f:
             f.write(json.dumps(summary, indent=2).encode())
     return EXIT_OK
@@ -441,10 +451,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default="")
     p.add_argument("--env", required=True)
     p.add_argument("--episodes", "-n", type=int, default=50)
-    p.add_argument("--prompt", default="")
-    p.add_argument("--prompt-budget", type=int, default=1024)
-    p.add_argument("--context", type=int, default=1024)
-    p.add_argument("--temperature", type=float, default=0.0)
+    # None marks a flag not given, so --expert can refuse the model-only ones
+    p.add_argument("--prompt")
+    p.add_argument("--prompt-budget", type=int)
+    p.add_argument("--context", type=int)
+    p.add_argument("--temperature", type=float)
     p.add_argument("--expert", action="store_true")
     p.add_argument("--out", default="")
     p.add_argument("--seed", type=int, default=0)

@@ -8,8 +8,10 @@ tokens one at a time, each conditioned on the context so far, and decodes them
 by inverting the codec. The context is one element sequence: the prompt,
 an episode of the env's own task, on timestep ids below zero, then each
 observation and its action tokens. A prompt from another task is refused.
-Truncation drops its oldest whole timesteps, so the local structure the
-model saw during training survives.
+When the next step would overflow the window, truncation drops the oldest
+whole timesteps until the context fills at most half of it, so the local
+structure the model saw during training survives, and the prompt, which
+sits at the front, goes first.
 
 Each rollout keeps one K/V cache of its context, so a forward pass embeds
 and runs only the positions added since the last one; its last block runs
@@ -17,6 +19,8 @@ past keys and values only at the sampled position. A truncation changes
 every deeper layer's keys and values, so it starts a new cache, from the
 keys and values of the prompt elements still in the context: those depend
 on the prompt and the weights alone, so an evaluation computes them once.
+Dropping to half the window makes such rebuilds rare: the passes after one
+extend its cache until the window fills again.
 
 Sampled action tokens are range-masked to the legal token range of the
 action schema (continuous bins or the discrete range), so illegal ids are
@@ -70,7 +74,8 @@ class RolloutStats:
     forward_passes: int = 0
     env_steps: int = 0
     prompted: bool = False
-    truncations: int = 0
+    truncations: int = 0  # timesteps dropped from the front of the context
+    rebuilds: int = 0  # steps whose truncation started a fresh cache
 
 
 def legal_token_range(schema: TensorSchema) -> tuple[int, int]:
@@ -131,18 +136,22 @@ def _prompt_sequence(prompt: Episode, budget: int) -> ElementSequence:
 def _drop_oldest_timesteps(
     seq: ElementSequence, limit: int, reserve: int, stats: RolloutStats
 ) -> ElementSequence:
-    """Drop whole timesteps from the front of ``seq`` until ``reserve`` more
-    elements fit in ``limit``."""
+    """``seq`` if ``reserve`` more elements fit in ``limit``. Otherwise drop
+    whole timesteps from the front until the rest and ``reserve`` fill at most
+    half of ``limit``, or keep only the newest timestep if it needs more."""
     starts = np.r_[0, np.flatnonzero(np.diff(seq.timestep)) + 1]
-    fits = np.flatnonzero(len(seq) - starts + reserve <= limit)
-    if fits.size == 0:
+    needs = len(seq) - starts + reserve  # elements if the context starts at each timestep
+    if needs[0] <= limit:
+        return seq
+    if needs[-1] > limit:
         raise ConfigError(
             f"a single timestep ({len(seq) - int(starts[-1])} elements + {reserve} action "
             f"tokens) exceeds the context window of {limit}"
         )
-    drop = int(fits[0])
+    fits = np.flatnonzero(needs <= limit // 2)
+    drop = int(fits[0]) if fits.size else len(starts) - 1
     stats.truncations += drop
-    return seq.slice(int(starts[drop]), len(seq)) if drop else seq
+    return seq.slice(int(starts[drop]), len(seq))
 
 
 def encode_action(value, schema: TensorSchema) -> list[int]:
@@ -174,7 +183,9 @@ class ModelActor:
         seq = step if self.seq is None else concat_sequences([self.seq, step])
         truncations = stats.truncations
         seq = _drop_oldest_timesteps(seq, self.limit, schema.num_elements, stats)
-        fresh = self.cache is None or stats.truncations > truncations
+        rebuild = stats.truncations > truncations
+        stats.rebuilds += rebuild
+        fresh = self.cache is None or rebuild
         if fresh:  # a dropped timestep changes every deeper K/V, but not the prompt's
             n = int(np.count_nonzero(seq.timestep < 0))
             self.cache = replace(self.prompt_kv[n]) if n in self.prompt_kv else KVCache()

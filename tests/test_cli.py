@@ -555,6 +555,14 @@ class TestVocabLayouts:
         assert loaded["params"]["embed/vocab"].shape == (rows, 128)
 
 
+def _micro_checkpoint(tmp_path):
+    """A fresh micro model's checkpoint with a 64-element context."""
+    path = tmp_path / "model.ckpt"
+    cfg = micro_cfg(context=64)
+    M.save_checkpoint(path, cfg, M.init_params(cfg, seed=2))
+    return path
+
+
 _BAD_ROLLOUT_FLAGS = [("--prompt-budget", "-3"), ("--temperature", "-1"), ("--context", "0"),
                       ("--context", "-3"), ("--seed", "-1")]
 
@@ -579,21 +587,52 @@ class TestRolloutCommand:
         assert mean == pytest.approx(np.mean(returns))
 
     def test_missing_prompt_warns_and_runs(self, tmp_path, capsys):
-        code = main(["rollout", "--env", "bandit_a", "--expert", "-n", "2",
-                     "--prompt", str(tmp_path / "absent.ep")])
+        code = main(["rollout", "--checkpoint", str(_micro_checkpoint(tmp_path)), "--env",
+                     "gridreach", "-n", "2", "--prompt", str(tmp_path / "absent.ep")])
         assert code == EXIT_OK
-        assert "warning" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"warning: prompt file {tmp_path / 'absent.ep'} absent; rolling out unprompted\n")
 
     def test_empty_prompt_warns_and_runs(self, tmp_path, capsys):
         prompt, out = tmp_path / "empty.ep", tmp_path / "out"
         write_episodes([], prompt)
-        code = main(["rollout", "--env", "gridreach", "--expert", "-n", "1",
-                     "--prompt", str(prompt), "--out", str(out)])
+        code = main(["rollout", "--checkpoint", str(_micro_checkpoint(tmp_path)), "--env",
+                     "gridreach", "-n", "1", "--prompt", str(prompt), "--out", str(out)])
         assert code == EXIT_OK
         warning = f"prompt file {prompt} holds no episodes; rolling out unprompted"
         assert capsys.readouterr().err == f"warning: {warning}\n"
         summary = json.loads((out / "rollout_summary.json").read_text())
         assert summary["warnings"] == [warning]
+
+    @pytest.mark.parametrize("flags", [("--temperature", "5"), ("--context", "1"),
+                                       ("--prompt-budget", "3"), ("--prompt", "absent.ep"),
+                                       ("--context", "1", "--temperature", "5")])
+    def test_expert_refuses_model_flags_before_reading(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        code = main(["rollout", "--env", "gridreach", "--expert", "-n", "1", "--out", str(out),
+                     *flags])
+        assert code == EXIT_CONFIG
+        named = ", ".join(flags[::2])
+        assert capsys.readouterr().err == (
+            f"error: --expert takes no {named}: only a model rollout reads them\n")
+        assert not out.exists()
+
+    def test_summary_counts_truncations_and_rebuilds(self, tmp_path):
+        out = tmp_path / "out"
+        path = _micro_checkpoint(tmp_path)
+        assert main(["rollout", "--checkpoint", str(path), "--env", "gridreach", "-n", "3",
+                     "--context", "12", "--seed", "4", "--out", str(out)]) == EXIT_OK
+        loaded = M.load_checkpoint(path)
+        state = M.ModelState(cfg=loaded["cfg"], params=loaded["params"], streams=M.RngStreams(0))
+        stats = evaluate_policy(state, lambda s: make_env("gridreach", s),
+                                RolloutConfig(context=12), 3, seed=4).stats
+        summary = json.loads((out / "rollout_summary.json").read_text())
+        assert summary["truncations"] == sum(s.truncations for s in stats) > 0
+        assert summary["rebuilds"] == sum(s.rebuilds for s in stats) > 0
+        expert = tmp_path / "expert"
+        assert main(["rollout", "--env", "gridreach", "--expert", "-n", "1",
+                     "--out", str(expert)]) == EXIT_OK
+        assert "rebuilds" not in json.loads((expert / "rollout_summary.json").read_text())
 
     @pytest.mark.parametrize("change, message", [
         ({"zero_action_inputs": True}, "sets zero_action_inputs=True, not False"),
@@ -643,9 +682,7 @@ class TestRolloutCommand:
         assert captured.err == ""
         assert "mean_return=1.0" in captured.out
         assert json.loads((out / "rollout_summary.json").read_text())["warnings"] == []
-        path = tmp_path / "model.ckpt"
-        cfg = micro_cfg(context=64)
-        M.save_checkpoint(path, cfg, M.init_params(cfg, seed=2))
+        path = _micro_checkpoint(tmp_path)
         code = main(["rollout", "--checkpoint", str(path), "--env", "bandit_a", "-n", "1"])
         assert code == EXIT_OK
         assert capsys.readouterr().err == (
@@ -663,9 +700,7 @@ class TestRolloutCommand:
         assert summary["returns"] == [ep.total_return for ep in expected]
 
     def test_model_rollout_is_evaluate_policy(self, tmp_path, capsys):
-        path = tmp_path / "model.ckpt"
-        cfg = micro_cfg(context=64)
-        M.save_checkpoint(path, cfg, M.init_params(cfg, seed=2))
+        path = _micro_checkpoint(tmp_path)
         code = main(["rollout", "--checkpoint", str(path), "--env", "gridreach",
                      "--temperature", "1", "-n", "3", "--seed", "4"])
         assert code == EXIT_OK
@@ -679,9 +714,7 @@ class TestRolloutCommand:
 
     @pytest.mark.parametrize("flag", _BAD_ROLLOUT_FLAGS)
     def test_bad_context_flags_exit_2(self, tmp_path, capsys, flag):
-        path = tmp_path / "model.ckpt"
-        cfg = micro_cfg(context=64)
-        M.save_checkpoint(path, cfg, M.init_params(cfg, seed=2))
+        path = _micro_checkpoint(tmp_path)
         code = main(["rollout", "--checkpoint", str(path), "--env", "gridreach", "-n", "1",
                      *flag])
         assert code == EXIT_CONFIG
@@ -709,9 +742,7 @@ class TestRolloutCommand:
         prompts, out = tmp_path / "bandit_b", tmp_path / "out"
         assert main(["rollout", "--env", "bandit_b", "--expert", "-n", "1",
                      "--out", str(prompts)]) == EXIT_OK
-        path = tmp_path / "model.ckpt"
-        cfg = micro_cfg(context=64)
-        M.save_checkpoint(path, cfg, M.init_params(cfg, seed=2))
+        path = _micro_checkpoint(tmp_path)
         code = main(["rollout", "--checkpoint", str(path), "--env", "bandit_a", "-n", "1",
                      "--prompt", str(prompts / "transcripts.ep"), "--out", str(out)])
         assert code == EXIT_CONFIG

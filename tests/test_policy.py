@@ -20,7 +20,14 @@ from seqpolicy.errors import ConfigError
 from seqpolicy.model import KVCache, ModelConfig, ModelState, RngStreams, init_params
 from seqpolicy.model import network
 from seqpolicy.policy import ModelActor, RolloutConfig, evaluate_policy, rollout, sample_token
-from seqpolicy.sequencer import assemble_batch, flatten_episode, mask_of, targets_of
+from seqpolicy.sequencer import (
+    ElementSequence,
+    ElementSource,
+    assemble_batch,
+    flatten_episode,
+    mask_of,
+    targets_of,
+)
 
 from conftest import MIXED_LEN, build_layout_episode, micro_cfg, mixed_items
 
@@ -112,6 +119,42 @@ class _FixedVectorEnv:
         )
 
 
+def _timesteps(*lengths: int) -> ElementSequence:
+    """A sequence of timesteps with these element counts, ids from 0."""
+    ids = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
+    return ElementSequence(
+        sources=np.full(ids.size, ElementSource.TENSOR, np.uint8),
+        tokens=np.arange(ids.size, dtype=np.int32),
+        local_pos=np.zeros(ids.size, np.int32),
+        timestep=ids,
+    )
+
+
+class TestDropOldestTimesteps:
+    def test_a_fitting_context_is_kept(self):
+        seq, stats = _timesteps(4, 4, 3), policy.RolloutStats()
+        assert policy._drop_oldest_timesteps(seq, 12, 1, stats) is seq
+        assert stats.truncations == 0
+
+    def test_overflow_drops_to_half_the_window(self):
+        seq, stats = _timesteps(4, 4, 4, 4, 3), policy.RolloutStats()
+        kept = policy._drop_oldest_timesteps(seq, 16, 1, stats)
+        # 19 elements + 1 reserve overflow 16; the newest two timesteps and
+        # the reserve fill 8 = 16 // 2, and one more timestep would not fit
+        assert len(kept) + 1 <= 8 < len(kept) + 1 + 4
+        assert np.array_equal(kept.tokens, seq.tokens[12:])
+        assert np.array_equal(kept.timestep, [3] * 4 + [4] * 3)
+        assert stats.truncations == 3
+
+    def test_newest_timestep_alone_when_it_needs_more_than_half(self):
+        seq, stats = _timesteps(4, 4, 6), policy.RolloutStats()
+        # 14 + 2 overflow 12; the last two timesteps would fit in 12, but
+        # the newest alone already needs 8 > 6
+        kept = policy._drop_oldest_timesteps(seq, 12, 2, stats)
+        assert np.array_equal(kept.tokens, seq.tokens[8:])
+        assert stats.truncations == 2
+
+
 class TestRollout:
     def test_one_token_sampled_per_step_single_action(self):
         state = tiny_state()
@@ -167,6 +210,15 @@ class TestRollout:
         with pytest.raises(ConfigError):
             rollout(state, GridReach(seed=0), RolloutConfig(context=3))
 
+    def test_benchmark_shape_rebuilds_twice_per_episode(self):
+        """Context 64 and a 32-element prompt, as perfbench's GridReach rollout:
+        dropping one timestep per overflow rebuilt on 12 of the 20 steps."""
+        prompt = run_policy_episode(GridReach(seed=142), GridReachExpert())
+        assert len(flatten_episode(prompt)) >= 32  # 8 timesteps of 4 elements
+        cfg = RolloutConfig(prompt=prompt, prompt_budget=32, context=64)
+        _, _, stats = rollout(tiny_state(), GridReach(seed=3), cfg)
+        assert (stats.env_steps, stats.rebuilds, stats.truncations) == (20, 2, 18)
+
     def test_prompt_prepended_and_budgeted(self, monkeypatch):
         state = tiny_state()
         demo = run_policy_episode(GridReach(seed=9), GridReachExpert())
@@ -219,18 +271,21 @@ class TestRollout:
         assert len(result.episodes) == 4
 
 
-# SHA-256 over 32 rollouts: actions, return and stats of each, plus the
-# integer arrays and positions of every batch the model is asked for logits
-# on. Logits stay out, so the BLAS build cannot move it. Pinned when action
-# tokens became always embedded; the code before gave the same value for
-# these 32 cases. Re-pinned when the bins moved from [32000, 33024) to
-# [1024, 2048): the former batches with every id from 32000 up lowered by
-# 30976 give this value.
-ROLLOUT_DIGEST = "fbaca41a333fe198953768c9ec0983319aa5335c5a98a47672e3263c394074d3"
+# Each of 32 rollouts is hashed on its own: its actions, return and
+# (forward_passes, env_steps, prompted, truncations), plus the integer arrays
+# and positions of every batch the model is asked for logits on. Logits stay
+# out, so the BLAS build cannot move it. The cases whose context never
+# overflows fold into NO_OVERFLOW_DIGEST, which no change to what an overflow
+# drops can move; the truncating ones fold into ROLLOUT_DIGEST, re-pinned when
+# an overflow began dropping the context to half its window.
+NO_OVERFLOW_DIGEST = "9bfebb0bf5d0e8c02986bbbe1840b347ece5f1889be6b0eb1fc47828c2342514"
+ROLLOUT_DIGEST = "2cf8838683d53e5c0eccdb5bcd694a80f27fadeb0c1fde4a9c2c5d2b4727b854"
+DIGEST_CASES = {"no_overflow": 24, "overflow": 8}
 
 
-def test_rollout_golden_digest(monkeypatch):
-    h = hashlib.sha256()
+def _rollout_grid_digests(monkeypatch) -> dict[str, tuple[int, str]]:
+    """Case count and SHA-256 of the grid's rollouts, split by whether they truncated."""
+    case = hashlib.sha256()
     real_forward = policy.forward_logits
 
     def recording_forward(params, cfg, batch, positions=None, **kwargs):
@@ -238,9 +293,9 @@ def test_rollout_golden_digest(monkeypatch):
                    "targets": targets_of(batch.sources, batch.tokens)}
         for name in ("tokens", "sources", "local_pos", "mask", "targets", "segments"):
             arr = derived[name] if name in derived else getattr(batch, name)
-            h.update(name.encode() + arr.dtype.str.encode() + repr(arr.shape).encode())
-            h.update(arr.tobytes())
-        h.update(np.asarray(positions, np.int64).tobytes())
+            case.update(name.encode() + arr.dtype.str.encode() + repr(arr.shape).encode())
+            case.update(arr.tobytes())
+        case.update(np.asarray(positions, np.int64).tobytes())
         return real_forward(params, cfg, batch, positions=positions, **kwargs)
 
     monkeypatch.setattr(policy, "forward_logits", recording_forward)
@@ -249,8 +304,11 @@ def test_rollout_golden_digest(monkeypatch):
     prompts = {
         name: run_policy_episode(make_env(name, seed=99), make_expert(name)) for name in ENV_NAMES
     }
-    grid = list(itertools.product(ENV_NAMES, (False, True), (1024, 12), (0.0, 0.7)))
-    for env_name, prompted, context, temperature in grid:
+    groups = {"no_overflow": [0, hashlib.sha256()], "overflow": [0, hashlib.sha256()]}
+    for env_name, prompted, context, temperature in itertools.product(
+        ENV_NAMES, (False, True), (1024, 12), (0.0, 0.7)
+    ):
+        case = hashlib.sha256()
         rcfg = RolloutConfig(
             prompt=prompts[env_name] if prompted else None, context=context,
             temperature=temperature,
@@ -259,9 +317,25 @@ def test_rollout_golden_digest(monkeypatch):
             state, make_env(env_name, seed=3), rcfg, np.random.default_rng(8)
         )
         actions = [np.asarray(ts.action[1]).tolist() for ts in episode.timesteps]
-        h.update(repr((actions, ret, stats)).encode())
-    assert len(grid) == 32
-    assert h.hexdigest() == ROLLOUT_DIGEST
+        counts = (stats.forward_passes, stats.env_steps, stats.prompted, stats.truncations)
+        case.update(repr((actions, ret, counts)).encode())
+        group = groups["overflow" if stats.truncations else "no_overflow"]
+        group[0] += 1
+        group[1].update(case.digest())
+    return {name: (n, h.hexdigest()) for name, (n, h) in groups.items()}
+
+
+def test_no_overflow_rollout_digest(monkeypatch):
+    """Rollouts that never truncate run exactly the passes they always did."""
+    count, digest = _rollout_grid_digests(monkeypatch)["no_overflow"]
+    assert count == DIGEST_CASES["no_overflow"]
+    assert digest == NO_OVERFLOW_DIGEST
+
+
+def test_rollout_golden_digest(monkeypatch):
+    count, digest = _rollout_grid_digests(monkeypatch)["overflow"]
+    assert count == DIGEST_CASES["overflow"]
+    assert digest == ROLLOUT_DIGEST
 
 
 # Bounds on the largest |cached - uncached| logit gap, relative to the largest
